@@ -3,7 +3,8 @@ command-line entry point.
 
 Problem files are JSON: {"n": int, "objective": {"P": [[i, j, v], ...],
 "q": [...], "r": float}, "constraints": [{"P": ..., "q": ..., "r": ...,
-"sense": "le"|"eq"}, ...]} with 0-based upper-triangle triplets.
+"sense": "le"|"eq"}, ...]} with 0-based upper-triangle triplets.  NaN,
+Infinity and any other non-finite number are rejected with ParseError.
 
 Reports are serialized canonically (sorted keys, timing excluded), so a
 fixed problem, config, and seed produce byte-identical output; wall and CPU
@@ -31,11 +32,10 @@ from .generators import (
     gen_maxclique,
     gen_maxcut,
     gen_partitioning,
-    gen_3sat,
 )
 from .improve import METHODS, improve_sequence
 from .relax import sdr_bound_cutting_plane, spectral_bound
-from .suggest import sub_seed, suggest_random, suggest_sdr, suggest_spectral
+from .suggest import suggest_random, suggest_sdr, suggest_spectral
 
 
 # -- problem files ----------------------------------------------------------
@@ -54,13 +54,13 @@ def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
         raise ParseError(f"{where}: expected an object")
     try:
         trips = [(int(i), int(j), float(v)) for i, j, v in obj.get("P", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed P triplets") from exc
     q = obj.get("q")
     r = float(obj.get("r", 0.0))
     try:
         return QuadraticForm.create(n, trips, q, r)
-    except QcqpError as exc:
+    except (QcqpError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -89,10 +89,14 @@ def problem_from_json(data) -> QcqpProblem:
     return QcqpProblem.create(obj, cons)
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} in problem file")
+
+
 def load_problem(path) -> QcqpProblem:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     return problem_from_json(data)

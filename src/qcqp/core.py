@@ -1,16 +1,18 @@
 """Problem representation, evaluation, and equivalent-form transforms.
 
-Quadratic functions f(x) = x'Px + q'x + r are stored as upper-triangle
-triplets of the symmetric matrix P plus a dense linear term.  All types
-are immutable after construction, so they can be shared freely between
-threads and worker processes.
+Quadratic functions f(x) = x'Px + q'x + r are stored as a read-only
+symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
+(i, j, v) triplets are the problem-file format only: `create` reads them
+and `triplets` writes them back.  All types are immutable after
+construction, so they can be shared freely between threads and worker
+processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,39 +22,48 @@ from .errors import DegenerateHomogeneousError, DimensionMismatchError
 Triplet = tuple[int, int, float]
 
 
-def _normalize_triplets(n: int, triplets: Iterable[Triplet]) -> tuple[Triplet, ...]:
-    """Merge duplicates, fold to the upper triangle, sort row-major, drop zeros."""
-    acc: dict[tuple[int, int], float] = {}
-    for i, j, v in triplets:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise DimensionMismatchError(f"triplet index ({i},{j}) out of range for n={n}")
-        if i > j:
-            i, j = j, i
-        acc[(i, j)] = acc.get((i, j), 0.0) + float(v)
-    return tuple((i, j, v) for (i, j), v in sorted(acc.items()) if v != 0.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
-    """f(x) = x'Px + q'x + r with symmetric P stored as upper-triangle triplets."""
+    """f(x) = x'Px + q'x + r with P symmetric; dense_p and q_vec are read-only."""
 
     n: int
-    triplets: tuple[Triplet, ...]
-    q: tuple[float, ...]
+    dense_p: np.ndarray
+    q_vec: np.ndarray
     r: float
 
     @classmethod
-    def create(cls, n, triplets=(), q=None, r=0.0) -> "QuadraticForm":
+    def _of_symmetric(cls, P: np.ndarray, q=None, r=0.0) -> "QuadraticForm":
+        """Wrap a symmetric P; adding 0.0 turns every -0.0 into 0.0."""
+        P = P + 0.0
+        n = P.shape[0]
+        q = np.zeros(n) if q is None else np.array(q, dtype=float)
+        if q.shape != (n,):
+            raise DimensionMismatchError(f"q has shape {q.shape}, expected ({n},)")
+        r = float(r)
+        if not (np.isfinite(P).all() and np.isfinite(q).all() and math.isfinite(r)):
+            raise ValueError("quadratic form has non-finite coefficients")
+        P.setflags(write=False)
+        q.setflags(write=False)
+        return cls(n=n, dense_p=P, q_vec=q, r=r)
+
+    @classmethod
+    def create(cls, n, triplets: Iterable[Triplet] = (), q=None, r=0.0) -> "QuadraticForm":
+        """Build from (i, j, v) triplets: folded to the upper triangle, duplicates summed."""
         n = int(n)
         if n < 0:
             raise DimensionMismatchError("dimension must be nonnegative")
-        if q is None:
-            q = np.zeros(n)
-        q = np.asarray(q, dtype=float)
-        if q.shape != (n,):
-            raise DimensionMismatchError(f"q has shape {q.shape}, expected ({n},)")
-        return cls(n=n, triplets=_normalize_triplets(n, triplets), q=tuple(q), r=float(r))
+        t = np.array(list(triplets), dtype=float)
+        if t.size and t.shape[1:] != (3,):
+            raise DimensionMismatchError("triplets must be (i, j, v) rows")
+        t = t.reshape(-1, 3)
+        i, j = t[:, 0].astype(int), t[:, 1].astype(int)
+        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DimensionMismatchError(f"triplet index ({i[k]},{j[k]}) out of range for n={n}")
+        U = np.zeros((n, n))
+        np.add.at(U, (np.minimum(i, j), np.maximum(i, j)), t[:, 2])  # in input order
+        return cls._of_symmetric(U + np.triu(U, 1).T, q, r)
 
     @classmethod
     def from_dense(cls, P, q=None, r=0.0) -> "QuadraticForm":
@@ -61,42 +72,29 @@ class QuadraticForm:
         n = P.shape[0]
         if P.shape != (n, n):
             raise DimensionMismatchError("P must be square")
-        S = 0.5 * (P + P.T)
-        iu, ju = np.triu_indices(n)
-        trips = [(int(i), int(j), float(S[i, j])) for i, j in zip(iu, ju) if S[i, j] != 0.0]
-        return cls.create(n, trips, q, r)
+        return cls._of_symmetric(0.5 * (P + P.T), q, r)
 
-    @cached_property
-    def dense_p(self) -> np.ndarray:
-        """Densified symmetric matrix P (read-only)."""
-        P = np.zeros((self.n, self.n))
-        for i, j, v in self.triplets:
-            P[i, j] = v
-            if i != j:
-                P[j, i] = v
-        P.setflags(write=False)
-        return P
+    @property
+    def triplets(self) -> tuple[Triplet, ...]:
+        """Nonzero upper-triangle entries (i, j, P_ij) in row-major order."""
+        iu, ju = np.triu_indices(self.n)
+        v = self.dense_p[iu, ju]
+        keep = v != 0.0
+        return tuple(zip(iu[keep].tolist(), ju[keep].tolist(), v[keep].tolist()))
 
-    @cached_property
-    def q_vec(self) -> np.ndarray:
-        q = np.array(self.q, dtype=float)
-        q.setflags(write=False)
-        return q
+    @property
+    def q(self) -> tuple[float, ...]:
+        return tuple(self.q_vec.tolist())
 
     @property
     def is_affine(self) -> bool:
-        return not self.triplets
+        return not self.dense_p.any()
 
     def __call__(self, x) -> float:
         return evaluate(self, x)
 
     def scaled(self, alpha: float) -> "QuadraticForm":
-        return QuadraticForm.create(
-            self.n,
-            [(i, j, alpha * v) for i, j, v in self.triplets],
-            alpha * self.q_vec,
-            alpha * self.r,
-        )
+        return QuadraticForm._of_symmetric(alpha * self.dense_p, alpha * self.q_vec, alpha * self.r)
 
     def negated(self) -> "QuadraticForm":
         return self.scaled(-1.0)
@@ -119,15 +117,6 @@ def evaluate(form: QuadraticForm, x) -> float:
     return float(x @ (form.dense_p @ x) + form.q_vec @ x + form.r)
 
 
-def evaluate_triplets(form: QuadraticForm, x) -> float:
-    """Triplet-wise evaluation; cross-checks the densified path in tests."""
-    x = _check_vector(x, form.n)
-    total = form.r + float(form.q_vec @ x)
-    for i, j, v in form.triplets:
-        total += (v if i == j else 2.0 * v) * x[i] * x[j]
-    return total
-
-
 class Sense(Enum):
     """Constraint sense: f(x) <= 0 or f(x) = 0."""
 
@@ -141,7 +130,10 @@ class Constraint:
     sense: Sense = Sense.LE
 
     def violation(self, x) -> float:
+        """Amount by which x violates the row; inf when f(x) is not finite."""
         v = evaluate(self.form, x)
+        if not math.isfinite(v):
+            return math.inf
         return abs(v) if self.sense is Sense.EQ else max(v, 0.0)
 
 
@@ -187,21 +179,30 @@ class QcqpProblem:
 
 
 def assess(problem: QcqpProblem, x) -> Assessment:
-    """Maximum constraint violation and objective value at x."""
+    """Maximum constraint violation and objective value at x.
+
+    A non-finite objective counts as violation inf, like a non-finite
+    constraint value, so such a point never beats a finite one.
+    """
     x = _check_vector(x, problem.n)
     v = 0.0
     for c in problem.constraints:
         v = max(v, c.violation(x))
-    return Assessment(violation=v, objective=evaluate(problem.objective, x))
+    f = evaluate(problem.objective, x)
+    if not math.isfinite(f):
+        v = math.inf
+    return Assessment(violation=v, objective=f)
 
 
 def _lift_form(form: QuadraticForm, n_new: int, extra_q: Sequence[tuple[int, float]] = ()) -> QuadraticForm:
     """Embed a form into a larger variable space, optionally adding linear terms."""
+    P = np.zeros((n_new, n_new))
+    P[: form.n, : form.n] = form.dense_p
     q = np.zeros(n_new)
     q[: form.n] = form.q_vec
     for idx, val in extra_q:
         q[idx] += val
-    return QuadraticForm.create(n_new, form.triplets, q, form.r)
+    return QuadraticForm._of_symmetric(P, q, form.r)
 
 
 def to_epigraph(problem: QcqpProblem) -> QcqpProblem:
@@ -219,13 +220,11 @@ def to_epigraph(problem: QcqpProblem) -> QcqpProblem:
 def _homogenize_form(form: QuadraticForm) -> QuadraticForm:
     """Block form [[P, q/2], [q'/2, r]] acting on (x, z_{n+1})."""
     n = form.n
-    trips = list(form.triplets)
-    for i, qi in enumerate(form.q):
-        if qi != 0.0:
-            trips.append((i, n, 0.5 * qi))
-    if form.r != 0.0:
-        trips.append((n, n, form.r))
-    return QuadraticForm.create(n + 1, trips)
+    P = np.empty((n + 1, n + 1))
+    P[:n, :n] = form.dense_p
+    P[:n, n] = P[n, :n] = 0.5 * form.q_vec
+    P[n, n] = form.r
+    return QuadraticForm._of_symmetric(P)
 
 
 def to_homogeneous(problem: QcqpProblem) -> QcqpProblem:

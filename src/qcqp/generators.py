@@ -182,12 +182,12 @@ def _boolean_domains(problem: QcqpProblem):
     for c in problem.constraints:
         if c.sense is not Sense.EQ:
             continue
-        t = c.form.triplets
-        if len(t) != 1:
+        P = c.form.dense_p
+        diag = np.flatnonzero(np.diag(P))
+        if diag.size != 1 or np.count_nonzero(P) != 1:
             continue
-        i, j, v = t[0]
-        if i != j:
-            continue
+        i = int(diag[0])
+        v = P[i, i]
         q = c.form.q_vec
         others = np.delete(q, i)
         if np.any(others != 0.0):

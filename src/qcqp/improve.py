@@ -11,7 +11,7 @@ something worse, so composition is always safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .onevar import (
     minimize_over_set,
 )
 from .oneconstraint import ConstraintProjector, OneConstraintStatus, solve_one_constraint
-from .split import Splitting, split_cholesky_diff, split_eigen, split_shift
+from .split import split_cholesky_diff, split_eigen, split_shift
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class ImproveReport:
     converged: bool
     method: str
     last_x: np.ndarray | None = None  # raw final iterate, for diagnostics
+    # ADMM only: the final (z, X, U), which warm-starts CCP's next subsolve,
+    # and every iteration's (z, X, U) when record_iterates is set
+    final_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    iterates: tuple | None = None
 
 
 def _report(problem, x0, x, iterations, trace, converged, method, last_x=None) -> ImproveReport:
@@ -505,10 +509,11 @@ def improve_admm(
         if ap.better_than(best_a):
             best_x, best_a = xp, ap
     rep = _report(problem, x0, best_x, it, trace, converged, "admm", last_x=z.copy())
-    if record_iterates:
-        object.__setattr__(rep, "iterates", iterates)  # diagnostics channel
-    object.__setattr__(rep, "final_state", (z.copy(), X.copy(), U.copy()))
-    return rep
+    return replace(
+        rep,
+        final_state=(z.copy(), X.copy(), U.copy()),
+        iterates=tuple(iterates) if record_iterates else None,
+    )
 
 
 def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
@@ -526,19 +531,7 @@ def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
             raise NotConvexError(f"constraint {k} is not convex")
     opts = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
     opts.update(admm_opts)
-    rep = improve_admm(problem, x0, **opts)
-    out = ImproveReport(
-        x=rep.x,
-        assessment=rep.assessment,
-        iterations=rep.iterations,
-        phase_trace=rep.phase_trace,
-        converged=rep.converged,
-        method="convex",
-        last_x=rep.last_x,
-    )
-    if hasattr(rep, "final_state"):
-        object.__setattr__(out, "final_state", rep.final_state)
-    return out
+    return replace(improve_admm(problem, x0, **opts), method="convex")
 
 
 # -- penalty convex-concave -------------------------------------------------
@@ -631,8 +624,7 @@ def improve_ccp(
             it_opts.setdefault("init_x", warm[0])
             it_opts.setdefault("init_u", warm[1] * (warm[2] / rho_it))
         rep = solve_convex(sub, z_init, **it_opts)
-        if hasattr(rep, "final_state"):
-            warm = (rep.final_state[1], rep.final_state[2], rho_it)
+        warm = (rep.final_state[1], rep.final_state[2], rho_it)
 
         def penalized(xc):
             # exact subproblem value at xc with the slacks eliminated:

@@ -1,7 +1,6 @@
 """Dense symmetric linear algebra kernels shared by the solver modules.
 
-These are thin, contract-checked wrappers around LAPACK (via numpy), plus a
-Gershgorin fallback for cheap eigenvalue bounds.
+These are thin, contract-checked wrappers around LAPACK (via numpy).
 """
 
 from __future__ import annotations
@@ -9,13 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-
-from .errors import NotSPDError
-
-# Overridable module tolerances.
-RECONSTRUCTION_TOL = 1e-9
-SPD_PIVOT_TOL = 1e-12
 
 
 def _check_symmetric_input(P) -> np.ndarray:
@@ -42,54 +34,6 @@ def sym_eigen(P) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=V)
 
 
-@dataclass(frozen=True)
-class SPDFactor:
-    """Cached Cholesky factor of a symmetric positive definite matrix."""
-
-    chol: np.ndarray  # lower triangular L with P = L L'
-
-
-def factor_spd(P) -> SPDFactor:
-    S = _check_symmetric_input(P)
-    n = S.shape[0]
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError("matrix is not positive definite") from exc
-    pivot_floor = SPD_PIVOT_TOL * max(np.trace(S), 0.0) / max(n, 1)
-    if np.min(np.diag(L)) ** 2 <= pivot_floor:
-        raise NotSPDError("matrix is numerically singular")
-    return SPDFactor(chol=L)
-
-
-def back_solve(factor: SPDFactor, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    y = scipy.linalg.solve_triangular(factor.chol, b, lower=True)
-    return scipy.linalg.solve_triangular(factor.chol.T, y, lower=False)
-
-
-def solve_spd(P, b) -> np.ndarray:
-    """Solve Px = b for symmetric positive definite P."""
-    return back_solve(factor_spd(P), b)
-
-
-def psd_project(S) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius norm, by eigenvalue clipping."""
-    eig = sym_eigen(S)
-    clipped = np.clip(eig.values, 0.0, None)
-    return (eig.vectors * clipped) @ eig.vectors.T
-
-
-def min_eig_bound(P, method: str = "exact") -> float:
-    """Lower bound on the smallest eigenvalue of symmetric P.
-
-    The default "exact" mode computes the eigenvalue; "gershgorin" is a
-    cheap O(n^2) disc bound for very large matrices.
-    """
-    S = _check_symmetric_input(P)
-    if method == "exact":
-        return float(np.linalg.eigvalsh(S)[0])
-    if method == "gershgorin":
-        radii = np.sum(np.abs(S), axis=1) - np.abs(np.diag(S))
-        return float(np.min(np.diag(S) - radii))
-    raise ValueError(f"unknown method {method!r}")
+def min_eig_bound(P) -> float:
+    """Smallest eigenvalue of symmetric P."""
+    return float(np.linalg.eigvalsh(_check_symmetric_input(P))[0])

@@ -7,7 +7,7 @@ LP that keeps one HiGHS model alive while inequality rows are appended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np

@@ -64,28 +64,20 @@ class ConstraintProjector:
         self.n = form.n
         # projections leave coordinates outside the support of f untouched,
         # so constraints touching few variables project in a small subspace
-        support = sorted(
-            {i for i, _, _ in form.triplets}
-            | {j for _, j, _ in form.triplets}
-            | {i for i, qi in enumerate(form.q) if qi != 0.0}
-        )
+        P = form.dense_p
+        support = np.flatnonzero(P.any(axis=0) | (form.q_vec != 0.0))
         self._support = None
         self._sub = None
-        if 0 < len(support) < form.n:
-            self._support = np.array(support, dtype=int)
-            pos = {v: k for k, v in enumerate(support)}
-            sub_form = QuadraticForm.create(
-                len(support),
-                [(pos[i], pos[j], v) for i, j, v in form.triplets],
-                form.q_vec[self._support],
-                form.r,
+        if 0 < support.size < form.n:
+            self._support = support
+            sub_form = QuadraticForm._of_symmetric(
+                P[np.ix_(support, support)], form.q_vec[support], form.r
             )
             self._sub = ConstraintProjector(sub_form)
             self.feas_range = self._sub.feas_range
             self.scale = self._sub.scale
             return
         self._affine_q = form.q_vec if form.is_affine else None
-        P = form.dense_p
         self._is_diagonal = bool(np.count_nonzero(P - np.diag(np.diag(P))) == 0)
         if self._is_diagonal:
             order = np.argsort(np.diag(P))
@@ -509,17 +501,12 @@ def solve_interval(objective: QuadraticForm, form: QuadraticForm, l: float, u: f
     scale1 = float(np.linalg.norm(form.dense_p) + np.linalg.norm(form.q_vec) + abs(form.r) + 1.0)
     subresults = []
     if math.isfinite(u):
-        upper = QuadraticForm.create(form.n, form.triplets, form.q_vec, form.r - u)
+        upper = QuadraticForm._of_symmetric(form.dense_p, form.q_vec, form.r - u)
     else:
         upper = QuadraticForm.create(form.n, (), None, -1.0)  # vacuous constraint
     subresults.append(solve_one_constraint(objective, upper))
     if math.isfinite(l):
-        lower = QuadraticForm.create(
-            form.n,
-            [(i, j, -v) for i, j, v in form.triplets],
-            -form.q_vec,
-            l - form.r,
-        )
+        lower = QuadraticForm._of_symmetric(-form.dense_p, -form.q_vec, l - form.r)
         subresults.append(solve_one_constraint(objective, lower))
     tol = 1e-6 * scale1
     feasible = []

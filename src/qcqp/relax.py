@@ -15,13 +15,13 @@ leaves the feasible set unchanged but can strictly improve the lifted bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
-from .linalg import psd_project, sym_eigen
+from .linalg import sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
 from .oneconstraint import OneConstraintStatus, solve_one_constraint
 
@@ -52,16 +52,16 @@ def aggregate_constraints(problem: QcqpProblem, lam) -> QuadraticForm:
     for i, (li, c) in enumerate(zip(lam, problem.constraints)):
         if c.sense is Sense.LE and li < 0.0:
             raise ValueError(f"lambda[{i}] < 0 on an inequality constraint")
-    trips = []
+    P = np.zeros((problem.n, problem.n))
     q = np.zeros(problem.n)
     r = 0.0
     for li, c in zip(lam, problem.constraints):
         if li == 0.0:
             continue
-        trips.extend((i, j, li * v) for i, j, v in c.form.triplets)
+        P += li * c.form.dense_p
         q += li * c.form.q_vec
         r += li * c.form.r
-    return QuadraticForm.create(problem.n, trips, q, r)
+    return QuadraticForm._of_symmetric(P, q, r)
 
 
 def spectral_bound(problem: QcqpProblem, lam=None) -> RelaxationResult:
@@ -95,7 +95,6 @@ class CutPlaneOptions:
     max_cuts: int | None = None  # default 50 n
     psd_tol: float = 1e-6
     box: float | None = None  # default 10 (1 + ||q0||_inf + max_i ||q_i||_inf)
-    cut_rule: str = "all_negative"  # or "min_eigenvector"
     cuts_per_iter: int = 8
     seed_cuts: tuple = ()  # extra a-vectors for upfront a'Za >= 0 cuts
     # cuts are only ever added, so the LP warm-starts from its last basis
@@ -230,13 +229,10 @@ def sdr_bound_cutting_plane(problem: QcqpProblem, opts: CutPlaneOptions | None =
             break
         if n_cuts >= max_cuts:
             break
-        if opts.cut_rule == "min_eigenvector":
-            picks = [0]
-        else:
-            neg = np.nonzero(eig.values < -opts.psd_tol)[0]
-            picks = list(neg[: opts.cuts_per_iter])
-            if 0 not in picks:
-                picks = [0] + picks
+        neg = np.nonzero(eig.values < -opts.psd_tol)[0]
+        picks = list(neg[: opts.cuts_per_iter])
+        if 0 not in picks:
+            picks = [0] + picks
         lp.add_rows(*_cut_rows(eig.vectors[:, picks].T))
         n_cuts += len(picks)
 

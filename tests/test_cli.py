@@ -44,6 +44,8 @@ def test_problem_from_json_errors():
     with pytest.raises(ParseError):
         problem_from_json({"n": 2, "objective": {"P": [[0, 5, 1.0]]}})
     with pytest.raises(ParseError):
+        problem_from_json({"n": 2, "objective": {"P": [[float("inf"), 0, 1.0]]}})
+    with pytest.raises(ParseError):
         problem_from_json(
             {"n": 1, "objective": {}, "constraints": [{"sense": "lt"}]}
         )
@@ -175,6 +177,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["solve", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "field, token",
+    [("r", "NaN"), ("q", "[0.0, Infinity, 0.0]"), ("r", "1e999")],
+)
+def test_cli_solve_rejects_nonfinite_numbers(tmp_path, field, token):
+    data = problem_to_json(small_problem())
+    data["constraints"][0][field] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data).replace('"@"', token))
+    with pytest.raises(ParseError):
+        load_problem(path)
+    assert main(["solve", str(path), "--improve", "cd", "--seed", "0"]) == 2
 
 
 def test_cli_byte_identical_reports(tmp_path):

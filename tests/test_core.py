@@ -10,18 +10,54 @@ from qcqp.core import (
     assess,
     dehomogenize,
     evaluate,
-    evaluate_triplets,
     to_epigraph,
     to_homogeneous,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
 
 
+def evaluate_triplets(form: QuadraticForm, x) -> float:
+    """Triplet-wise reference evaluation of a form."""
+    total = form.r + float(form.q_vec @ x)
+    for i, j, v in form.triplets:
+        total += (v if i == j else 2.0 * v) * x[i] * x[j]
+    return total
+
+
+def dense_reference(n, triplets) -> np.ndarray:
+    """Loop reference: fold to the upper triangle, sum in input order, drop zeros, mirror."""
+    acc = {}
+    for i, j, v in triplets:
+        key = (min(i, j), max(i, j))
+        acc[key] = acc.get(key, 0.0) + float(v)
+    P = np.zeros((n, n))
+    for (i, j), v in acc.items():
+        if v != 0.0:
+            P[i, j] = P[j, i] = v
+    return P
+
+
 def test_triplets_merge_and_fold_to_upper_triangle():
-    f = QuadraticForm.create(3, [(1, 0, 2.0), (0, 1, 1.0), (2, 2, 5.0), (2, 2, -5.0)])
+    trips = [(1, 0, 2.0), (0, 1, 1.0), (2, 2, 5.0), (2, 2, -5.0)]
+    f = QuadraticForm.create(3, trips)
     assert f.triplets == ((0, 1, 3.0),)
     P = f.dense_p
     assert P[0, 1] == 3.0 and P[1, 0] == 3.0
+    # duplicates are summed in input order, whichever triangle they name
+    sums = [(0, 1, 0.1), (1, 0, 0.2), (0, 1, 0.3), (1, 1, -0.0)]
+    # a cancelled diagonal pair, and -0.0 entries, leave no negative zero
+    cancelled = [(1, 1, 0.1), (1, 1, -0.1), (0, 1, -0.0)]
+    cases = [(f, trips), (QuadraticForm.create(2, sums), sums), (QuadraticForm.create(2, cancelled), cancelled)]
+    D = np.array([[-0.0, -0.0], [0.0, -0.0]])
+    S = 0.5 * (D + D.T)
+    cases.append((QuadraticForm.from_dense(D), [(i, j, S[i, j]) for i in range(2) for j in range(i, 2)]))
+    for g, t in cases:
+        assert np.array_equal(g.dense_p, dense_reference(g.n, t))
+        assert not np.any(np.signbit(g.dense_p))
+        assert not g.dense_p.flags.writeable
+    for g, _ in cases[2:]:
+        assert g.triplets == () and g.is_affine
+    assert not f.is_affine
 
 
 def test_from_dense_symmetrizes():
@@ -65,6 +101,15 @@ def test_dimension_checks():
         evaluate(f, [1.0])
 
 
+def test_nonfinite_coefficients_rejected():
+    with pytest.raises(ValueError):
+        QuadraticForm.create(2, [(0, 1, np.inf)])
+    with pytest.raises(ValueError):
+        QuadraticForm.from_dense(np.eye(2), [0.0, np.nan])
+    with pytest.raises(ValueError):
+        QuadraticForm.create(2, (), None, np.nan)
+
+
 def test_constraint_violation_senses():
     f = QuadraticForm.create(1, [(0, 0, 1.0)], None, -1.0)  # x^2 - 1
     le = Constraint(f, Sense.LE)
@@ -90,6 +135,16 @@ def test_assess_takes_max_violation():
     p = QcqpProblem.create(obj, [c1, c2])
     a = assess(p, [3.0, 0.5])
     assert a.violation == pytest.approx(2.0)
+
+
+def test_assess_nonfinite_point_is_infinitely_violated():
+    obj = QuadraticForm.create(2, [(0, 0, 1.0)])
+    c = Constraint(QuadraticForm.create(2, [(1, 1, 1.0)], None, -1.0), Sense.EQ)
+    x = [0.5, np.nan]
+    assert assess(QcqpProblem.create(obj, [c]), x).violation == np.inf
+    # with no constraint a non-finite objective alone counts as violated
+    assert assess(QcqpProblem.create(c.form), x).violation == np.inf
+    assert assess(QcqpProblem.create(obj, [c]), [0.5, 1.0]).violation == 0.0
 
 
 def test_epigraph_transform():

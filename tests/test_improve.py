@@ -229,6 +229,21 @@ def test_solve_convex_known_optimum():
     assert rep.assessment.objective <= 1e-4
 
 
+def test_solve_convex_reports_admm_final_state():
+    # CCP warm-starts each subsolve from the previous final_state
+    obj = QuadraticForm.from_dense(np.eye(2), [-2.0, 0.0])
+    c = Constraint(QuadraticForm.create(2, (), [1.0, 0.0], 0.0), Sense.LE)
+    p = QcqpProblem.create(obj, [c])
+    x0 = np.array([-1.0, 1.0])
+    rep = solve_convex(p, x0, max_iter=40)
+    ref = improve_admm(p, x0, max_iter=40, two_phase=False, resid_tol=1e-8)
+    assert rep.method == "convex" and ref.method == "admm"
+    assert len(rep.final_state) == 3
+    for got, want in zip(rep.final_state, ref.final_state):
+        assert np.array_equal(got, want)
+    assert rep.iterates is None
+
+
 # -- penalty CCP ------------------------------------------------------------
 
 
