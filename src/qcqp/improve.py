@@ -463,9 +463,11 @@ def improve_admm(
     converged = False
     it = 0
     z_prev = z.copy()
+    az = best_a if init_z is None else None  # assessment of the current z, once known
     for it in range(1, max_iter + 1):
         if phase1:
-            az = assess(problem, z)
+            if az is None:
+                az = assess(problem, z)
             if az.violation <= eps_feas:
                 phase1 = False
         if phase1:

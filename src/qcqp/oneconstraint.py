@@ -3,8 +3,9 @@
 Three related subproblems live here:
 
 * projection of a point onto {x : f(x) = 0} or {x : f(x) <= 0}, solved by
-  rotating into the eigenbasis of the constraint matrix and bisecting the
-  monotone secular equation in the multiplier nu;
+  rotating into the eigenbasis of the constraint matrix and solving the
+  monotone secular equation in the multiplier nu by safeguarded Newton
+  steps (one-variable supports take the nearest root in closed form);
 * the interval-constraint variant l <= f(x) <= u, solved as two one-sided
   problems;
 * the general one-constraint QCQP min f0 s.t. f1 <= 0, solved by maximizing
@@ -29,7 +30,7 @@ from .linalg import sym_eigen
 from .onevar import _stable_roots
 
 SINGULAR_TOL = 1e-10
-NU_BISECT_MAX = 200
+SECULAR_STEP_MAX = 100
 FEAS_TOL = 1e-9
 
 
@@ -126,62 +127,96 @@ class ConstraintProjector:
         hi = -1.0 / lmin if lmin < 0.0 else math.inf
         return lo, hi
 
-    def _march(self, zhat, start: float, bound: float, direction: int):
-        """Walk from start toward bound; return bracketing pair or None."""
-        phi_start = self._phi(start, zhat)
-        prev = start
-        for k in range(1, 200):
-            if math.isfinite(bound):
-                t = bound - (bound - start) * 0.5**k
-            else:
-                t = start + direction * (2.0 ** (k - 14)) * (1.0 + abs(start))
-            phi_t = self._phi(t, zhat)
-            if (phi_start > 0.0 > phi_t) or (phi_start < 0.0 < phi_t):
-                return (prev, t) if direction > 0 else (t, prev)
-            prev = t
-            if math.isfinite(bound) and abs(bound - t) < 1e-15 * (1.0 + abs(bound)):
-                break
-        return None
+    def _phi_many(self, nus: np.ndarray, zhat: np.ndarray) -> np.ndarray:
+        """phi at each multiplier in nus, in one vectorized evaluation."""
+        xh = (zhat - 0.5 * nus[:, None] * self.qhat) / (1.0 + nus[:, None] * self.lam)
+        return (xh * xh) @ self.lam + xh @ self.qhat + self.r
+
+    def _march(self, zhat, phi_start: float, bound: float, direction: int):
+        """Walk from 0 toward bound; return the (nu, phi) pairs around a sign change, or None.
+
+        The candidates approach a finite bound geometrically and grow
+        geometrically toward an infinite one; all of them are evaluated at
+        once and the first sign change is taken.  The pair with phi > 0
+        comes first.
+        """
+        k = np.arange(1, 200, dtype=float)
+        if math.isfinite(bound):
+            ts = bound - bound * 0.5**k
+            near = np.flatnonzero(np.abs(bound - ts) < 1e-15 * (1.0 + abs(bound)))
+            if near.size:
+                ts = ts[: near[0] + 1]
+        else:
+            ts = direction * 2.0 ** (k - 14)
+        phis = self._phi_many(ts, zhat)
+        crossed = np.flatnonzero(phis < 0.0) if phi_start > 0.0 else np.flatnonzero(phis > 0.0)
+        if not crossed.size:
+            return None
+        j = int(crossed[0])
+        prev = (float(ts[j - 1]), float(phis[j - 1])) if j else (0.0, phi_start)
+        cross = (float(ts[j]), float(phis[j]))
+        return (prev, cross) if phi_start > 0.0 else (cross, prev)
 
     def _solve_secular(self, zhat: np.ndarray) -> float | None:
-        """Root of phi in the open interval where I + nu*Lam > 0, or None."""
+        """Root of phi in the open interval where I + nu*Lam > 0, or None.
+
+        phi decreases strictly there.  A march brackets the root, then
+        Newton steps run inside the bracket, with a bisection step whenever
+        a Newton step would leave it (Moré & Sorensen 1983).
+        """
         lo_b, hi_b = self._nu_bounds()
         phi0 = self._phi(0.0, zhat)
         if phi0 == 0.0:
             return 0.0
         if phi0 > 0.0:
-            bracket = self._march(zhat, 0.0, hi_b, +1)
+            bracket = self._march(zhat, phi0, hi_b, +1)
         else:
-            bracket = self._march(zhat, 0.0, lo_b, -1)
+            bracket = self._march(zhat, phi0, lo_b, -1)
         if bracket is None:
             return None
-        lo, hi = bracket
-        # keep phi(lo) >= 0 >= phi(hi): phi decreases in nu
-        if self._phi(lo, zhat) < self._phi(hi, zhat):
-            lo, hi = hi, lo
-        for _ in range(NU_BISECT_MAX):
-            mid = 0.5 * (lo + hi)
-            if self._phi(mid, zhat) > 0.0:
-                lo = mid
+        # keep phi(lo) >= 0 >= phi(hi)
+        (lo, f_lo), (hi, f_hi) = bracket
+        nu, f = (lo, f_lo) if abs(f_lo) < abs(f_hi) else (hi, f_hi)
+        last_step = abs(hi - lo)
+        for _ in range(SECULAR_STEP_MAX):
+            fp = self._phi_prime(nu, zhat)
+            nu_new = nu - f / fp if fp != 0.0 else math.nan
+            # bisect when Newton leaves the bracket or stops halving its step
+            if not (min(lo, hi) <= nu_new <= max(lo, hi)) or abs(nu_new - nu) > 0.5 * last_step:
+                nu_new = 0.5 * (lo + hi)
+            step = nu_new - nu
+            last_step = abs(step)
+            nu = nu_new
+            f = self._phi(nu, zhat)
+            if f == 0.0 or abs(step) <= 1e-13 * (1.0 + abs(nu)):
+                break
+            if f > 0.0:
+                lo = nu
             else:
-                hi = mid
+                hi = nu
             if abs(hi - lo) <= 1e-13 * (1.0 + abs(lo) + abs(hi)):
                 break
-        nu = 0.5 * (lo + hi)
-        # Newton polish for machine-precision multipliers
-        for _ in range(8):
-            f = self._phi(nu, zhat)
-            fp = self._phi_prime(nu, zhat)
-            if fp == 0.0:
-                break
-            step = f / fp
-            nu_new = nu - step
-            if not (min(lo, hi) - 1e-9 <= nu_new <= max(lo, hi) + 1e-9):
-                break
-            nu = nu_new
-            if abs(step) <= 1e-16 * (1.0 + abs(nu)):
-                break
         return nu
+
+    def _nearest_root(self, zhat: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """Closed-form projection for one variable: the root of lam y^2 + qhat y + r nearest zhat.
+
+        The lower root wins a tie.  None where the closed form does not give
+        the KKT point (no real root, zero gradient, or 1 + nu*lam <= 0).
+        """
+        lam, qh, z0 = float(self.lam[0]), float(self.qhat[0]), float(zhat[0])
+        roots = _stable_roots(lam, qh, self.r)
+        if roots is None:
+            return None
+        lo, hi = roots
+        x = hi if abs(hi - z0) < abs(lo - z0) else lo
+        grad = 2.0 * lam * x + qh
+        if grad == 0.0:
+            return None
+        nu = -2.0 * (x - z0) / grad
+        if 1.0 + nu * lam <= 0.0:
+            return None
+        return np.array([x]), nu
 
     def _hard_case(self, zhat: np.ndarray, nu: float) -> np.ndarray | None:
         """KKT point at a boundary multiplier where I + nu*Lam is singular PSD."""
@@ -230,8 +265,10 @@ class ConstraintProjector:
             x = z - 0.5 * nu * self._affine_q
             return ProjectionResult(x=x, nu=nu, kkt_residual=abs(evaluate(self.form, x)))
         zhat = self._rotate(z)
-        nu = self._solve_secular(zhat)
-        if nu is not None:
+        closed = self._nearest_root(zhat) if self.n == 1 else None
+        if closed is not None:
+            xh, nu = closed
+        elif (nu := self._solve_secular(zhat)) is not None:
             xh = self._xhat(nu, zhat)
         else:
             xh = None

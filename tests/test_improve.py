@@ -18,6 +18,7 @@ from qcqp.improve import (
     scale_to_cover,
     solve_convex,
 )
+from qcqp.oneconstraint import ConstraintProjector
 from qcqp.onevar import OneVarStatus, solve_onevar
 
 
@@ -184,6 +185,19 @@ def test_admm_contract_when_phase1_cycles():
     x0 = np.random.default_rng(2).standard_normal(6)
     rep = improve_admm(p, x0, max_iter=300)
     assert not assess(p, x0).better_than(rep.assessment)
+
+
+def test_admm_trajectory_unchanged_by_one_variable_closed_form(monkeypatch):
+    # x_i^2 = 1 projects through the closed-form nearest root; the secular
+    # path (closed form bypassed) must give the same ADMM trajectory
+    p = gen_boolean_ls(12, 8, seed=7)
+    x0 = np.random.default_rng(8).standard_normal(8)
+    closed = improve_admm(p, x0, max_iter=50)
+    monkeypatch.setattr(ConstraintProjector, "_nearest_root", lambda self, zhat: None)
+    general = improve_admm(p, x0, max_iter=50)
+    assert closed.iterations == general.iterations == 50
+    for got, want in zip(closed.final_state, general.final_state):
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_admm_box_set_phase2():

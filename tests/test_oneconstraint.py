@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qcqp.core import QuadraticForm, evaluate
 from qcqp.errors import InfeasibleConstraintError
+from qcqp.onevar import _stable_roots
 from qcqp.oneconstraint import (
     ConstraintProjector,
     OneConstraintStatus,
@@ -13,6 +17,78 @@ from qcqp.oneconstraint import (
     solve_interval,
     solve_one_constraint,
 )
+
+
+def secular_reference(proj: ConstraintProjector, zhat: np.ndarray) -> float | None:
+    """Reference root of the secular equation: a scalar march, 200-step bisection, Newton polish."""
+
+    def march(start, bound, direction):
+        phi_start = proj._phi(start, zhat)
+        prev = start
+        for k in range(1, 200):
+            if math.isfinite(bound):
+                t = bound - (bound - start) * 0.5**k
+            else:
+                t = start + direction * (2.0 ** (k - 14)) * (1.0 + abs(start))
+            phi_t = proj._phi(t, zhat)
+            if (phi_start > 0.0 > phi_t) or (phi_start < 0.0 < phi_t):
+                return (prev, t) if direction > 0 else (t, prev)
+            prev = t
+            if math.isfinite(bound) and abs(bound - t) < 1e-15 * (1.0 + abs(bound)):
+                break
+        return None
+
+    lo_b, hi_b = proj._nu_bounds()
+    phi0 = proj._phi(0.0, zhat)
+    if phi0 == 0.0:
+        return 0.0
+    bracket = march(0.0, hi_b, +1) if phi0 > 0.0 else march(0.0, lo_b, -1)
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    if proj._phi(lo, zhat) < proj._phi(hi, zhat):
+        lo, hi = hi, lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if proj._phi(mid, zhat) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(hi - lo) <= 1e-13 * (1.0 + abs(lo) + abs(hi)):
+            break
+    nu = 0.5 * (lo + hi)
+    for _ in range(8):
+        f = proj._phi(nu, zhat)
+        fp = proj._phi_prime(nu, zhat)
+        if fp == 0.0:
+            break
+        step = f / fp
+        nu_new = nu - step
+        if not (min(lo, hi) - 1e-9 <= nu_new <= max(lo, hi) + 1e-9):
+            break
+        nu = nu_new
+        if abs(step) <= 1e-16 * (1.0 + abs(nu)):
+            break
+    return nu
+
+
+def mixed_sign_cases(seed: int, count: int):
+    """(projector, z) pairs from the acceptance-02 generator: mixed-sign spectra, n = 2..20."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(2, 21))
+        w = np.sort(rng.standard_normal(n) * 2.0)
+        if w[0] > -0.05 or w[-1] < 0.05:
+            continue
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        form = QuadraticForm.from_dense((V * w) @ V.T, rng.standard_normal(n), float(rng.standard_normal()))
+        proj = ConstraintProjector(form)
+        lo, hi = proj.feas_range
+        if not (lo <= 0.0 <= hi):
+            continue
+        cases.append((proj, rng.standard_normal(n) * 2.0))
+    return cases
 
 
 def circle(n=2, radius=1.0):
@@ -97,6 +173,117 @@ def test_secular_phi_monotone():
     nus = np.linspace(lo + 1e-3, hi - 1e-3, 100)
     vals = [proj._phi(nu, z) for nu in nus]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_newton_secular_matches_bisection_reference():
+    checked = 0
+    for proj, z in mixed_sign_cases(202, 300):
+        zhat = proj._rotate(z)
+        nu_ref = secular_reference(proj, zhat)
+        if nu_ref is None:
+            continue  # hard case: both paths take _hard_case
+        res = proj.project_eq(z)
+        x_ref = proj._unrotate(proj._xhat(nu_ref, zhat))
+        assert abs(res.nu - nu_ref) <= 1e-10 * (1.0 + abs(nu_ref))
+        assert np.linalg.norm(res.x - x_ref) <= 1e-10 * (1.0 + np.linalg.norm(x_ref))
+        checked += 1
+    assert checked > 250
+
+
+def test_newton_secular_phi_evaluations_per_projection(monkeypatch):
+    # every phi, phi' and batched march evaluation counts as one; the
+    # bisection reference needs ~50 per projection on these cases
+    calls = [0]
+    for name in ("_phi", "_phi_prime", "_phi_many"):
+        method = getattr(ConstraintProjector, name)
+
+        def counted(self, *args, method=method):
+            calls[0] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(ConstraintProjector, name, counted)
+    per_projection = []
+    for proj, z in mixed_sign_cases(202, 200):
+        before = calls[0]
+        proj.project_eq(z)
+        per_projection.append(calls[0] - before)
+    assert max(per_projection) <= 20
+    assert sum(per_projection) <= 13 * len(per_projection)
+
+
+# -- one-variable supports: the nearest root in closed form -----------------
+
+coefficient = st.floats(-10.0, 10.0, allow_nan=False)
+curvature = st.floats(0.1, 10.0).flatmap(lambda p: st.sampled_from([p, -p]))
+
+
+def one_variable(p, q, r, at=0, n=1):
+    """p x_at^2 + q x_at + r as a form on n variables."""
+    q_vec = np.zeros(n)
+    q_vec[at] = q
+    return QuadraticForm.create(n, [(at, at, p)], q_vec, r)
+
+
+def clear_roots(p, q, r, z):
+    """The two roots of p t^2 + q t + r, assuming they are apart and z is nearer one of them."""
+    assume(q * q - 4.0 * p * r > 1e-6)
+    a, b = _stable_roots(p, q, r)
+    assume(b - a > 1e-3)
+    assume(abs(abs(z - a) - abs(z - b)) > 1e-6 * (b - a))
+    return a, b
+
+
+@given(curvature, coefficient, coefficient, coefficient)
+def test_one_variable_projection_is_nearest_root(p, q, r, z):
+    a, b = clear_roots(p, q, r, z)
+    proj = ConstraintProjector(one_variable(p, q, r))
+    res = proj.project_eq([z])
+    nearest = a if abs(z - a) < abs(z - b) else b
+    assert res.x[0] == pytest.approx(nearest, rel=1e-12, abs=1e-12)
+    assert res.kkt_residual <= 1e-9 * proj.scale
+
+
+@given(
+    st.integers(-3, 3),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(-20, 20),
+    st.integers(1, 20),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+def test_one_variable_tie_takes_lower_root(k, sign, a, gap, other):
+    # roots a < b and a dyadic curvature make the midpoint an exact tie
+    p, b = sign * 2.0**k, a + gap
+    form = one_variable(p, -p * (a + b), p * a * b, at=1, n=3)
+    res = ConstraintProjector(form).project_eq([other, 0.5 * (a + b), -other])
+    assert res.x[1] == a
+    assert res.x[0] == other and res.x[2] == -other
+
+
+@given(curvature, coefficient, coefficient, coefficient)
+def test_one_variable_kkt_residual_is_small(p, q, r, z):
+    assume(q * q - 4.0 * p * r >= 0.0)
+    proj = ConstraintProjector(one_variable(p, q, r))
+    res = proj.project_eq([z])
+    assert res.kkt_residual <= 1e-9 * proj.scale
+
+
+@given(curvature, coefficient, coefficient, coefficient)
+def test_one_variable_ineq_keeps_feasible_point(p, q, r, z):
+    form = one_variable(p, q, r)
+    assume(evaluate(form, np.array([z])) <= 0.0)
+    res = ConstraintProjector(form).project_ineq([z])
+    assert res.x[0] == z and res.nu == 0.0
+
+
+@given(curvature, coefficient, coefficient, coefficient)
+def test_one_variable_closed_form_matches_secular_path(p, q, r, z):
+    clear_roots(p, q, r, z)
+    proj = ConstraintProjector(one_variable(p, q, r))
+    closed = proj.project_eq([z])
+    with mock.patch.object(ConstraintProjector, "_nearest_root", return_value=None):
+        general = proj.project_eq([z])
+    assert abs(closed.x[0] - general.x[0]) <= 1e-12 * (1.0 + abs(general.x[0]))
+    assert abs(closed.nu - general.nu) <= 1e-12 * (1.0 + abs(general.nu))
 
 
 def test_solve_one_constraint_inactive():
