@@ -2,20 +2,14 @@
 
 The instance asks for the smallest-norm x meeting m quadratic coverage
 lower bounds while keeping l interference terms small.  Candidates come
-from the lifted relaxation; consensus ADMM and the penalty convex-concave
+from the semidefinite relaxation; consensus ADMM and the penalty convex-concave
 procedure then drive them to feasibility, and a coordinate-descent polish
 shows the value of composing methods.
 """
 
 import numpy as np
 
-from qcqp import (
-    CutPlaneOptions,
-    axis_pair_cuts,
-    gen_beamforming,
-    improve_sequence,
-    suggest_sdr,
-)
+from qcqp import gen_beamforming, improve_sequence, suggest_sdr
 
 
 def main():
@@ -23,10 +17,7 @@ def main():
     problem = gen_beamforming(n, m, l, tau=20.0, eta=2.0, seed=0)
     print(f"beamforming: {2 * n} real variables, {m} coverage rows, {l} caps")
 
-    opts = CutPlaneOptions(
-        seed_cuts=axis_pair_cuts(2 * n), max_cuts=60, cuts_per_iter=16
-    )
-    sdr = suggest_sdr(problem, 3, rng_seed=0, cp_opts=opts)
+    sdr = suggest_sdr(problem, 3, rng_seed=0)
     x0 = sdr.candidates[0]
     print(f"relaxation bound      {sdr.bound.bound:9.4f}  (valid={sdr.bound.valid})")
 

@@ -8,12 +8,10 @@ exhaustive optimum (the instance is kept small enough to enumerate).
 import numpy as np
 
 from qcqp import (
-    CutPlaneOptions,
-    axis_pair_cuts,
     brute_force,
     gen_boolean_ls,
     improve_sequence,
-    sdr_bound_cutting_plane,
+    sdr_bound,
     spectral_bound,
     suggest_random,
     suggest_sdr,
@@ -28,17 +26,14 @@ def main():
     spec = spectral_bound(problem)
     print(f"spectral bound        {spec.bound:10.4f}")
 
-    opts = CutPlaneOptions(
-        seed_cuts=axis_pair_cuts(n), max_cuts=4000, cuts_per_iter=16
-    )
-    cp = sdr_bound_cutting_plane(problem, opts)
-    print(f"cutting-plane bound   {cp.bound:10.4f}  (converged={cp.converged})")
+    sdr = sdr_bound(problem)
+    print(f"SDR bound             {sdr.bound:10.4f}  (converged={sdr.converged})")
 
     candidates = 10
     pipelines = [
         ("sign o random", suggest_random(problem, candidates, rng_seed=seed), ["sign"]),
-        ("sign o sdr", suggest_sdr(problem, candidates, rng_seed=seed, cp_opts=opts), ["sign"]),
-        ("cd o sdr", suggest_sdr(problem, candidates, rng_seed=seed, cp_opts=opts), ["cd"]),
+        ("sign o sdr", suggest_sdr(problem, candidates, rng_seed=seed), ["sign"]),
+        ("cd o sdr", suggest_sdr(problem, candidates, rng_seed=seed), ["cd"]),
     ]
     for name, outcome, methods in pipelines:
         best = min(

@@ -60,6 +60,7 @@ from .relax import (
     RelaxationResult,
     axis_pair_cuts,
     sample_from_lifted,
+    sdr_bound,
     sdr_bound_cutting_plane,
     spectral_bound,
     tighten,

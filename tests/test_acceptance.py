@@ -327,9 +327,6 @@ def test_acceptance_07_splitting_suite():
 def test_acceptance_08_boolean_ls_workflow():
     t0 = time.monotonic()
     ok = True
-    cheap_cp = lambda n: CutPlaneOptions(
-        seed_cuts=axis_pair_cuts(n), max_cuts=40, cuts_per_iter=16
-    )
 
     # feasibility of the improve methods on the primary instance
     p = gen_boolean_ls(80, 50, seed=0)
@@ -344,7 +341,7 @@ def test_acceptance_08_boolean_ls_workflow():
     feasible_objs = []
     for seed in (0, 1, 2):
         ps = gen_boolean_ls(80, 50, seed=seed)
-        sdr = suggest_sdr(ps, 20, rng_seed=seed, cp_opts=cheap_cp(50))
+        sdr = suggest_sdr(ps, 20, rng_seed=seed)
         rand = suggest_random(ps, 20, rng_seed=seed)
 
         def best(cands, methods):
@@ -393,10 +390,7 @@ def test_acceptance_09_beamforming_workflow():
     t0 = time.monotonic()
     ok = True
     p = gen_beamforming(10, 8, 3, tau=20.0, eta=2.0, seed=0)
-    opts = CutPlaneOptions(
-        seed_cuts=axis_pair_cuts(20), max_cuts=60, cuts_per_iter=16
-    )
-    sdr = suggest_sdr(p, 3, rng_seed=0, cp_opts=opts)
+    sdr = suggest_sdr(p, 3, rng_seed=0)
     x0 = sdr.candidates[0]
 
     admm = improve_sequence(p, x0, ["admm"], {"admm": {"max_iter": 800}})

@@ -15,7 +15,7 @@ from qcqp.cli import (
 )
 from qcqp.core import Sense, assess
 from qcqp.errors import ParseError
-from qcqp.generators import gen_boolean_ls, gen_partitioning
+from qcqp.generators import brute_force, gen_boolean_ls, gen_partitioning
 
 
 def small_problem():
@@ -163,6 +163,22 @@ def test_cli_bound_spectral(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     W = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 0.2], [-0.5, 0.2, 0.0]])
     assert payload["bound"] == pytest.approx(-3.0 * np.linalg.eigvalsh(W)[-1], rel=1e-7)
+
+
+def test_cli_bound_sdr(tmp_path, capsys):
+    # the 3-node partitioning instance of tests/test_suggest.py; optimum -2.4
+    W = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 0.0]])
+    p = gen_partitioning(W)
+    path = tmp_path / "part.json"
+    save_problem(p, path)
+    assert main(["bound", str(path), "--method", "spectral"]) == 0
+    spectral = json.loads(capsys.readouterr().out)["bound"]
+    assert main(["bound", str(path), "--method", "sdr"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    _, fstar = brute_force(p)
+    assert payload["valid"] is True
+    assert payload["trace"] == [payload["bound"]]
+    assert spectral <= payload["bound"] <= fstar
 
 
 def test_cli_exit_codes(tmp_path, capsys):

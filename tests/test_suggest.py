@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qcqp.generators import gen_partitioning
-from qcqp.relax import CutPlaneOptions, axis_pair_cuts
 from qcqp.suggest import (
     SuggestMethod,
     sub_seed,
@@ -59,13 +58,12 @@ def test_suggest_spectral_carries_bound():
 
 def test_suggest_sdr_samples_and_bound():
     p = small_problem()
-    opts = CutPlaneOptions(seed_cuts=axis_pair_cuts(3))
-    out = suggest_sdr(p, count=5, rng_seed=3, cp_opts=opts)
+    out = suggest_sdr(p, count=5, rng_seed=3)
     assert out.method is SuggestMethod.SDR
     assert len(out.candidates) == 5
     assert out.bound is not None and out.bound.valid
     # deterministic per seed
-    out2 = suggest_sdr(p, count=5, rng_seed=3, cp_opts=opts)
+    out2 = suggest_sdr(p, count=5, rng_seed=3)
     for x, y in zip(out.candidates, out2.candidates):
         assert np.array_equal(x, y)
 
