@@ -260,6 +260,9 @@ def cmd_solve(args) -> int:
     for name in improve:
         if name not in METHODS:
             raise ParseError(f"unknown improve method {name!r}")
+    for flag, value in (("--candidates", args.candidates), ("--parallel", args.parallel)):
+        if value < 1:
+            raise ParseError(f"{flag} must be >= 1, got {value}")
     config = PipelineConfig(
         suggest=args.suggest,
         improve=tuple(improve),

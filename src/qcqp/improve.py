@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     Assessment,
@@ -26,7 +25,7 @@ from .core import (
     evaluate,
 )
 from .errors import NotConvexError, NotScalableError
-from .linalg import min_eig_bound
+from .linalg import inv_chol, min_eig_bound
 from .onevar import (
     AFFINE_EPS,
     IntervalSet,
@@ -386,9 +385,11 @@ def improve_admm(
 
     Phase I drops the objective: z is the mean of x_i - u_i projected onto
     the convex set, so iterates are rho-independent; it ends once v(z) <=
-    eps_feas.  Phase II minimizes the augmented objective in z (a cached SPD
-    solve over the full space, a one-constraint solve, or clipped coordinate
-    sweeps for a box) and projects each x_i onto its constraint.  Iterates
+    eps_feas.  Phase II minimizes the augmented objective in z (over the
+    full space, a matvec with the inverse of P0 + m rho I, built once from a
+    numpy Cholesky factorization, or least squares when that matrix is not
+    positive definite; a one-constraint solve; or clipped coordinate sweeps
+    for a box) and projects each x_i onto its constraint.  Iterates
     can cycle on nonconvex problems, so the report returns the best iterate
     ever seen under the lexicographic order.
     """
@@ -416,12 +417,13 @@ def improve_admm(
     P0 = problem.objective.dense_p
     q0 = problem.objective.q_vec
     A = P0 + m * rho * np.eye(n)
-    chol = None
+    A_inv = None
     if isinstance(cset, FullSpace):
         try:
-            chol = cho_factor(A, lower=True)
-        except np.linalg.LinAlgError:
-            chol = None
+            Li = inv_chol(A)
+            A_inv = Li.T @ Li
+        except np.linalg.LinAlgError:  # A not PD: z_phase2 uses least squares
+            pass
 
     def proj_set(v):
         if isinstance(cset, FullSpace):
@@ -434,8 +436,8 @@ def improve_admm(
         # minimize z'Az + (q0 - 2 rho t)'z over the convex set
         b = rho * t - 0.5 * q0
         if isinstance(cset, FullSpace):
-            if chol is not None:
-                return cho_solve(chol, b)
+            if A_inv is not None:
+                return A_inv @ b
             return np.linalg.lstsq(A, b, rcond=None)[0]
         if isinstance(cset, BoxSet):
             zz = np.clip(z, cset.l, cset.u)

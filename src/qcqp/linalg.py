@@ -37,3 +37,11 @@ def sym_eigen(P) -> EigenDecomposition:
 def min_eig_bound(P) -> float:
     """Smallest eigenvalue of symmetric P."""
     return float(np.linalg.eigvalsh(_check_symmetric_input(P))[0])
+
+
+def inv_chol(V: np.ndarray) -> np.ndarray:
+    """L^-1 for V = L L'; raises LinAlgError unless V > 0.
+
+    V^-1 = L^-T L^-1, so V^-1 b is Li.T @ (Li @ b) with Li = inv_chol(V).
+    """
+    return np.linalg.inv(np.linalg.cholesky(V))

@@ -3,6 +3,12 @@
 A thin wrapper over scipy's HiGHS backend with an explicit status enum and
 an optional certificate check on the returned duals, plus an incremental
 LP that keeps one HiGHS model alive while inequality rows are appended.
+
+scipy is imported on first use, not with this module, so the rest of the
+package loads numpy only: solve_lp imports scipy.optimize when it runs,
+and the module attributes _Highs and HighsModelStatus (scipy's private
+persistent HiGHS model and its status enum, None where scipy lacks them)
+are bound on first read.
 """
 
 from __future__ import annotations
@@ -11,16 +17,36 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalFailureError
 
-try:  # scipy's persistent HiGHS model; a private API that may move or vanish
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-except ImportError:
-    _Highs = None
-
 DUAL_FEAS_TOL = 1e-7
+_HIGHS_NAMES = ("_Highs", "HighsModelStatus")
+
+
+def _highs_api():
+    """(_Highs, HighsModelStatus), importing them on the first call.
+
+    Names already bound, by an earlier call or by a caller that set them,
+    are kept.
+    """
+    g = globals()
+    if not all(name in g for name in _HIGHS_NAMES):
+        try:  # scipy's persistent HiGHS model; a private API that may move or vanish
+            from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+        except ImportError:
+            _Highs = HighsModelStatus = None
+        g.setdefault("_Highs", _Highs)
+        g.setdefault("HighsModelStatus", HighsModelStatus)
+    return g["_Highs"], g["HighsModelStatus"]
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet bound in the module
+    if name in _HIGHS_NAMES:
+        _highs_api()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LpStatus(Enum):
@@ -77,6 +103,8 @@ class LpResult:
 
 def solve_lp(lp: LinearProgram, check_duals: bool = False) -> LpResult:
     """Solve with HiGHS; optionally verify dual sign feasibility at 1e-7."""
+    import scipy.optimize
+
     bounds = list(zip(lp.lb, lp.ub))
     res = scipy.optimize.linprog(
         lp.c,
@@ -138,9 +166,10 @@ class IncrementalLp:
         self._b_ub = [] if lp.b_ub is None else [lp.b_ub]
         self._n_eq = 0 if lp.b_eq is None else lp.b_eq.size
         self._highs = None
-        if _Highs is None:
+        highs_cls, _ = _highs_api()
+        if highs_cls is None:
             return
-        h = _Highs()
+        h = highs_cls()
         h.setOptionValue("output_flag", False)
         # columns first, with no entries; rows are then added eq-block first
         h.addCols(n, lp.c, lp.lb, lp.ub, 0, np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
@@ -187,6 +216,7 @@ class IncrementalLp:
     def _run(self) -> LpResult | None:
         """One HiGHS run from the current basis; None unless it settled."""
         h = self._highs
+        _, HighsModelStatus = _highs_api()
         h.run()
         status = h.getModelStatus()
         if status == HighsModelStatus.kInfeasible:

@@ -4,12 +4,12 @@ The spectral relaxation aggregates all constraints into one with a
 nonnegative multiplier vector and solves the resulting one-constraint
 problem exactly.  The semidefinite relaxation (SDR) over
 Z = [[X, x], [x', 1]] >= 0 is solved by sdr_bound, a dense primal-dual
-interior-point method; its bound is certified from the dual vector alone,
-so it holds however early the method stops.  sdr_bound_cutting_plane
-approximates the same SDR from outside by an LP over the lifted variables
-(X, x), cutting away violated positive-semidefiniteness one eigenvector at
-a time; it is kept as library code, and any iterate of its LP is already a
-valid bound.
+interior-point method built on numpy Cholesky factorizations; its bound is
+certified from the dual vector alone, so it holds however early the method
+stops.  sdr_bound_cutting_plane approximates the same SDR from outside by
+an LP over the lifted variables (X, x), cutting away violated
+positive-semidefiniteness one eigenvector at a time; it is kept as library
+code, and any iterate of its LP is already a valid bound.
 
 tighten appends redundant pairwise products of affine constraints, which
 leaves the feasible set unchanged but can strictly improve the lifted bound.
@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
-from .linalg import sym_eigen
+from .linalg import inv_chol, sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
 from .oneconstraint import OneConstraintStatus, solve_one_constraint
 
@@ -127,13 +126,8 @@ def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
     return A, le
 
 
-def _inv_chol(V: np.ndarray) -> np.ndarray:
-    """L^-1 for V = L L'; raises LinAlgError unless V > 0."""
-    return np.linalg.inv(np.linalg.cholesky(V))
-
-
 def _max_step(Li: np.ndarray, dV: np.ndarray) -> float:
-    """Largest alpha with V + alpha dV >= 0, given Li = _inv_chol(V) (inf when dV >= 0)."""
+    """Largest alpha with V + alpha dV >= 0, given Li = inv_chol(V) (inf when dV >= 0)."""
     lam = float(np.linalg.eigvalsh(Li @ dV @ Li.T)[0])
     return -1.0 / lam if lam < 0.0 else math.inf
 
@@ -163,7 +157,8 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
     Infeasible-start path following with the HKM search direction
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and Mehrotra's
     predictor-corrector; each iteration forms and factors the m+1 by m+1
-    Schur complement M_ij = <A_i, Z A_j S^-1> + LP slack terms.
+    Schur complement M_ij = <A_i, Z A_j S^-1> + LP slack terms.  Every
+    factorization is a numpy Cholesky (linalg.inv_chol).
     """
     A, le = _sdr_rows(problem)
     C = _lifted_matrix(problem.objective)
@@ -231,7 +226,7 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
             GSi = G @ Si
             h = rp - Af @ (GSi - Z - ZRdSi).ravel()
             h[slack] -= g / w - s - d * rw
-            dy = cho_solve(schur, h)
+            dy = Mi.T @ (Mi @ h)
             dS = Rd - (Af.T @ dy).reshape(N, N)
             dZ = GSi - Z - Z @ dS @ Si
             dZ = 0.5 * (dZ + dZ.T)
@@ -244,14 +239,14 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
         # a failed factorization (Z or S numerically singular at tiny mu) or
         # a non-finite direction ends the run at the current iterate
         try:
-            Zi = _inv_chol(Z)
-            Li = _inv_chol(S)
+            Zi = inv_chol(Z)
+            Li = inv_chol(S)
             Si = Li.T @ Li
             W = (Z @ As) @ Si  # Z A_j S^-1, stacked
             M = Af @ W.reshape(len(W), -1).T
             M = 0.5 * (M + M.T)
             M[slack, slack] += d
-            schur = cho_factor(M)
+            Mi = inv_chol(M)
             ZRdSi = Z @ Rd @ Si
             dZ, dy, dS, ds, dw = direction(np.zeros((N, N)), np.zeros(k))
             ap = min(1.0, _max_step(Zi, dZ), _max_step_lp(s, ds))

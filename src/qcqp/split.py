@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import _check_symmetric_input, sym_eigen
 
@@ -161,6 +160,8 @@ def split_ldl(P, delta: float | None = None) -> Splitting:
     S = _check_symmetric_input(P)
     if S.size == 0:
         return Splitting(plus=S.copy(), minus=S.copy(), factors=(S.copy(), S.copy()))
+    import scipy.linalg  # imported here so the rest of the package loads numpy only
+
     L, D, perm = scipy.linalg.ldl(S, lower=True)
     off = D - np.diag(np.diag(D))
     if np.max(np.abs(off), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(D))):

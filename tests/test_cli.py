@@ -196,6 +196,20 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, suggest",
+    [("--parallel", "0", "random"), ("--parallel", "-1", "random"), ("--candidates", "0", "spectral")],
+)
+def test_cli_solve_rejects_counts_below_one(tmp_path, capsys, flag, value, suggest):
+    p = tmp_path / "p.json"
+    save_problem(small_problem(), p)
+    out = tmp_path / "r.json"
+    args = ["solve", str(p), "--suggest", suggest, "--improve", "cd", flag, value, "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "field, token",
     [("r", "NaN"), ("q", "[0.0, Infinity, 0.0]"), ("r", "1e999")],
 )

@@ -200,6 +200,26 @@ def test_admm_trajectory_unchanged_by_one_variable_closed_form(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def test_admm_indefinite_z_update_falls_back_to_least_squares(monkeypatch):
+    # rho far below default_rho leaves P0 + m rho I indefinite, so it has no
+    # Cholesky factor and phase II solves its z-update by least squares
+    rng = np.random.default_rng(5)
+    W = rng.standard_normal((6, 6))
+    p = gen_partitioning(0.5 * (W + W.T))
+    rho = 1e-3
+    assert np.linalg.eigvalsh(p.objective.dense_p + p.m * rho * np.eye(6))[0] < 0.0
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    # a feasible start enters phase II at once; skip phase I from a random one
+    for x0, two_phase in ((np.ones(6), True), (rng.standard_normal(6), False)):
+        calls.clear()
+        rep = improve_admm(p, x0, rho=rho, max_iter=50, two_phase=two_phase)
+        assert calls
+        assert np.all(np.isfinite(rep.x))
+        assert not assess(p, x0).better_than(rep.assessment)
+
+
 def test_admm_box_set_phase2():
     # minimize ||x - 2|| over the box [-1, 1]^2 with no constraints beyond C
     obj = QuadraticForm.from_dense(np.eye(2), [-4.0, -4.0], 8.0)

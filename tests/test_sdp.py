@@ -140,6 +140,32 @@ def test_sdr_bound_stopped_early_stays_valid(monkeypatch):
         assert np.linalg.eigvalsh(X - np.outer(x, x))[0] >= -1e-9
 
 
+def test_sdr_bound_schur_factorization_failure_stays_valid(monkeypatch):
+    rng = np.random.default_rng(63)
+    p = random_boolean_problem(rng, 5)
+    _, fstar = brute_force(p)
+    full = sdr_bound(p)
+    # the Schur complement is m+1 square, Z and S are n+1 square
+    assert p.m != p.n
+    schur_calls = []
+
+    def failing_inv_chol(V):
+        if V.shape[0] == p.m + 1:
+            schur_calls.append(1)
+            if len(schur_calls) == 4:
+                raise np.linalg.LinAlgError("forced")
+        return inv_chol(V)
+
+    inv_chol = relax_mod.inv_chol
+    monkeypatch.setattr(relax_mod, "inv_chol", failing_inv_chol)
+    res = sdr_bound(p)
+    assert len(schur_calls) == 4
+    assert not res.converged and res.valid
+    assert res.bound <= full.bound + 1e-9 <= fstar + 2e-9
+    X, x = res.certificate
+    assert np.linalg.eigvalsh(X - np.outer(x, x))[0] >= -1e-9
+
+
 def test_sdr_bound_infeasible_and_unbounded():
     # contradictory affine rows x <= -1 and x >= 1
     obj = QuadraticForm.create(1)
