@@ -122,6 +122,12 @@ class PipelineConfig:
     seed: int | None = None
     parallel: int = 1
 
+    def __post_init__(self):
+        for name in ("candidates", "parallel"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value} (qcqp solve --{name})")
+
     def to_json(self) -> dict:
         return {
             "suggest": self.suggest,
@@ -260,9 +266,6 @@ def cmd_solve(args) -> int:
     for name in improve:
         if name not in METHODS:
             raise ParseError(f"unknown improve method {name!r}")
-    for flag, value in (("--candidates", args.candidates), ("--parallel", args.parallel)):
-        if value < 1:
-            raise ParseError(f"{flag} must be >= 1, got {value}")
     config = PipelineConfig(
         suggest=args.suggest,
         improve=tuple(improve),

@@ -218,7 +218,10 @@ def to_epigraph(problem: QcqpProblem) -> QcqpProblem:
 
 
 def _homogenize_form(form: QuadraticForm) -> QuadraticForm:
-    """Block form [[P, q/2], [q'/2, r]] acting on (x, z_{n+1})."""
+    """Block form [[P, q/2], [q'/2, r]] acting on (x, z_{n+1}).
+
+    Its matrix F is the lifted form: f(x) = <F, [[xx', x], [x', 1]]>.
+    """
     n = form.n
     P = np.empty((n + 1, n + 1))
     P[:n, :n] = form.dense_p

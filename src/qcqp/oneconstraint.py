@@ -8,12 +8,13 @@ Three related subproblems live here:
   steps (one-variable supports take the nearest root in closed form);
 * the interval-constraint variant l <= f(x) <= u, solved as two one-sided
   problems;
-* the general one-constraint QCQP min f0 s.t. f1 <= 0, solved by maximizing
-  the one-dimensional concave dual over the eta range where P0 + eta*P1 is
-  positive semidefinite.
+* the general one-constraint QCQP min f0 s.t. f1 <= 0, reduced to that
+  projection: with P0 + eta*P1 = LL' positive definite, y = L'x turns f0 +
+  eta*f1 into ||y - c||^2 plus a constant (the S-lemma; More 1993).
 
-All methods handle the singular-pencil ("hard") case by least squares plus a
-null-space correction.
+The singular ("hard") case is handled by a null-space correction: in the
+projection at the boundary multiplier, and in the QCQP along the null
+space of P0 + eta*P1 where the multiplier is fixed.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import numpy as np
 
 from .core import QuadraticForm, evaluate
 from .errors import InfeasibleConstraintError, NumericalFailureError
-from .linalg import sym_eigen
+from .linalg import inv_chol, sym_eigen
 from .onevar import _stable_roots
 
 SINGULAR_TOL = 1e-10
-SECULAR_STEP_MAX = 100
+SECULAR_STEP_MAX = 1100  # bisection alone shrinks any finite bracket of doubles in fewer steps
 FEAS_TOL = 1e-9
 
 
@@ -204,7 +205,9 @@ class ConstraintProjector:
                 hi = nu
             if abs(hi - lo) <= 1e-13 * (1.0 + abs(lo) + abs(hi)):
                 break
-        return nu
+        # a root where I + nu*Lam is singular to working precision is a pole
+        # that rounding gave a sign change: the hard case, not a root
+        return None if self._singular(nu).any() else nu
 
     def _nearest_root(self, zhat: np.ndarray) -> tuple[np.ndarray, float] | None:
         """Closed-form projection for one variable: the root of lam y^2 + qhat y + r nearest zhat.
@@ -226,18 +229,24 @@ class ConstraintProjector:
             return None
         return np.array([x]), nu
 
+    def _singular(self, nu: float) -> np.ndarray:
+        """Mask of the eigen-directions where 1 + nu*lam is zero to working precision."""
+        return np.abs(1.0 + nu * self.lam) < SINGULAR_TOL * (1.0 + abs(nu) * np.max(np.abs(self.lam), initial=0.0))
+
     def _hard_case(self, zhat: np.ndarray, nu: float) -> np.ndarray | None:
         """KKT point at a boundary multiplier where I + nu*Lam is singular PSD."""
         d = 1.0 + nu * self.lam
         if np.min(d) < -1e-9:
             return None
-        free = np.abs(d) < SINGULAR_TOL * (1.0 + abs(nu) * np.max(np.abs(self.lam), initial=0.0))
+        free = self._singular(nu)
         if not np.any(free):
             return None
         rhs = zhat - 0.5 * nu * self.qhat
         if np.max(np.abs(rhs[free]), initial=0.0) > 1e-7 * (1.0 + np.linalg.norm(zhat)):
             return None  # inconsistent KKT system at this multiplier
-        xh = np.zeros_like(zhat)
+        # free coordinates stay at z, which the consistency check puts at the
+        # center of f along them; one free direction then moves onto f = 0
+        xh = zhat.copy()
         nonfree = ~free
         xh[nonfree] = rhs[nonfree] / d[nonfree]
         e = int(np.argmax(free))  # lowest eigenvector index among free directions
@@ -247,9 +256,7 @@ class ConstraintProjector:
         roots = _stable_roots(le, c1, c0)
         if roots is None:
             return None
-        target = zhat[e] - xh[e]
-        alpha = min(roots, key=lambda a: (a - target) ** 2)
-        xh[e] += alpha
+        xh[e] += min(roots, key=abs)
         return xh
 
     # -- public API --------------------------------------------------------
@@ -281,8 +288,9 @@ class ConstraintProjector:
         else:
             xh = None
             lo_b, hi_b = self._nu_bounds()
-            for nub in (lo_b, hi_b):
-                if math.isfinite(nub):
+            # a boundary -1/lam of an eigenvalue that is zero up to rounding is no boundary
+            for nub, lam_b in ((lo_b, self.lam[-1]), (hi_b, self.lam[0])):
+                if math.isfinite(nub) and abs(lam_b) > 1e-14 * self.scale:
                     xh = self._hard_case(zhat, nub)
                     if xh is not None:
                         nu = nub
@@ -336,205 +344,112 @@ class OneConstraintResult:
     eta: float | None = None
 
 
-def _pseudo_solve(P: np.ndarray, rhs: np.ndarray, tol: float):
-    """Least-norm consistent solution of P y = rhs for symmetric PSD P.
+NULL_TOL = 1e-12  # relative size below which a direction or vector counts as zero
+PD_TOL = 1e-12  # relative lambda_min a probe of the pencil needs to count as definite
 
-    Returns (y, consistent, eig) where eig is the decomposition of P.
+
+def _scale(form: QuadraticForm) -> float:
+    return float(np.linalg.norm(form.dense_p) + np.linalg.norm(form.q_vec) + abs(form.r) + 1.0)
+
+
+def _boundary_minimizer(objective: QuadraticForm, form: QuadraticForm, eta: float) -> np.ndarray | None:
+    """A minimizer x of f0 + eta*f1 with f1(x) = 0 (f1(x) <= 0 at eta = 0), or None.
+
+    None when f0 + eta*f1 is unbounded below or no minimizer meets the
+    constraint that way.  The minimizers form x + span(Z), Z the null space
+    of P0 + eta*P1, and the point on {f1 = 0} nearest the least-norm one is
+    a projection in span(Z).
     """
-    eig = sym_eigen(P)
+    scale1 = _scale(form)
+    tol = 1e-11 * (_scale(objective) + eta * scale1)
+    eig = sym_eigen(objective.dense_p + eta * form.dense_p)
     w, V = eig.values, eig.vectors
-    b = V.T @ rhs
-    keep = np.abs(w) > tol
-    y = np.zeros_like(b)
-    y[keep] = b[keep] / w[keep]
-    consistent = bool(np.max(np.abs(b[~keep]), initial=0.0) <= 1e-7 * (1.0 + np.linalg.norm(rhs)))
-    return V @ y, consistent, eig
+    b = V.T @ (-0.5 * (objective.q_vec + eta * form.q_vec))
+    null = np.abs(w) <= 10.0 * tol
+    if w[0] < -tol or np.max(np.abs(b[null]), initial=0.0) > 1e-7 * (1.0 + np.linalg.norm(b)):
+        return None
+    x = V[:, ~null] @ (b[~null] / w[~null])
+    f1 = evaluate(form, x)
+    if f1 == 0.0 or (eta == 0.0 and f1 <= FEAS_TOL * scale1):
+        return x
+    Z = V[:, null]
+    proj = ConstraintProjector(QuadraticForm.from_dense(Z.T @ form.dense_p @ Z, Z.T @ form.gradient(x), f1))
+    lo, hi = proj.feas_range
+    if not (lo <= 0.0 <= hi):
+        return None
+    return x + Z @ proj.project_eq(np.zeros(Z.shape[1])).x
+
+
+def _project_pencil(objective: QuadraticForm, form: QuadraticForm) -> tuple[np.ndarray, float] | None:
+    """(x, eta) with x minimizing f0 over {f1 = 0}, or None when no P0 + eta*P1 is definite.
+
+    A probe eta_bar >= 0 with P0 + eta_bar*P1 = LL' > 0 turns f0 + eta_bar*f1
+    into ||y - c||^2 + const with y = L'x and c = -L^-1 (q0 + eta_bar*q1) / 2,
+    so the minimum of f0 on {f1 = 0} is the projection of c onto that set in
+    y, and its multiplier nu gives eta = eta_bar + nu.
+    """
+    P0, P1 = objective.dense_p, form.dense_p
+    scale0, scale1 = _scale(objective), _scale(form)
+    probes = np.concatenate(([0.0], scale0 / scale1 * 2.0 ** np.arange(-24.0, 44.0)))
+    margins = np.linalg.eigvalsh(P0 + probes[:, None, None] * P1)[:, 0] / (scale0 + probes * scale1)
+    best = float(margins.max())
+    if not best > PD_TOL:
+        return None
+    # the smallest probe near the best margin: a huge eta_bar would cancel in eta_bar + nu
+    eta_bar = float(probes[np.argmax(margins >= 0.5 * best)])
+    Li = inv_chol(P0 + eta_bar * P1)
+    c = -0.5 * (Li @ (objective.q_vec + eta_bar * form.q_vec))
+    res = ConstraintProjector(QuadraticForm.from_dense(Li @ P1 @ Li.T, Li @ form.q_vec, form.r)).project_eq(c)
+    return Li.T @ res.x, max(eta_bar + res.nu, 0.0)
 
 
 def solve_one_constraint(objective: QuadraticForm, form: QuadraticForm) -> OneConstraintResult:
     """Global minimizer of a quadratic objective subject to one inequality f1 <= 0.
 
-    Maximizes the concave scalar dual over {eta >= 0 : P0 + eta*P1 >= 0} by
-    bisecting on the dual derivative f1(x(eta)); boundary multipliers where
-    the pencil is singular fall back to a null-space correction.
+    A convex objective with a feasible minimizer is returned with eta = 0.
+    Otherwise the optimum lies on {f1 = 0} (the S-lemma; More 1993).
+    Directions in the common null space N of P0 and P1 enter both forms
+    linearly: either q0 + eta*q1 is orthogonal to N for one eta >= 0, which
+    fixes the multiplier, or the dual is unbounded.  The rest is a
+    projection after simultaneous diagonalization (_project_pencil); the N
+    part of x is set last so that f1(x) = 0.  A pencil with no positive
+    definite point returns DUAL_UNBOUNDED, the vacuous bound -inf.
     """
-    P0, q0, r0 = objective.dense_p, objective.q_vec, objective.r
-    P1, q1, r1 = form.dense_p, form.q_vec, form.r
-    n = objective.n
-    scale0 = float(np.linalg.norm(P0) + np.linalg.norm(q0) + abs(r0) + 1.0)
-    scale1 = float(np.linalg.norm(P1) + np.linalg.norm(q1) + abs(r1) + 1.0)
+    P0, q0, P1, q1 = objective.dense_p, objective.q_vec, form.dense_p, form.q_vec
+    scale0, scale1 = _scale(objective), _scale(form)
+    unbounded = OneConstraintResult(OneConstraintStatus.DUAL_UNBOUNDED)
 
-    proj1 = ConstraintProjector(form)
-    lo1, _ = proj1.feas_range
-    if lo1 > FEAS_TOL * scale1:
+    def optimal(x, eta):
+        return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=evaluate(objective, x), eta=float(eta))
+
+    if ConstraintProjector(form).feas_range[0] > FEAS_TOL * scale1:
         return OneConstraintResult(OneConstraintStatus.INFEASIBLE)
+    x = _boundary_minimizer(objective, form, 0.0)
+    if x is not None:
+        return optimal(x, 0.0)
 
-    def P(eta):
-        return P0 + eta * P1
+    _, s, Vt = np.linalg.svd(np.vstack([P0 / scale0, P1 / scale1]))
+    rank = int(np.count_nonzero(s > NULL_TOL))
+    B, N = Vt[:rank].T, Vt[rank:].T
+    a0, a1 = N.T @ q0, N.T @ q1
+    a1_sq = float(a1 @ a1)
+    if a1_sq > (NULL_TOL * scale1) ** 2:
+        # eta is fixed by q0 + eta*q1 orthogonal to N
+        eta = max(-float(a0 @ a1) / a1_sq, 0.0)
+        if np.linalg.norm(a0 + eta * a1) > NULL_TOL * (scale0 + eta * scale1):
+            return unbounded
+        x = _boundary_minimizer(objective, form, eta)
+        return unbounded if x is None else optimal(x, eta)
+    if np.linalg.norm(a0) > NULL_TOL * scale0:
+        return unbounded
 
-    def q(eta):
-        return q0 + eta * q1
+    def restrict(f):
+        return QuadraticForm.from_dense(B.T @ f.dense_p @ B, B.T @ f.q_vec, f.r)
 
-    def lam_min(eta):
-        return float(np.linalg.eigvalsh(P(eta))[0])
-
-    def psd_tol(eta):
-        return 1e-11 * (scale0 + abs(eta) * scale1)
-
-    def f1(x):
-        return float(x @ (P1 @ x) + q1 @ x + r1)
-
-    def f0(x):
-        return float(x @ (P0 @ x) + q0 @ x + r0)
-
-    # eta = 0: constraint possibly inactive
-    if lam_min(0.0) >= -psd_tol(0.0):
-        x_u, consistent, _ = _pseudo_solve(P0, -0.5 * q0, psd_tol(0.0) * 10)
-        if consistent and f1(x_u) <= FEAS_TOL * scale1:
-            return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x_u, value=f0(x_u), eta=0.0)
-
-    # locate the PSD interval of the pencil on eta >= 0
-    unit = scale0 / scale1
-    probes = [0.0] + [unit * 2.0**k for k in range(-24, 44)]
-    vals = [lam_min(t) for t in probes]
-    best_i = int(np.argmax(vals))
-    if vals[best_i] < -psd_tol(probes[best_i]):
-        return OneConstraintResult(OneConstraintStatus.DUAL_UNBOUNDED)
-    eta_best = probes[best_i]
-
-    def _polish_boundary(eta):
-        # Newton on lam_min using eigenvector sensitivity
-        for _ in range(6):
-            w, V = np.linalg.eigh(P(eta))
-            v = V[:, 0]
-            slope = float(v @ (P1 @ v))
-            if slope == 0.0:
-                break
-            eta_new = eta - w[0] / slope
-            if not math.isfinite(eta_new):
-                break
-            eta = max(eta_new, 0.0)
-        return eta
-
-    def _bracket_root(lo, hi):
-        # lam_min(lo) and lam_min(hi) straddle zero; bisect then polish
-        flo = lam_min(lo)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            fm = lam_min(mid)
-            if (fm >= 0.0) == (flo >= 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-            if abs(hi - lo) <= 1e-13 * (1.0 + abs(lo) + abs(hi)):
-                break
-        return _polish_boundary(0.5 * (lo + hi))
-
-    # left endpoint of the PSD interval
-    if vals[0] >= -psd_tol(0.0):
-        eta_a = 0.0
-    else:
-        eta_a = _bracket_root(0.0, eta_best)
-    # right endpoint (may be +inf)
-    eta_b = math.inf
-    for t in probes[best_i + 1 :]:
-        if lam_min(t) < -psd_tol(t):
-            eta_b = _bracket_root(t, eta_best)
-            break
-
-    def x_of(eta):
-        M = P(eta)
-        try:
-            return np.linalg.solve(M, -0.5 * q(eta))
-        except np.linalg.LinAlgError:
-            y, _, _ = _pseudo_solve(M, -0.5 * q(eta), psd_tol(eta) * 10)
-            return y
-
-    def phi(eta):
-        return f1(x_of(eta))
-
-    def hard_case_at(eta):
-        M = P(eta)
-        x0, consistent, eig = _pseudo_solve(M, -0.5 * q(eta), psd_tol(eta) * 10)
-        if not consistent:
-            return None
-        w, V = eig.values, eig.vectors
-        free = np.abs(w) <= psd_tol(eta) * 10
-        if not np.any(free):
-            return None
-        e = V[:, int(np.argmax(free))]
-        a2 = float(e @ (P1 @ e))
-        a1 = float((2.0 * (P1 @ x0) + q1) @ e)
-        a0 = f1(x0)
-        roots = _stable_roots(a2, a1, a0)
-        if roots is None:
-            return None
-        b2 = float(e @ (P0 @ e))
-        b1 = float((2.0 * (P0 @ x0) + q0) @ e)
-        alpha = min(roots, key=lambda a: b2 * a * a + b1 * a)
-        return x0 + alpha * e
-
-    span = (eta_b - eta_a) if math.isfinite(eta_b) else max(1.0, eta_a, unit)
-    inner_a = eta_a + 1e-8 * span
-    if phi(inner_a) <= 0.0:
-        # dual maximized at the left endpoint
-        if eta_a <= 0.0:
-            x = x_of(0.0)
-            return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=f0(x), eta=0.0)
-        x = hard_case_at(eta_a)
-        if x is None:
-            return OneConstraintResult(OneConstraintStatus.DUAL_UNBOUNDED)
-        return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=f0(x), eta=eta_a)
-
-    # find an upper bracket with phi < 0
-    hi = None
-    if math.isfinite(eta_b):
-        inner_b = eta_b - 1e-8 * span
-        if phi(inner_b) >= 0.0:
-            x = hard_case_at(eta_b)
-            if x is None:
-                return OneConstraintResult(OneConstraintStatus.DUAL_UNBOUNDED)
-            return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=f0(x), eta=eta_b)
-        hi = inner_b
-    else:
-        t = max(eta_a, unit)
-        for _ in range(120):
-            t = 2.0 * t + unit
-            if phi(t) < 0.0:
-                hi = t
-                break
-        if hi is None:
-            raise NumericalFailureError("dual derivative never changes sign")
-
-    lo = inner_a
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-14 * (1.0 + abs(lo) + abs(hi)):
-            break
-    eta_star = 0.5 * (lo + hi)
-    # Newton polish on phi using its analytic derivative
-    for _ in range(8):
-        x = x_of(eta_star)
-        g = 2.0 * (P1 @ x) + q1
-        try:
-            slope = -0.5 * float(g @ np.linalg.solve(P(eta_star), g))
-        except np.linalg.LinAlgError:
-            break
-        if slope == 0.0:
-            break
-        step = f1(x) / slope
-        eta_new = eta_star - step
-        if not (lo - 1e-9 * span <= eta_new <= hi + 1e-9 * span):
-            break
-        eta_star = eta_new
-        if abs(step) <= 1e-16 * (1.0 + abs(eta_star)):
-            break
-    x = x_of(eta_star)
-    return OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=f0(x), eta=float(eta_star))
+    sol = _project_pencil(restrict(objective), restrict(form))
+    if sol is None:
+        return unbounded
+    return optimal(B @ sol[0], sol[1])
 
 
 def solve_interval(objective: QuadraticForm, form: QuadraticForm, l: float, u: float) -> OneConstraintResult:

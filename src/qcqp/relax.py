@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constraint, QcqpProblem, QuadraticForm, Sense
+from .core import Constraint, QcqpProblem, QuadraticForm, Sense, _homogenize_form
 from .errors import NumericalFailureError
 from .linalg import inv_chol, sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
@@ -104,16 +104,6 @@ SDR_MAX_ITER = 100
 RAY_TOL = 1e-8  # a diverging iterate this close to a ray proves infeasibility
 
 
-def _lifted_matrix(form: QuadraticForm) -> np.ndarray:
-    """F with f(x) = <F, [[xx', x], [x', 1]]>."""
-    n = form.n
-    F = np.empty((n + 1, n + 1))
-    F[:n, :n] = form.dense_p
-    F[:n, n] = F[n, :n] = 0.5 * form.q_vec
-    F[n, n] = form.r
-    return F
-
-
 def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack."""
     N = problem.n + 1
@@ -121,7 +111,7 @@ def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
     A[0] = 0.0
     A[0, N - 1, N - 1] = 1.0
     for i, con in enumerate(problem.constraints, start=1):
-        A[i] = _lifted_matrix(con.form)
+        A[i] = _homogenize_form(con.form).dense_p
     le = np.array([False] + [con.sense is Sense.LE for con in problem.constraints])
     return A, le
 
@@ -161,7 +151,7 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
     factorization is a numpy Cholesky (linalg.inv_chol).
     """
     A, le = _sdr_rows(problem)
-    C = _lifted_matrix(problem.objective)
+    C = _homogenize_form(problem.objective).dense_p
     N = A.shape[1]
     # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
     row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
@@ -325,7 +315,7 @@ def _certified_bound(problem: QcqpProblem, y) -> tuple[float, bool]:
     """
     A, le = _sdr_rows(problem)
     y = np.where(le, np.minimum(np.asarray(y, dtype=float), 0.0), y)
-    S = _lifted_matrix(problem.objective) - np.tensordot(y, A, axes=1)
+    S = _homogenize_form(problem.objective).dense_p - np.tensordot(y, A, axes=1)
     lam = float(np.linalg.eigvalsh(S)[0])
     if lam >= 0.0:
         return float(y[0]), True
@@ -552,7 +542,7 @@ def sample_from_lifted(result: RelaxationResult, count: int, rng_seed=None) -> L
     return LiftedSamples(points=tuple(pts), sigma_repair=repair)
 
 
-def tighten(problem: QcqpProblem, pair_budget: int = 100, boolean_cuts: bool = False) -> QcqpProblem:
+def tighten(problem: QcqpProblem, pair_budget: int = 100) -> QcqpProblem:
     """Append products of pairs of affine constraints as redundant quadratics.
 
     Each affine row is read as a'x <= b (equalities contribute both signs);

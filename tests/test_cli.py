@@ -209,6 +209,13 @@ def test_cli_solve_rejects_counts_below_one(tmp_path, capsys, flag, value, sugge
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["candidates", "parallel"])
+def test_pipeline_config_rejects_counts_below_one(name):
+    # library callers of run_pipeline get the same check as qcqp solve
+    with pytest.raises(ValueError, match=name):
+        PipelineConfig(**{name: 0})
+
+
 @pytest.mark.parametrize(
     "field, token",
     [("r", "NaN"), ("q", "[0.0, Infinity, 0.0]"), ("r", "1e999")],

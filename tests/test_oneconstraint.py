@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcqp.core import QuadraticForm, evaluate
 from qcqp.errors import InfeasibleConstraintError
+from qcqp.generators import gen_beamforming
 from qcqp.onevar import _stable_roots
 from qcqp.oneconstraint import (
     ConstraintProjector,
@@ -143,6 +144,37 @@ def test_support_reduction_leaves_other_coordinates():
     res = project_eq([5.0, -3.25], form)
     assert res.x[1] == -3.25
     assert abs(res.x[0]) == pytest.approx(2.0, abs=1e-10)
+
+
+def test_project_center_of_off_origin_circle_hard_case():
+    # every point of the circle ||x - c|| = 1 is nearest its center c != 0
+    c = np.array([3.0, 4.0])
+    form = QuadraticForm.from_dense(np.eye(2), -2.0 * c, float(c @ c) - 1.0)
+    res = project_eq(c, form)
+    assert np.linalg.norm(res.x - c) == pytest.approx(1.0, abs=1e-12)
+    assert res.kkt_residual <= 1e-12
+
+
+def test_project_onto_coverage_row_with_rounding_level_eigenvalues():
+    # the coverage row tau - (a'x)^2 - (b'x)^2 <= 0 has rank 2 in R^4, so two
+    # eigenvalues of P are zero up to rounding; the nearest point to 0 is
+    # along the top eigenvector of -P, at distance sqrt(tau / lambda_max)
+    form = gen_beamforming(2, 1, 1, tau=20.0, eta=1e9, seed=0).constraints[0].form
+    res = project_eq(np.zeros(4), form)
+    lmax = float(np.linalg.eigvalsh(-form.dense_p)[-1])
+    assert np.linalg.norm(res.x) == pytest.approx(math.sqrt(20.0 / lmax), rel=1e-12)
+    assert res.kkt_residual <= 1e-9
+
+
+@pytest.mark.parametrize("tiny", [-1e-32, -1e-100])
+def test_project_with_rounding_level_negative_eigenvalue(tiny):
+    # lambda = tiny puts the multiplier bound -1/tiny near 1e32 or beyond:
+    # the bracket from the march must still shrink onto the root near 12
+    exact = QuadraticForm.from_dense(np.diag([0.0, 3.0, 4.0]), [1.0, 1.0, 1.0], 1.0)
+    form = QuadraticForm.from_dense(np.diag([tiny, 3.0, 4.0]), [1.0, 1.0, 1.0], 1.0)
+    res = project_eq([5.0, 5.0, 5.0], form)
+    assert res.kkt_residual <= 1e-12
+    assert np.allclose(res.x, project_eq([5.0, 5.0, 5.0], exact).x, rtol=1e-12, atol=1e-12)
 
 
 def test_projector_kkt_random_suite():
@@ -352,6 +384,104 @@ def test_strong_duality_against_dual_value():
         assert evaluate(form, res.x) <= 1e-6
         hits += 1
     assert hits > 20
+
+
+PENCIL_KINDS = ("indefinite", "psd", "nsd", "rank-one", "zero", "identity")
+
+
+def pencil_matrix(rng, n: int, kind: str) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "indefinite":
+        A = rng.standard_normal((n, n))
+        return A + A.T
+    if kind == "rank-one":
+        v = rng.standard_normal(n)
+        return rng.choice([-1.0, 1.0]) * np.outer(v, v)
+    B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    return B @ B.T if kind == "psd" else -(B @ B.T)
+
+
+def random_one_constraint_instance(rng) -> tuple[QuadraticForm, QuadraticForm]:
+    """f0, f1 with n <= 6; P drawn from PENCIL_KINDS, q zero one time in three."""
+    n = int(rng.integers(1, 7))
+    forms = []
+    for _ in range(2):
+        P = pencil_matrix(rng, n, PENCIL_KINDS[int(rng.integers(len(PENCIL_KINDS)))])
+        q = np.zeros(n) if rng.integers(3) == 0 else rng.standard_normal(n)
+        forms.append(QuadraticForm.from_dense(P, q, float(rng.standard_normal())))
+    return forms[0], forms[1]
+
+
+def duality_certificate_failures(objective: QuadraticForm, form: QuadraticForm, res) -> list[str]:
+    """Checks that (x, eta) certifies optimality through the Lagrangian dual g(eta).
+
+    g(eta) = min_x f0 + eta*f1 <= min {f0 : f1 <= 0} <= f0(x) for feasible x,
+    so a feasible x with f0(x) = g(eta) is a global minimizer.
+    """
+    P0, q0, r0 = objective.dense_p, objective.q_vec, objective.r
+    P1, q1, r1 = form.dense_p, form.q_vec, form.r
+    x, eta = res.x, res.eta
+    if not eta >= 0.0:
+        return [f"eta = {eta} < 0"]
+    failures = []
+    M = P0 + eta * P1
+    b = -0.5 * (q0 + eta * q1)
+    scale = 1.0 + np.linalg.norm(P0) + eta * np.linalg.norm(P1)
+    if np.linalg.eigvalsh(M)[0] < -1e-8 * scale:
+        failures.append("P0 + eta*P1 is not PSD")
+    y = np.linalg.lstsq(M, b, rcond=1e-9)[0]
+    if np.linalg.norm(M @ y - b) > 1e-7 * (1.0 + np.linalg.norm(b) + scale * np.linalg.norm(y)):
+        failures.append("stationarity system is inconsistent")
+    g = float(y @ (M @ y) - 2.0 * b @ y) + r0 + eta * r1
+    f0, f1 = evaluate(objective, x), evaluate(form, x)
+    if f1 > 1e-7 * (1.0 + np.linalg.norm(P1) + np.linalg.norm(q1) + abs(r1)) * (1.0 + np.linalg.norm(x)) ** 2:
+        failures.append(f"f1(x) = {f1} > 0")
+    if f0 - g > 1e-6 * (1.0 + abs(f0)):
+        failures.append(f"duality gap f0(x) - g(eta) = {f0 - g}")
+    if res.value != pytest.approx(f0, rel=1e-9, abs=1e-9):
+        failures.append("value != f0(x)")
+    return failures
+
+
+def test_solve_one_constraint_certified_on_degenerate_pencils():
+    rng = np.random.default_rng(0)
+    optimal = 0
+    for k in range(600):
+        objective, form = random_one_constraint_instance(rng)
+        res = solve_one_constraint(objective, form)
+        if res.status is OneConstraintStatus.OPTIMAL:
+            assert duality_certificate_failures(objective, form, res) == [], k
+            optimal += 1
+    assert optimal >= 200
+
+
+def test_solve_one_constraint_trust_region_hard_cases():
+    # P1 > 0 and q0 without component along the lowest generalized
+    # eigenvectors of (P0, P1), moved off the origin: the optimum sits at the
+    # boundary multiplier where P0 + eta*P1 is singular
+    rng = np.random.default_rng(5)
+    for k in range(200):
+        n = int(rng.integers(1, 7))
+        A = rng.standard_normal((n, n))
+        P1 = A @ A.T + 0.1 * np.eye(n) if k % 2 else np.eye(n)
+        L = np.linalg.cholesky(P1)
+        w, V = np.linalg.eigh(A + A.T)
+        low = int(rng.integers(1, n + 1))
+        w[:low] = w[0]
+        c = rng.standard_normal(n)
+        c[:low] = 0.0
+        P0, q0 = L @ ((V * w) @ V.T) @ L.T, L @ (V @ c)
+        x0 = rng.standard_normal(n) * (0.0, 1.0, 10.0)[k % 3]
+        # f(x - x0) for f0 and for f1 = x'P1x + r1
+        r1 = -float(rng.uniform(0.1, 3.0))
+        objective = QuadraticForm.from_dense(P0, q0 - 2.0 * P0 @ x0, float(x0 @ P0 @ x0 - q0 @ x0))
+        form = QuadraticForm.from_dense(P1, -2.0 * P1 @ x0, float(x0 @ P1 @ x0) + r1)
+        res = solve_one_constraint(objective, form)
+        assert res.status is OneConstraintStatus.OPTIMAL, k
+        assert duality_certificate_failures(objective, form, res) == [], k
 
 
 def test_solve_interval_known_value():

@@ -239,6 +239,24 @@ def test_tighten_noop_without_affine_rows():
     assert tighten(p) is p
 
 
+def test_spectral_bound_with_common_null_space_direction():
+    # minimize x2^2 - x2 s.t. x2^2 + x1 + x2 <= 0: x1 enters both forms
+    # linearly and absorbs the constraint, so the bound is min x2^2 - x2 = -1/4
+    objective = QuadraticForm.from_dense(np.diag([0.0, 1.0]), [0.0, -1.0])
+    row = Constraint(QuadraticForm.from_dense(np.diag([0.0, 1.0]), [1.0, 1.0]))
+    res = spectral_bound(QcqpProblem.create(objective, [row]))
+    assert res.valid
+    assert res.bound == pytest.approx(-0.25, abs=1e-9)
+
+
+def test_spectral_bound_unbounded_along_common_null_space():
+    # minimize x1^2 - x1 + x2 s.t. x1 + x2 + 1 <= 0: x2 -> -inf stays feasible
+    objective = QuadraticForm.from_dense(np.diag([1.0, 0.0]), [-1.0, 1.0])
+    row = Constraint(QuadraticForm.create(2, (), [1.0, 1.0], 1.0))
+    res = spectral_bound(QcqpProblem.create(objective, [row]))
+    assert res.bound == -math.inf
+
+
 def test_beamforming_spectral_closed_form():
     # single lower bound (a'x)^2 + (b'x)^2 >= tau with unit objective:
     # relaxation value tau / lambda_max of the constraint matrix
