@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,6 +91,13 @@ class QuadraticForm:
     def is_affine(self) -> bool:
         return not self.dense_p.any()
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Sorted indices j where row j of P or q_j is nonzero; f is constant in every other x_j."""
+        s = np.flatnonzero(self.dense_p.any(axis=0) | (self.q_vec != 0.0))
+        s.setflags(write=False)
+        return s
+
     def __call__(self, x) -> float:
         return evaluate(self, x)
 
@@ -113,7 +121,11 @@ def _check_vector(x, n: int) -> np.ndarray:
 
 def evaluate(form: QuadraticForm, x) -> float:
     """Evaluate x'Px + q'x + r with P treated as a full symmetric matrix."""
-    x = _check_vector(x, form.n)
+    return _value(form, _check_vector(x, form.n))
+
+
+def _value(form: QuadraticForm, x: np.ndarray) -> float:
+    """evaluate for a point already checked against form.n."""
     return float(x @ (form.dense_p @ x) + form.q_vec @ x + form.r)
 
 
@@ -131,7 +143,9 @@ class Constraint:
 
     def violation(self, x) -> float:
         """Amount by which x violates the row; inf when f(x) is not finite."""
-        v = evaluate(self.form, x)
+        return self._violation_of(evaluate(self.form, x))
+
+    def _violation_of(self, v: float) -> float:
         if not math.isfinite(v):
             return math.inf
         return abs(v) if self.sense is Sense.EQ else max(v, 0.0)
@@ -182,13 +196,14 @@ def assess(problem: QcqpProblem, x) -> Assessment:
     """Maximum constraint violation and objective value at x.
 
     A non-finite objective counts as violation inf, like a non-finite
-    constraint value, so such a point never beats a finite one.
+    constraint value, so such a point never beats a finite one.  x is
+    checked once; every row is then evaluated as `evaluate` would.
     """
     x = _check_vector(x, problem.n)
     v = 0.0
     for c in problem.constraints:
-        v = max(v, c.violation(x))
-    f = evaluate(problem.objective, x)
+        v = max(v, c._violation_of(_value(c.form, x)))
+    f = _value(problem.objective, x)
     if not math.isfinite(f):
         v = math.inf
     return Assessment(violation=v, objective=f)

@@ -163,20 +163,38 @@ def improve_scale_to_cover(problem: QcqpProblem, x0, **_) -> ImproveReport:
 
 
 class _CoordState:
-    """Incrementally maintained values f_k(x) and gradientlike products P_k x."""
+    """Incrementally maintained values f_k(x) and gradientlike products P_k x.
 
-    def __init__(self, problem: QcqpProblem, x0):
-        self.problem = problem
+    Row k = 0 is the objective, rows k >= 1 the constraints.  rows[j] lists
+    the constraint rows whose support contains x_j; every other row is
+    constant in x_j, so move(j, t) updates only the objective and rows[j].
+    violated holds the constraint rows that a constant in x_j could not
+    satisfy in phase II (|f| > eq_tol for EQ, f > 0 for LE): it is rebuilt
+    by refresh() and updated by move().
+    """
+
+    def __init__(self, problem: QcqpProblem, x0, eq_tol: float):
         self.forms = [problem.objective] + [c.form for c in problem.constraints]
         self.senses = [None] + [c.sense for c in problem.constraints]
         self.P = [f.dense_p for f in self.forms]
         self.qv = [f.q_vec for f in self.forms]
+        self.eq_tol = eq_tol
+        self.rows: list[list[int]] = [[] for _ in range(problem.n)]
+        for k in range(1, len(self.forms)):
+            for j in self.forms[k].support.tolist():
+                self.rows[j].append(k)
         self.x = np.asarray(x0, dtype=float).copy()
         self.refresh()
 
     def refresh(self):
         self.g = [P @ self.x for P in self.P]
         self.fval = [evaluate(f, self.x) for f in self.forms]
+        self.violated = {k for k in range(1, len(self.forms)) if self._is_violated(k)}
+
+    def _is_violated(self, k: int) -> bool:
+        # written as "not within" so that a NaN value counts as violated
+        f = self.fval[k]
+        return not (abs(f) <= self.eq_tol if self.senses[k] is Sense.EQ else f <= 0.0)
 
     def coeffs(self, k: int, j: int):
         """(p, q, c) of f_k as a quadratic in x_j with the rest fixed."""
@@ -189,10 +207,15 @@ class _CoordState:
         if t == self.x[j]:
             return
         d = t - self.x[j]
-        for k in range(len(self.forms)):
+        for k in [0] + self.rows[j]:
             p, ql, c = self.coeffs(k, j)
             self.fval[k] = p * t * t + ql * t + c
             self.g[k] += d * self.P[k][:, j]
+        for k in self.rows[j]:
+            if self._is_violated(k):
+                self.violated.add(k)
+            else:
+                self.violated.discard(k)
         self.x[j] = t
 
     def violation(self) -> float:
@@ -265,8 +288,15 @@ def improve_coordinate_descent(
     objective).  When a feasible point appears, Phase II performs exact
     one-variable minimizations, accepting only strict objective decreases;
     on Boolean problems this is exactly 1-opt local search.
+
+    A coordinate step reads and updates only the rows whose support holds
+    x_j.  A row outside it is a constant in x_j: phase I cannot reduce its
+    violation, and in phase II it admits every x_j or none.  So phase II
+    skips x_j while some violated row (|f| > eq_tol for EQ, f > 0 for LE,
+    after the exact re-evaluation that ends phase I) lies outside its
+    support.
     """
-    st = _CoordState(problem, x0)
+    st = _CoordState(problem, x0, eq_tol)
     n = problem.n
     trace: list[tuple[float, float]] = []
     sweeps = 0
@@ -281,7 +311,7 @@ def improve_coordinate_descent(
             # minimize the worst violation among the rows it can influence
             rows = [
                 st.coeffs(k, j) + (st.senses[k],)
-                for k in range(1, len(st.forms))
+                for k in st.rows[j]
                 if st.P[k][j, j] != 0.0 or st.g[k][j] != 0.0 or st.qv[k][j] != 0.0
             ]
             if not rows:
@@ -324,7 +354,9 @@ def improve_coordinate_descent(
     while sweeps < max_sweeps:
         improved = False
         for j in range(n):
-            rows = [st.coeffs(k, j) + (st.senses[k],) for k in range(1, len(st.forms))]
+            if st.violated and not st.violated.issubset(st.rows[j]):
+                continue
+            rows = [st.coeffs(k, j) + (st.senses[k],) for k in st.rows[j]]
             S = _phase2_set(rows, eq_tol)
             if S.is_empty:
                 continue

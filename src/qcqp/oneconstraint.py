@@ -75,7 +75,7 @@ class ConstraintProjector:
         # projections leave coordinates outside the support of f untouched,
         # so constraints touching few variables project in a small subspace
         P = form.dense_p
-        support = np.flatnonzero(P.any(axis=0) | (form.q_vec != 0.0))
+        support = form.support
         self._support = None
         self._sub = None
         if 0 < support.size < form.n:
@@ -259,6 +259,26 @@ class ConstraintProjector:
         xh[e] += min(roots, key=abs)
         return xh
 
+    def _extremum(self, zhat: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """(xhat, nu) when {f = 0} is the set of minimizers (maximizers) of f, else None.
+
+        There grad f = 0, so no multiplier exists: the nearest point keeps
+        zhat along the flat directions and takes the center of f along the
+        curved ones, the limit of the secular path as nu goes to +inf (-inf).
+        """
+        eps = 1e-14 * self.scale
+        lo_r, hi_r = self.feas_range
+        if self.lam[0] >= -eps and lo_r >= -FEAS_TOL * self.scale:
+            nu = math.inf
+        elif self.lam[-1] <= eps and hi_r <= FEAS_TOL * self.scale:
+            nu = -math.inf
+        else:
+            return None
+        curved = np.abs(self.lam) > eps
+        xh = zhat.copy()
+        xh[curved] = -self.qhat[curved] / (2.0 * self.lam[curved])
+        return xh, nu
+
     # -- public API --------------------------------------------------------
 
     def project_eq(self, z) -> ProjectionResult:
@@ -296,7 +316,10 @@ class ConstraintProjector:
                         nu = nub
                         break
             if xh is None:
-                raise NumericalFailureError("no KKT point found for the projection")
+                extremum = self._extremum(zhat)
+                if extremum is None:
+                    raise NumericalFailureError("no KKT point found for the projection")
+                xh, nu = extremum
         x = self._unrotate(xh)
         step = x - z
         return ProjectionResult(x=x, nu=float(nu), _residual=lambda: self._kkt_residual(x, step, nu))
@@ -312,9 +335,13 @@ class ConstraintProjector:
         return self.project_eq(z) if equality else self.project_ineq(z)
 
     def _kkt_residual(self, x: np.ndarray, step: np.ndarray, nu: float) -> float:
-        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z."""
+        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z.
+
+        An infinite nu (see _extremum) leaves |grad f(x)| as the stationarity
+        part: the Fritz John conditions with no weight on the distance.
+        """
         grad = self.form.gradient(x)
-        stat = float(np.linalg.norm(2.0 * step + nu * grad))
+        stat = float(np.linalg.norm(grad if math.isinf(nu) else 2.0 * step + nu * grad))
         feas = abs(evaluate(self.form, x))
         return max(stat, feas)
 
@@ -386,21 +413,36 @@ def _project_pencil(objective: QuadraticForm, form: QuadraticForm) -> tuple[np.n
     A probe eta_bar >= 0 with P0 + eta_bar*P1 = LL' > 0 turns f0 + eta_bar*f1
     into ||y - c||^2 + const with y = L'x and c = -L^-1 (q0 + eta_bar*q1) / 2,
     so the minimum of f0 on {f1 = 0} is the projection of c onto that set in
-    y, and its multiplier nu gives eta = eta_bar + nu.
+    y, and its multiplier nu gives eta = eta_bar + nu.  When the pencil is
+    still definite at that eta, a second projection from eta_bar = eta
+    recovers the digits that eta_bar + nu cancelled.
     """
     P0, P1 = objective.dense_p, form.dense_p
     scale0, scale1 = _scale(objective), _scale(form)
+
+    def margins(etas):
+        return np.linalg.eigvalsh(P0 + etas[:, None, None] * P1)[:, 0] / (scale0 + etas * scale1)
+
+    def project_from(eta_bar):
+        Li = inv_chol(P0 + eta_bar * P1)
+        c = -0.5 * (Li @ (objective.q_vec + eta_bar * form.q_vec))
+        res = ConstraintProjector(QuadraticForm.from_dense(Li @ P1 @ Li.T, Li @ form.q_vec, form.r)).project_eq(c)
+        return Li.T @ res.x, max(eta_bar + res.nu, 0.0)
+
     probes = np.concatenate(([0.0], scale0 / scale1 * 2.0 ** np.arange(-24.0, 44.0)))
-    margins = np.linalg.eigvalsh(P0 + probes[:, None, None] * P1)[:, 0] / (scale0 + probes * scale1)
-    best = float(margins.max())
+    m = margins(probes)
+    best = float(m.max())
     if not best > PD_TOL:
         return None
     # the smallest probe near the best margin: a huge eta_bar would cancel in eta_bar + nu
-    eta_bar = float(probes[np.argmax(margins >= 0.5 * best)])
-    Li = inv_chol(P0 + eta_bar * P1)
-    c = -0.5 * (Li @ (objective.q_vec + eta_bar * form.q_vec))
-    res = ConstraintProjector(QuadraticForm.from_dense(Li @ P1 @ Li.T, Li @ form.q_vec, form.r)).project_eq(c)
-    return Li.T @ res.x, max(eta_bar + res.nu, 0.0)
+    eta_bar = float(probes[np.argmax(m >= 0.5 * best)])
+    x, eta = project_from(eta_bar)
+    if eta != eta_bar and math.isfinite(eta) and margins(np.array([eta]))[0] > PD_TOL:
+        try:
+            x, eta = project_from(eta)
+        except NumericalFailureError:
+            pass  # keep the first answer
+    return x, eta
 
 
 def solve_one_constraint(objective: QuadraticForm, form: QuadraticForm) -> OneConstraintResult:

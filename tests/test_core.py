@@ -91,6 +91,14 @@ def test_gradient():
     assert np.allclose(g, 2.0 * f.dense_p @ x + f.q_vec)
 
 
+def test_support_is_rows_of_p_or_q_that_are_nonzero():
+    # x0 and x3 through P's off-diagonal, x2 through q alone, x1 nowhere
+    f = QuadraticForm.create(4, [(0, 3, 1.5)], [0.0, 0.0, 1.0, 0.0], 3.0)
+    assert f.support.tolist() == [0, 2, 3]
+    assert f.support is f.support
+    assert QuadraticForm.create(3, (), None, 1.0).support.size == 0
+
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatchError):
         QuadraticForm.create(2, [(0, 2, 1.0)])

@@ -127,6 +127,140 @@ def test_cd_infeasible_problem_reports_unconverged():
     assert rep.assessment.violation > 0.0
 
 
+def _sparse_rows_problem(seed: int) -> QcqpProblem:
+    """n = 8, a dense objective, and eight rows that each touch one to three variables."""
+    rng = np.random.default_rng(seed)
+    n = 8
+    A = rng.standard_normal((n, n))
+    obj = QuadraticForm.from_dense(A + A.T, rng.standard_normal(n), 0.0)
+    rows = []
+    for k in range(n):
+        s = np.sort(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
+        P = np.zeros((n, n))
+        B = rng.standard_normal((s.size, s.size))
+        P[np.ix_(s, s)] = B + B.T
+        q = np.zeros(n)
+        q[s] = rng.standard_normal(s.size)
+        sense = Sense.EQ if k % 4 == 0 else Sense.LE
+        rows.append(Constraint(QuadraticForm.from_dense(P, q, -0.5 if sense is Sense.EQ else -1.0), sense))
+    return QcqpProblem.create(obj, rows)
+
+
+def _cd_case(name: str):
+    """(problem, x0, options) of a pinned coordinate-descent run."""
+    if name == "boolean_ls":
+        return gen_boolean_ls(12, 8, seed=1), np.random.default_rng(5).standard_normal(8), {}
+    if name == "partitioning":
+        rng = np.random.default_rng(2)
+        W = np.triu(rng.standard_normal((10, 10)), 1)
+        return gen_partitioning(W + W.T), rng.standard_normal(10), {}
+    if name == "beamforming":
+        p = gen_beamforming(3, 5, 2, tau=20.0, eta=50.0, seed=3)
+        return p, np.random.default_rng(4).standard_normal(6), {}
+    if name == "random_support":
+        return _sparse_rows_problem(85), np.random.default_rng(100).standard_normal(8), {}
+    # phase I ends feasible by its running values; the exact values that
+    # start phase II leave row 3 (on x2, x4) at 4.4e-16 > 0
+    return _sparse_rows_problem(253), np.random.default_rng(100).standard_normal(8), {"max_sweeps": 2}
+
+
+# Outputs of improve_coordinate_descent as recorded with dense coordinate
+# steps (every move updated every row); x and the trace as float.hex.
+CD_PINS = {
+    "boolean_ls": {
+        "x": [
+            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+        ],
+        "iterations": 2,
+        "converged": True,
+        "phase_trace": [
+            ("0x0.0p+0", "0x1.337332c2ff75ap+5"),
+            ("0x0.0p+0", "0x1.337332c2ff75ep+5"),
+        ],
+    },
+    "partitioning": {
+        "x": [
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+            "-0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+        ],
+        "iterations": 2,
+        "converged": True,
+        "phase_trace": [
+            ("0x0.0p+0", "-0x1.3d539466867cbp+5"),
+            ("0x0.0p+0", "-0x1.3d539466867cbp+5"),
+        ],
+    },
+    "beamforming": {
+        "x": [
+            "0x1.7a3a071095208p+2", "0x1.18cb9849d04edp-1", "-0x0.0p+0", "0x1.4f7689e80e8aap-1",
+            "-0x1.a4329cf3fbe35p+0", "-0x1.550049736df1cp-8",
+        ],
+        "iterations": 3,
+        "converged": True,
+        "phase_trace": [
+            ("0x0.0p+0", "0x1.35d129557cb21p+5"),
+            ("0x0.0p+0", "0x1.32cc9f01b06dcp+5"),
+            ("0x0.0p+0", "0x1.32cc9f01b06dcp+5"),
+        ],
+    },
+    "random_support": {
+        "x": [
+            "0x1.fde8bc2a3bc3fp-3", "0x1.28b5bebb4bb51p-2", "0x1.8fcc1ac48a672p-1", "-0x1.5a42090a4e558p-2",
+            "0x1.1d37215c14a56p-1", "0x1.c7ad0d47ee7d6p+2", "0x1.6725323f8975dp-1", "0x1.68f247dc6525ep-1",
+        ],
+        "iterations": 3,
+        "converged": True,
+        "phase_trace": [
+            ("0x0.0p+0", "-0x1.a5182d215b955p+4"),
+            ("0x1.8000000000000p-48", "-0x1.d22c9d0215bd4p+4"),
+            ("0x1.8000000000000p-48", "-0x1.d22c9d0215bd4p+4"),
+        ],
+    },
+    "infeasible_phase2": {
+        "x": [
+            "-0x1.4f22756a6d158p-2", "-0x1.0524dcb903d64p+0", "0x1.93e13fffe6033p-1", "0x1.e939005f9f461p-1",
+            "-0x1.5f6ebd40c5013p+1", "-0x1.a628b949f97bcp-1", "0x1.6725323f8975ep-1", "-0x1.0420f7b2121b2p-1",
+        ],
+        "iterations": 2,
+        "converged": True,
+        "phase_trace": [
+            ("0x0.0p+0", "-0x1.1477a621d9399p+5"),
+            ("0x1.0000000000000p-51", "-0x1.1477a621d939ap+5"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(CD_PINS))
+def test_cd_outputs_pinned(name):
+    problem, x0, opts = _cd_case(name)
+    rep = improve_coordinate_descent(problem, x0, **opts)
+    got = {
+        "x": [float(v).hex() for v in rep.x],
+        "iterations": rep.iterations,
+        "converged": rep.converged,
+        "phase_trace": [(float(a).hex(), float(b).hex()) for a, b in rep.phase_trace],
+    }
+    assert got == CD_PINS[name]
+
+
+def test_cd_phase2_starts_with_a_violated_row_outside_some_supports():
+    problem, x0, opts = _cd_case("infeasible_phase2")
+    rep = improve_coordinate_descent(problem, x0, **opts)
+    assert rep.phase_trace[0][0] == 0.0 < rep.phase_trace[1][0]
+    # violated as phase II reads it: f > 0 on LE rows, |f| > eq_tol on EQ rows
+    eq_tol = 1e-8
+    violated = [
+        k
+        for k, c in enumerate(problem.constraints)
+        if c.violation(rep.x) > (eq_tol if c.sense is Sense.EQ else 0.0)
+    ]
+    assert violated == [3]
+    assert problem.constraints[3].form.support.tolist() == [2, 4]
+
+
 # -- ADMM -------------------------------------------------------------------
 
 

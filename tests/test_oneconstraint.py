@@ -138,6 +138,27 @@ def test_project_infeasible_equality():
         project_eq([0.0, 0.0], form)
 
 
+@pytest.mark.parametrize(
+    "P, z",
+    [([[1.0]], [1.0]), (np.eye(2), [1.0, 0.5]), (-np.eye(2), [1.0, 0.5])],
+    ids=["x^2", "norm^2", "-norm^2"],
+)
+def test_project_onto_single_point_where_gradient_vanishes(P, z):
+    # {f = 0} = {0} is the minimizer (maximizer) of f; no multiplier exists there
+    res = project_eq(z, QuadraticForm.from_dense(P))
+    assert np.array_equal(res.x, np.zeros(len(z)))
+    assert math.isinf(res.nu)
+    assert res.kkt_residual == 0.0
+
+
+def test_project_onto_flat_minimizer_set():
+    # f = (x1 + x2 - 1)^2: {f = 0} is the line x1 + x2 = 1, where grad f = 0
+    form = QuadraticForm.from_dense(np.ones((2, 2)), [-2.0, -2.0], 1.0)
+    res = project_eq([2.0, 1.0], form)
+    assert np.allclose(res.x, [1.0, 0.0], atol=1e-12)
+    assert res.kkt_residual <= 1e-12
+
+
 def test_support_reduction_leaves_other_coordinates():
     # the constraint only touches x0; x1 must pass through untouched
     form = QuadraticForm.create(2, [(0, 0, 1.0)], None, -4.0)
@@ -482,6 +503,25 @@ def test_solve_one_constraint_trust_region_hard_cases():
         res = solve_one_constraint(objective, form)
         assert res.status is OneConstraintStatus.OPTIMAL, k
         assert duality_certificate_failures(objective, form, res) == [], k
+
+
+def test_solve_one_constraint_pencil_definite_far_from_zero():
+    # P0 + eta*P1 is definite only for eta > 1e9, so eta = eta_bar + nu cancels
+    # unless the projection is repeated from eta_bar = eta
+    objective = QuadraticForm.from_dense(1e9 * np.diag([1.0, -1.0]), [1.0, 1.0])
+    res = solve_one_constraint(objective, circle())
+    assert res.status is OneConstraintStatus.OPTIMAL
+    assert res.value == pytest.approx(-1e9 - 1.0, rel=1e-9)
+    # the certificate of duality_certificate_failures, with an exact solve:
+    # its truncated least squares cannot resolve M, whose condition is 4e9
+    eta = res.eta
+    M = objective.dense_p + eta * np.eye(2)
+    assert eta >= 0.0 and np.linalg.eigvalsh(M)[0] > 0.0
+    b = -0.5 * objective.q_vec
+    dual = -float(b @ np.linalg.solve(M, b)) - eta  # g(eta) = min over x of f0 + eta*f1
+    assert evaluate(circle(), res.x) <= 1e-12
+    assert res.value == evaluate(objective, res.x)
+    assert res.value - dual <= 1e-9 * abs(dual)
 
 
 def test_solve_interval_known_value():
