@@ -21,10 +21,11 @@ from .core import (
     QcqpProblem,
     QuadraticForm,
     Sense,
+    _value,
     assess,
     evaluate,
 )
-from .errors import NotConvexError, NotScalableError
+from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from .linalg import inv_chol, min_eig_bound
 from .onevar import (
     AFFINE_EPS,
@@ -35,7 +36,7 @@ from .onevar import (
     intersect,
     minimize_over_set,
 )
-from .oneconstraint import ConstraintProjector, OneConstraintStatus, solve_one_constraint
+from .oneconstraint import FEAS_TOL, ConstraintProjector, OneConstraintStatus, solve_one_constraint
 from .split import split_cholesky_diff, split_eigen, split_shift
 
 
@@ -153,7 +154,7 @@ def improve_scale_to_cover(problem: QcqpProblem, x0, **_) -> ImproveReport:
     if not forms:
         return _report(problem, x0, x0, 0, [], True, "scale")
     try:
-        z = scale_to_cover(x0, [QuadraticForm.from_dense(M) for M in forms])
+        z = scale_to_cover(x0, forms)
     except NotScalableError:
         return _report(problem, x0, x0, 0, [], False, "scale")
     return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "scale")
@@ -393,6 +394,43 @@ class SingleQuadraticSet:
     form: QuadraticForm  # convex set {x : form(x) <= 0}
 
 
+class _AffineRows:
+    """The affine rows q'x + r (= or <=) 0 of a problem, stacked to project as one block.
+
+    project(V) moves row i of V onto row i's set by the formula that
+    ConstraintProjector uses for one affine row: x = v - (s / ||q||^2) q with
+    s = f(v) on EQ rows and max(f(v), 0) on LE rows.  A row with q = 0 leaves
+    v unchanged, and raises InfeasibleConstraintError where ConstraintProjector
+    does: when r is off the row's set by more than FEAS_TOL * (1 + |r|).
+    """
+
+    def __init__(self, constraints, n: int):
+        self.A = np.array([c.form.q_vec for c in constraints]).reshape(len(constraints), n)
+        self.b = np.array([c.form.r for c in constraints])
+        self.eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
+        norm2 = np.einsum("ij,ij->i", self.A, self.A)
+        self.flat = norm2 == 0.0
+        self.norm2 = np.where(self.flat, 1.0, norm2)
+        tol = FEAS_TOL * (1.0 + np.abs(self.b))
+        self.infeasible = self.flat & np.where(self.eq, np.abs(self.b) > tol, self.b > tol)
+
+    def violations(self, z: np.ndarray) -> np.ndarray:
+        """Each row's violation at one point z; inf where f(z) is not finite."""
+        f = self.A @ z + self.b
+        v = np.where(self.eq, np.abs(f), np.maximum(f, 0.0))
+        return np.where(np.isfinite(f), v, math.inf)
+
+    def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Project V[k] onto the set of rows[k], for every k at once."""
+        if self.infeasible[rows].any():
+            raise InfeasibleConstraintError("affine row with q = 0 has an empty feasible set")
+        A = self.A[rows]
+        f = np.einsum("ij,ij->i", V, A) + self.b[rows]
+        s = np.where(self.eq[rows], f, np.maximum(f, 0.0))
+        s[self.flat[rows]] = 0.0
+        return V - (s / self.norm2[rows])[:, None] * A
+
+
 def default_rho(problem: QcqpProblem) -> float:
     m = max(problem.m, 1)
     return max(1.0, 1.1 * (-min_eig_bound(problem.objective.dense_p)) / m)
@@ -421,17 +459,22 @@ def improve_admm(
     full space, a matvec with the inverse of P0 + m rho I, built once from a
     numpy Cholesky factorization, or least squares when that matrix is not
     positive definite; a one-constraint solve; or clipped coordinate sweeps
-    for a box) and projects each x_i onto its constraint.  Iterates
-    can cycle on nonconvex problems, so the report returns the best iterate
-    ever seen under the lexicographic order.
+    for a box) and projects each x_i onto its constraint: the affine rows
+    in one stacked step, every other row through its ConstraintProjector.
+    Iterates can cycle on nonconvex problems, so the report returns the best
+    iterate ever seen under the lexicographic order.
     """
     x0 = np.asarray(x0, dtype=float)
     n, m = problem.n, problem.m
     cset = convex_set if convex_set is not None else FullSpace()
     if rho is None:
         rho = default_rho(problem)
-    projs = [ConstraintProjector(c.form) for c in problem.constraints]
-    senses = [c.sense for c in problem.constraints]
+    cons = problem.constraints
+    projs = {i: ConstraintProjector(c.form) for i, c in enumerate(cons) if not c.form.is_affine}
+    aff = np.array([i for i in range(m) if i not in projs], dtype=int)
+    aff_row = {i: k for k, i in enumerate(aff.tolist())}  # constraint index -> block row
+    block = _AffineRows([cons[i] for i in aff_row], n)
+    senses = [c.sense for c in cons]
     cset_proj = ConstraintProjector(cset.form) if isinstance(cset, SingleQuadraticSet) else None
 
     z = np.asarray(init_z, dtype=float).copy() if init_z is not None else x0.copy()
@@ -484,13 +527,25 @@ def improve_admm(
             return res.x
         return z
 
+    general = [cons[i] for i in projs]
+
+    def assess_z(x):
+        # assess(problem, x) with the affine rows' violations from the block
+        v = 0.0
+        for c in general:
+            v = max(v, c._violation_of(_value(c.form, x)))
+        if aff.size:
+            v = max(v, float(np.max(block.violations(x))))
+        f = _value(problem.objective, x)
+        return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
+
     def best_key(a: Assessment):
         # violations below eps_feas count as feasible, so late near-feasible
         # iterates with better objectives win over early interior points
         return (a.violation if a.violation > eps_feas else 0.0, a.objective)
 
     best_x = x0.copy()
-    best_a = assess(problem, x0)
+    best_a = assess_z(x0)
     trace: list[tuple[float, float]] = []
     iterates = []
     phase1 = two_phase and m > 0
@@ -501,18 +556,19 @@ def improve_admm(
     for it in range(1, max_iter + 1):
         if phase1:
             if az is None:
-                az = assess(problem, z)
+                az = assess_z(z)
             if az.violation <= eps_feas:
                 phase1 = False
         if phase1:
             z = proj_set(np.mean(X - U, axis=0))
         else:
             z = z_phase2(np.sum(X - U, axis=0)) if m > 0 else z_phase2(np.zeros(n))
-        for i in range(m):
-            res = projs[i].project(z + U[i], equality=senses[i] is Sense.EQ)
-            X[i] = res.x
+        if aff.size:
+            X[aff] = block.project(z + U[aff])
+        for i, proj in projs.items():
+            X[i] = proj.project(z + U[i], equality=senses[i] is Sense.EQ).x
         U += z - X
-        az = assess(problem, z)
+        az = assess_z(z)
         trace.append(az.as_tuple())
         if best_key(az) < best_key(best_a):
             best_a, best_x = az, z.copy()
@@ -537,11 +593,14 @@ def improve_admm(
         # exact lexicographic comparison to a feasible x0 on violation alone
         xp = best_x.copy()
         for _ in range(50):
-            if assess(problem, xp).violation <= 0.0:
+            if assess_z(xp).violation <= 0.0:
                 break
             for i in range(m):
-                xp = projs[i].project(xp, equality=senses[i] is Sense.EQ).x
-        ap = assess(problem, xp)
+                if i in projs:
+                    xp = projs[i].project(xp, equality=senses[i] is Sense.EQ).x
+                else:
+                    xp = block.project(xp[None, :], [aff_row[i]])[0]
+        ap = assess_z(xp)
         if ap.better_than(best_a):
             best_x, best_a = xp, ap
     rep = _report(problem, x0, best_x, it, trace, converged, "admm", last_x=z.copy())
@@ -558,10 +617,10 @@ def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
     if min_eig_bound(problem.objective.dense_p) < -1e-9 * scale:
         raise NotConvexError("objective is not convex")
     for k, c in enumerate(problem.constraints):
-        if c.sense is Sense.EQ:
-            if not c.form.is_affine:
-                raise NotConvexError(f"equality constraint {k} is not affine")
+        if c.form.is_affine:
             continue
+        if c.sense is Sense.EQ:
+            raise NotConvexError(f"equality constraint {k} is not affine")
         s = 1.0 + np.linalg.norm(c.form.dense_p)
         if min_eig_bound(c.form.dense_p) < -1e-9 * s:
             raise NotConvexError(f"constraint {k} is not convex")

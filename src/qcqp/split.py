@@ -3,8 +3,8 @@
 Three constructions with different cost/curvature trade-offs:
 
 * split_shift: add a multiple of the identity; cheap, adds curvature 2t;
-* split_eigen: split eigenvalues by sign; one eigendecomposition, adds
-  essentially no curvature;
+* split_eigen: split eigenvalues by sign, rounding-level ones set to 0;
+  one eigendecomposition, adds essentially no curvature;
 * split_cholesky_diff: a recursive Cholesky-like factorization P = L1 L1' -
   L2 L2' that never divides by anything smaller than sqrt(delta);
 * split_ldl: LDL' with the diagonal split by sign, falling back to the
@@ -62,11 +62,19 @@ def split_shift(P) -> Splitting:
 
 
 def split_eigen(P) -> Splitting:
-    """Sign-split eigenvalue decomposition; adds no curvature."""
+    """Sign-split eigenvalue decomposition; adds no curvature.
+
+    Eigenvalues with |lambda| <= n * eps * max|lambda| are rounding noise and
+    count as exactly 0, so a semidefinite P gets an exactly zero part on the
+    other side (and a linearized concave row stays exactly affine).
+    """
     S = _check_symmetric_input(P)
     eig = sym_eigen(S)
-    wp = np.clip(eig.values, 0.0, None)
-    wm = np.clip(-eig.values, 0.0, None)
+    w = eig.values
+    noise = S.shape[0] * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
+    w = np.where(np.abs(w) <= noise, 0.0, w)
+    wp = np.clip(w, 0.0, None)
+    wm = np.clip(-w, 0.0, None)
     plus = (eig.vectors * wp) @ eig.vectors.T
     minus = (eig.vectors * wm) @ eig.vectors.T
     curvature = float(np.trace(plus) + np.trace(minus) - np.sum(np.abs(eig.values)))

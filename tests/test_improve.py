@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qcqp.improve
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess, evaluate
-from qcqp.errors import NotConvexError, NotScalableError
+from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_partitioning
 from qcqp.improve import (
+    _AffineRows,
     BoxSet,
     SingleQuadraticSet,
     default_rho,
@@ -374,6 +380,113 @@ def test_admm_single_quadratic_set():
     assert rep.assessment.objective <= -2.9  # optimum -3 at (1, 0)
 
 
+# -- the affine block ------------------------------------------------------
+
+coefficient = st.floats(-10.0, 10.0)
+nonzero = st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+def per_row_projections(problem: QcqpProblem, V: np.ndarray) -> np.ndarray:
+    """The x-update of ADMM one row at a time: V[i] projected by row i's ConstraintProjector."""
+    return np.array(
+        [
+            ConstraintProjector(c.form).project(v, equality=c.sense is Sense.EQ).x
+            for c, v in zip(problem.constraints, V)
+        ]
+    )
+
+
+@st.composite
+def affine_rows_and_points(draw):
+    """Affine EQ/LE rows on 1-3 of n <= 5 variables, each with a point v at f(v) = gap."""
+    n = draw(st.integers(1, 5))
+    rows, points = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, min(3, n)))
+        support = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        q = np.zeros(n)
+        q[support] = draw(st.lists(nonzero, min_size=k, max_size=k))
+        v = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
+        gap = draw(coefficient)  # gap <= 0 leaves v feasible for an LE row
+        sense = draw(st.sampled_from([Sense.EQ, Sense.LE]))
+        rows.append(Constraint(QuadraticForm.create(n, (), q, gap - float(q @ v)), sense))
+        points.append(v)
+    return QcqpProblem.create(QuadraticForm.create(n), rows), np.array(points)
+
+
+@given(affine_rows_and_points())
+def test_affine_block_matches_per_row_projection(case):
+    problem, V = case
+    block = _AffineRows(problem.constraints, problem.n)
+    X = block.project(V)
+    tol = 1e-12 * (1.0 + np.linalg.norm(V, axis=1))
+    assert np.all(np.max(np.abs(X - per_row_projections(problem, V)), axis=1) <= tol)
+    for k in range(len(V)):
+        assert np.array_equal(block.project(V[k : k + 1], [k])[0], X[k])
+
+
+@pytest.mark.parametrize(
+    "sense, r, raises",
+    [
+        (Sense.LE, 0.0, False),
+        (Sense.LE, -2.0, False),
+        (Sense.LE, 1.0, True),
+        (Sense.EQ, 0.0, False),
+        (Sense.EQ, 1.0, True),
+        (Sense.EQ, -1.0, True),
+    ],
+)
+def test_affine_block_zero_gradient_row_follows_constraint_projector(sense, r, raises):
+    zero = Constraint(QuadraticForm.create(3, (), None, r), sense)
+    other = Constraint(QuadraticForm.create(3, (), [1.0, 0.0, -1.0], 0.5), Sense.EQ)
+    V = np.array([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]])
+    proj = ConstraintProjector(zero.form)
+    block = _AffineRows([zero, other], 3)
+    with np.errstate(all="raise"):
+        if raises:
+            with pytest.raises(InfeasibleConstraintError):
+                proj.project(V[0], equality=sense is Sense.EQ)
+            with pytest.raises(InfeasibleConstraintError):
+                block.project(V)
+            return
+        X = block.project(V)
+    assert np.array_equal(X[0], V[0])
+    assert np.array_equal(proj.project(V[0], equality=sense is Sense.EQ).x, V[0])
+    assert np.all(np.isfinite(X))
+    assert abs(evaluate(other.form, X[1])) <= 1e-15
+
+
+def _mixed_problem(seed: int) -> QcqpProblem:
+    """Affine EQ and LE rows on 1-3 variables, a ball row and a one-variable x_1^2 = 1 row."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    rows = []
+    for k in range(6):
+        support = rng.choice(n, size=k % 3 + 1, replace=False)
+        q = np.zeros(n)
+        q[support] = rng.standard_normal(support.size)
+        sense = Sense.EQ if k % 3 == 0 else Sense.LE
+        rows.append(Constraint(QuadraticForm.create(n, (), q, float(rng.standard_normal())), sense))
+    rows.append(Constraint(QuadraticForm.from_dense(np.eye(n), None, -9.0), Sense.LE))
+    rows.append(Constraint(QuadraticForm.create(n, [(1, 1, 1.0)], None, -1.0), Sense.EQ))
+    return QcqpProblem.create(QuadraticForm.from_dense(np.eye(n), rng.standard_normal(n)), rows)
+
+
+def test_admm_with_affine_block_matches_per_row_reference():
+    p = _mixed_problem(0)
+    x0 = np.random.default_rng(1).standard_normal(p.n)
+    rep = improve_admm(p, x0, max_iter=40, resid_tol=0.0, record_iterates=True)
+    assert rep.iterations == len(rep.iterates) == 40
+    U_prev = np.zeros((p.m, p.n))
+    for z, X, U in rep.iterates:
+        V = z + U_prev
+        tol = 1e-12 * (1.0 + np.linalg.norm(V, axis=1))
+        assert np.all(np.max(np.abs(X - per_row_projections(p, V)), axis=1) <= tol)
+        assert np.array_equal(U, U_prev + (z - X))
+        U_prev = U
+    assert not assess(p, x0).better_than(rep.assessment)
+
+
 # -- convex subsolver -------------------------------------------------------
 
 
@@ -439,6 +552,41 @@ def test_ccp_split_methods_agree_on_contract():
     for method in ("eigen", "shift", "cholesky"):
         rep = improve_ccp(p, x0, max_iter=6, split_method=method)
         assert not assess(p, x0).better_than(rep.assessment)
+
+
+def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
+    # beamforming's coverage rows are concave, so their linearizations and
+    # every slack row reach the subproblem affine; only the convex upper
+    # bound rows are quadratic there
+    p = gen_beamforming(4, 6, 2, seed=3)
+    x0 = np.random.default_rng(4).standard_normal(8)
+    init, solve, eig = ConstraintProjector.__init__, qcqp.improve.solve_convex, qcqp.improve.min_eig_bound
+    subproblems = []
+
+    def record(sub, x, **opts):
+        subproblems.append(sub)
+        return solve(sub, x, **opts)
+
+    with (
+        mock.patch.object(qcqp.improve, "solve_convex", autospec=True, side_effect=record),
+        mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
+        mock.patch.object(qcqp.improve, "min_eig_bound", autospec=True, side_effect=eig) as eigs,
+    ):
+        improve_ccp(p, x0, max_iter=4)
+    k = len(subproblems)
+    assert k >= 1
+    quadratic = [c.form for sub in subproblems for c in sub.constraints if not c.form.is_affine]
+    affine = [c.form for sub in subproblems for c in sub.constraints if c.form.is_affine]
+    assert len(quadratic) == 2 * k and len(affine) == (6 + 8) * k  # 6 coverage rows, 8 slacks
+    built = [call.args[1] for call in inits.call_args_list]
+    assert not any(form.is_affine for form in built)
+    # each quadratic row builds its projector, which builds one on its support
+    top = [form for form in built if any(form is q for q in quadratic)]
+    assert [id(f) for f in top] == [id(q) for q in quadratic]
+    assert len(built) == 2 * len(quadratic)
+    checked = [call.args[0] for call in eigs.call_args_list]
+    assert len(checked) == len(subproblems) + len(quadratic)
+    assert not any(P is form.dense_p for P in checked for form in affine)
 
 
 # -- composition ------------------------------------------------------------

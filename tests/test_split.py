@@ -117,3 +117,33 @@ def test_factors_reproduce_parts():
     L1, L2 = sp.factors
     assert np.allclose(L1 @ L1.T, sp.plus, atol=1e-9)
     assert np.allclose(L2 @ L2.T, sp.minus, atol=1e-9)
+
+
+def _coverage_matrix(seed: int) -> np.ndarray:
+    # -(aa' + bb') in R^8: rank 2, six eigenvalues zero up to rounding
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(8), rng.standard_normal(8)
+    return -(np.outer(a, a) + np.outer(b, b))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigen_split_of_semidefinite_matrix_has_an_exactly_zero_part(seed):
+    for P, zero_part in ((_coverage_matrix(seed), "plus"), (-_coverage_matrix(seed), "minus")):
+        sp = split_eigen(P)
+        assert not getattr(sp, zero_part).any()
+        assert np.linalg.norm(sp.plus - sp.minus - P) <= 1e-12 * np.linalg.norm(P)
+        for part in (sp.plus, sp.minus):
+            assert np.linalg.eigvalsh(part)[0] >= -1e-12 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_eigen_split_threshold_is_relative(scale):
+    # eigenvalues of size 1e-3 (or 1e-23) are far above n * eps * max|lambda|
+    # and stay, however small they are in absolute terms
+    lam = 1e-3 * scale
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+    P = (Q * np.array([-lam, lam, lam, -lam])) @ Q.T
+    sp = split_eigen(P)
+    assert np.linalg.eigvalsh(sp.plus) == pytest.approx([0.0, 0.0, lam, lam], abs=1e-12 * lam)
+    assert np.linalg.eigvalsh(sp.minus) == pytest.approx([0.0, 0.0, lam, lam], abs=1e-12 * lam)
+    assert np.linalg.norm(sp.plus - sp.minus - P) <= 1e-12 * np.linalg.norm(P)
