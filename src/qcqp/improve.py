@@ -10,6 +10,7 @@ something worse, so composition is always safe.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -36,7 +37,13 @@ from .onevar import (
     intersect,
     minimize_over_set,
 )
-from .oneconstraint import FEAS_TOL, ConstraintProjector, OneConstraintStatus, solve_one_constraint
+from .oneconstraint import (
+    FEAS_TOL,
+    SECULAR_STEP_MAX,
+    ConstraintProjector,
+    OneConstraintStatus,
+    solve_one_constraint,
+)
 from .split import split_cholesky_diff, split_eigen, split_shift
 
 
@@ -170,8 +177,8 @@ class _CoordState:
     the constraint rows whose support contains x_j; every other row is
     constant in x_j, so move(j, t) updates only the objective and rows[j].
     violated holds the constraint rows that a constant in x_j could not
-    satisfy in phase II (|f| > eq_tol for EQ, f > 0 for LE): it is rebuilt
-    by refresh() and updated by move().
+    satisfy in phase II (|f| > eq_tol for EQ, f > eq_tol for LE): it is
+    rebuilt by refresh() and updated by move().
     """
 
     def __init__(self, problem: QcqpProblem, x0, eq_tol: float):
@@ -195,7 +202,7 @@ class _CoordState:
     def _is_violated(self, k: int) -> bool:
         # written as "not within" so that a NaN value counts as violated
         f = self.fval[k]
-        return not (abs(f) <= self.eq_tol if self.senses[k] is Sense.EQ else f <= 0.0)
+        return not ((abs(f) if self.senses[k] is Sense.EQ else f) <= self.eq_tol)
 
     def coeffs(self, k: int, j: int):
         """(p, q, c) of f_k as a quadratic in x_j with the rest fixed."""
@@ -293,9 +300,11 @@ def improve_coordinate_descent(
     A coordinate step reads and updates only the rows whose support holds
     x_j.  A row outside it is a constant in x_j: phase I cannot reduce its
     violation, and in phase II it admits every x_j or none.  So phase II
-    skips x_j while some violated row (|f| > eq_tol for EQ, f > 0 for LE,
-    after the exact re-evaluation that ends phase I) lies outside its
-    support.
+    skips x_j while some violated row (|f| > eq_tol for EQ, f > eq_tol for
+    LE, after the exact re-evaluation that ends phase I) lies outside its
+    support.  eq_tol serves LE rows too: phase I stops on running values,
+    and the exact values can leave a row it satisfied at a rounding residue
+    such as f = 4e-16, which must not freeze every other coordinate.
     """
     st = _CoordState(problem, x0, eq_tol)
     n = problem.n
@@ -394,7 +403,28 @@ class SingleQuadraticSet:
     form: QuadraticForm  # convex set {x : form(x) <= 0}
 
 
-class _AffineRows:
+class _StackedRows:
+    """Rows of one class stacked as arrays: their linear terms (one row each) and constants.
+
+    with_linear() gives the same rows with other linear terms and constants;
+    a subclass keeps its curvature and senses, and its _set(A, b) stores the
+    terms and what depends on them.
+    """
+
+    def __init__(self, constraints, n: int):
+        self._set(
+            np.array([c.form.q_vec for c in constraints]).reshape(len(constraints), n),
+            np.array([c.form.r for c in constraints], dtype=float),
+        )
+
+    def with_linear(self, A: np.ndarray, b: np.ndarray):
+        """The same rows with linear terms A and constants b."""
+        new = copy.copy(self)
+        new._set(A, b)
+        return new
+
+
+class _AffineRows(_StackedRows):
     """The affine rows q'x + r (= or <=) 0 of a problem, stacked to project as one block.
 
     project(V) moves row i of V onto row i's set by the formula that
@@ -405,14 +435,16 @@ class _AffineRows:
     """
 
     def __init__(self, constraints, n: int):
-        self.A = np.array([c.form.q_vec for c in constraints]).reshape(len(constraints), n)
-        self.b = np.array([c.form.r for c in constraints])
         self.eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
-        norm2 = np.einsum("ij,ij->i", self.A, self.A)
+        super().__init__(constraints, n)
+
+    def _set(self, A: np.ndarray, b: np.ndarray) -> None:
+        self.A, self.b = A, b
+        norm2 = np.einsum("ij,ij->i", A, A)
         self.flat = norm2 == 0.0
         self.norm2 = np.where(self.flat, 1.0, norm2)
-        tol = FEAS_TOL * (1.0 + np.abs(self.b))
-        self.infeasible = self.flat & np.where(self.eq, np.abs(self.b) > tol, self.b > tol)
+        tol = FEAS_TOL * (1.0 + np.abs(b))
+        self.infeasible = self.flat & np.where(self.eq, np.abs(b) > tol, b > tol)
 
     def violations(self, z: np.ndarray) -> np.ndarray:
         """Each row's violation at one point z; inf where f(z) is not finite."""
@@ -431,15 +463,188 @@ class _AffineRows:
         return V - (s / self.norm2[rows])[:, None] * A
 
 
+def _curved_coordinate(c: Constraint) -> int | None:
+    """i when c is an LE row a x_i^2 + w'x + r <= 0 with a > 0 and w nonzero off x_i, else None."""
+    P = c.form.dense_p
+    if c.sense is not Sense.LE or np.count_nonzero(P) != 1:
+        return None
+    # P is symmetric, so its one nonzero entry lies on the diagonal
+    i = int(np.argmax(np.diag(P)))
+    return i if P[i, i] > 0.0 and c.form.support.size > 1 else None
+
+
+class _CurvedRows(_StackedRows):
+    """LE rows a x_i^2 + w'x + r <= 0, a > 0, w nonzero off x_i, stacked to project as one block.
+
+    The projection of v onto a row's set is x(nu) with x_i = (v_i - nu w_i) /
+    (1 + 2 a nu) and x_j = v_j - nu w_j elsewhere, at the root nu >= 0 of
+    phi(nu) = f(x(nu)) (Parikh & Boyd 2014, "Proximal Algorithms", section 6).
+    phi is convex and decreases with slope at most -omega, omega the sum of
+    w_j^2 over j != i, and its root lies in a bracket known in closed form,
+    so safeguarded Newton steps (clipped to the bracket) from its lower end
+    approach the root from below (Moré & Sorensen 1983).  All rows step at
+    once, each until its own step is below 1e-13 (1 + nu), so a row's result
+    does not depend on the other rows in the block.  A row feasible at v
+    leaves v unchanged, as ConstraintProjector.project_ineq does.
+    """
+
+    def __init__(self, constraints, n: int):
+        self.i = np.array([_curved_coordinate(c) for c in constraints], dtype=int)
+        self.a = np.array([c.form.dense_p[i, i] for c, i in zip(constraints, self.i)], dtype=float)
+        super().__init__(constraints, n)
+
+    def _set(self, W: np.ndarray, r: np.ndarray) -> None:
+        self.W, self.r = W, r
+        k = np.arange(r.size)
+        self.wi = W[k, self.i]
+        self.W_off = W.copy()  # w with its curved coordinate zeroed
+        self.W_off[k, self.i] = 0.0
+        # > 0 as long as every row keeps a term off x_i, which with_linear's callers ensure
+        self.omega = np.einsum("ij,ij->i", self.W_off, self.W_off)
+
+    def violations(self, z: np.ndarray) -> np.ndarray:
+        """Each row's violation at one point z; inf where f(z) is not finite."""
+        f = self.a * z[self.i] ** 2 + self.W @ z + self.r
+        return np.where(np.isfinite(f), np.maximum(f, 0.0), math.inf)
+
+    def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Project V[k] onto the set of rows[k], for every k at once."""
+        i, a, wi, omega = self.i[rows], self.a[rows], self.wi[rows], self.omega[rows]
+        k = np.arange(V.shape[0])
+        vi = V[k, i]
+        rest = np.einsum("ij,ij->i", V, self.W_off[rows]) + self.r[rows]  # f(v) - a v_i^2 - w_i v_i
+        f0 = (a * vi + wi) * vi + rest
+        # phi(nu) = s2 / (4a t^2) + kappa - omega nu with t = 1 + 2 a nu, so
+        # max(kappa, 0) / omega <= root <= f0 / omega
+        s2 = (2.0 * a * vi + wi) ** 2
+        kappa = rest - wi * wi / (4.0 * a)
+        hi = np.maximum(f0, 0.0) / omega  # 0 on rows feasible at v, which keep nu = 0
+        nu = np.clip(kappa / omega, 0.0, hi)
+        active = f0 > 0.0
+        for _ in range(SECULAR_STEP_MAX):
+            if not active.any():
+                break
+            t = 1.0 + 2.0 * a * nu
+            xi = (vi - nu * wi) / t
+            phi = (a * xi + wi) * xi + rest - nu * omega
+            new = np.clip(nu + phi / (s2 / t**3 + omega), 0.0, hi)
+            active &= np.abs(new - nu) > 1e-13 * (1.0 + nu)
+            nu = np.where(active, new, nu)
+        X = V - nu[:, None] * self.W[rows]
+        X[k, i] = (vi - nu * wi) / (1.0 + 2.0 * a * nu)
+        return X
+
+
+class _Rows:
+    """The rows of an ADMM problem, each classified once into one of three stacked classes.
+
+    Affine rows go to _AffineRows, LE rows with one curved coordinate to
+    _CurvedRows, and every other row is a general row with its own
+    ConstraintProjector.  project() is ADMM's x-update and assess() its
+    assessment of a point; both read the classes' arrays.  with_linear()
+    gives the same rows with new linear terms and constants: the step that
+    CCP takes from one convex subproblem to the next.
+    """
+
+    def __init__(self, constraints, n: int):
+        self.n, self.m = n, len(constraints)
+        coords = [None if c.form.is_affine else _curved_coordinate(c) for c in constraints]
+        self.aff = np.array([k for k, c in enumerate(constraints) if c.form.is_affine], dtype=int)
+        self.cur = np.array([k for k, i in enumerate(coords) if i is not None], dtype=int)
+        self.affine = _AffineRows([constraints[k] for k in self.aff], n)
+        self.curved = _CurvedRows([constraints[k] for k in self.cur], n)
+        self.general = {
+            k: (c, ConstraintProjector(c.form))
+            for k, c in enumerate(constraints)
+            if not c.form.is_affine and coords[k] is None
+        }
+        # constraint index -> (class, row in that class), to project one row alone
+        self._slot = {k: ("affine", j) for j, k in enumerate(self.aff.tolist())}
+        self._slot.update({k: ("curved", j) for j, k in enumerate(self.cur.tolist())})
+
+    def with_linear(self, Q: np.ndarray, R: np.ndarray) -> "_Rows":
+        """The same rows with linear terms Q[k] and constants R[k].
+
+        A general row keeps its projector when its terms did not move.
+        """
+        new = copy.copy(self)
+        new.affine = self.affine.with_linear(Q[self.aff], R[self.aff])
+        new.curved = self.curved.with_linear(Q[self.cur], R[self.cur])
+        new.general = {}
+        for k, (c, proj) in self.general.items():
+            if R[k] != c.form.r or not np.array_equal(Q[k], c.form.q_vec):
+                c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
+                proj = ConstraintProjector(c.form)
+            new.general[k] = (c, proj)
+        return new
+
+    def project(self, V: np.ndarray) -> np.ndarray:
+        """Row k of V projected onto row k's set, for every row."""
+        X = np.empty_like(V)
+        if self.aff.size:
+            X[self.aff] = self.affine.project(V[self.aff])
+        if self.cur.size:
+            X[self.cur] = self.curved.project(V[self.cur])
+        for k, (c, proj) in self.general.items():
+            X[k] = proj.project(V[k], equality=c.sense is Sense.EQ).x
+        return X
+
+    def project_row(self, k: int, x: np.ndarray) -> np.ndarray:
+        """x projected onto row k's set alone."""
+        if k in self.general:
+            c, proj = self.general[k]
+            return proj.project(x, equality=c.sense is Sense.EQ).x
+        name, j = self._slot[k]
+        return getattr(self, name).project(x[None, :], [j])[0]
+
+    def assess(self, objective: QuadraticForm, x: np.ndarray) -> Assessment:
+        """assess() of the problem with these rows, reading each class's violations at once."""
+        v = 0.0
+        for c, _ in self.general.values():
+            v = max(v, c._violation_of(_value(c.form, x)))
+        for rows, block in ((self.aff, self.affine), (self.cur, self.curved)):
+            if rows.size:
+                v = max(v, float(np.max(block.violations(x))))
+        f = _value(objective, x)
+        return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
+
+
 def default_rho(problem: QcqpProblem) -> float:
     m = max(problem.m, 1)
     return max(1.0, 1.1 * (-min_eig_bound(problem.objective.dense_p)) / m)
 
 
-def improve_admm(
-    problem: QcqpProblem,
+def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> ImproveReport:
+    """Consensus ADMM with one copy x_i per constraint.
+
+    Phase I drops the objective: z is the mean of x_i - u_i projected onto
+    the convex set, so iterates are rho-independent; it ends once v(z) <=
+    eps_feas.  Phase II minimizes the augmented objective in z (over the
+    full space, a matvec with the inverse of P0 + m rho I, built once from a
+    numpy Cholesky factorization, or least squares when that matrix is not
+    positive definite; a one-constraint solve; or clipped coordinate sweeps
+    for a box) and projects each x_i onto its constraint.  The rows are set
+    up once (_Rows): the affine rows and the LE rows with one curved
+    coordinate each project as one stacked block, every other row through
+    its ConstraintProjector, and the per-iteration assessment and the
+    never-worse report read the same classes.  Iterates can cycle on
+    nonconvex problems, so the report returns the best iterate ever seen
+    under the lexicographic order.
+
+    Options (keywords of _admm): max_iter=500, eps_feas=1e-6,
+    two_phase=True, convex_set=None (FullSpace, BoxSet or
+    SingleQuadraticSet), init_z/init_x/init_u (a warm start),
+    record_iterates=False and resid_tol=1e-6.
+    """
+    rho = default_rho(problem) if rho is None else rho
+    return _admm(problem.objective, _Rows(problem.constraints, problem.n), x0, rho, **opts)
+
+
+def _admm(
+    objective: QuadraticForm,
+    rows: _Rows,
     x0,
-    rho: float | None = None,
+    rho: float,
     max_iter: int = 500,
     eps_feas: float = 1e-6,
     two_phase: bool = True,
@@ -451,30 +656,10 @@ def improve_admm(
     resid_tol: float = 1e-6,
     **_,
 ) -> ImproveReport:
-    """Consensus ADMM with one copy x_i per constraint.
-
-    Phase I drops the objective: z is the mean of x_i - u_i projected onto
-    the convex set, so iterates are rho-independent; it ends once v(z) <=
-    eps_feas.  Phase II minimizes the augmented objective in z (over the
-    full space, a matvec with the inverse of P0 + m rho I, built once from a
-    numpy Cholesky factorization, or least squares when that matrix is not
-    positive definite; a one-constraint solve; or clipped coordinate sweeps
-    for a box) and projects each x_i onto its constraint: the affine rows
-    in one stacked step, every other row through its ConstraintProjector.
-    Iterates can cycle on nonconvex problems, so the report returns the best
-    iterate ever seen under the lexicographic order.
-    """
+    """The iterations of improve_admm on rows already set up."""
     x0 = np.asarray(x0, dtype=float)
-    n, m = problem.n, problem.m
+    n, m = rows.n, rows.m
     cset = convex_set if convex_set is not None else FullSpace()
-    if rho is None:
-        rho = default_rho(problem)
-    cons = problem.constraints
-    projs = {i: ConstraintProjector(c.form) for i, c in enumerate(cons) if not c.form.is_affine}
-    aff = np.array([i for i in range(m) if i not in projs], dtype=int)
-    aff_row = {i: k for k, i in enumerate(aff.tolist())}  # constraint index -> block row
-    block = _AffineRows([cons[i] for i in aff_row], n)
-    senses = [c.sense for c in cons]
     cset_proj = ConstraintProjector(cset.form) if isinstance(cset, SingleQuadraticSet) else None
 
     z = np.asarray(init_z, dtype=float).copy() if init_z is not None else x0.copy()
@@ -489,8 +674,8 @@ def improve_admm(
         else np.zeros((m, n))
     )
 
-    P0 = problem.objective.dense_p
-    q0 = problem.objective.q_vec
+    P0 = objective.dense_p
+    q0 = objective.q_vec
     A = P0 + m * rho * np.eye(n)
     A_inv = None
     if isinstance(cset, FullSpace):
@@ -527,32 +712,23 @@ def improve_admm(
             return res.x
         return z
 
-    general = [cons[i] for i in projs]
-
     def assess_z(x):
-        # assess(problem, x) with the affine rows' violations from the block
-        v = 0.0
-        for c in general:
-            v = max(v, c._violation_of(_value(c.form, x)))
-        if aff.size:
-            v = max(v, float(np.max(block.violations(x))))
-        f = _value(problem.objective, x)
-        return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
+        return rows.assess(objective, x)
 
     def best_key(a: Assessment):
         # violations below eps_feas count as feasible, so late near-feasible
         # iterates with better objectives win over early interior points
         return (a.violation if a.violation > eps_feas else 0.0, a.objective)
 
-    best_x = x0.copy()
-    best_a = assess_z(x0)
+    a0 = assess_z(x0)
+    best_x, best_a = x0.copy(), a0
     trace: list[tuple[float, float]] = []
     iterates = []
     phase1 = two_phase and m > 0
     converged = False
     it = 0
     z_prev = z.copy()
-    az = best_a if init_z is None else None  # assessment of the current z, once known
+    az = a0 if init_z is None else None  # assessment of the current z, once known
     for it in range(1, max_iter + 1):
         if phase1:
             if az is None:
@@ -563,21 +739,16 @@ def improve_admm(
             z = proj_set(np.mean(X - U, axis=0))
         else:
             z = z_phase2(np.sum(X - U, axis=0)) if m > 0 else z_phase2(np.zeros(n))
-        if aff.size:
-            X[aff] = block.project(z + U[aff])
-        for i, proj in projs.items():
-            X[i] = proj.project(z + U[i], equality=senses[i] is Sense.EQ).x
-        U += z - X
+        X = rows.project(z + U)
+        gap = z - X
+        U += gap
         az = assess_z(z)
         trace.append(az.as_tuple())
         if best_key(az) < best_key(best_a):
             best_a, best_x = az, z.copy()
         if record_iterates:
             iterates.append((z.copy(), X.copy(), U.copy()))
-        if m > 0:
-            resid = float(np.max(np.linalg.norm(z - X, axis=1)))
-        else:
-            resid = 0.0
+        resid = float(np.max(np.linalg.norm(gap, axis=1))) if m > 0 else 0.0
         # both residuals: consensus mismatch and movement of z itself
         dual_resid = float(np.linalg.norm(z - z_prev))
         z_prev = z.copy()
@@ -595,38 +766,53 @@ def improve_admm(
         for _ in range(50):
             if assess_z(xp).violation <= 0.0:
                 break
-            for i in range(m):
-                if i in projs:
-                    xp = projs[i].project(xp, equality=senses[i] is Sense.EQ).x
-                else:
-                    xp = block.project(xp[None, :], [aff_row[i]])[0]
+            for k in range(m):
+                xp = rows.project_row(k, xp)
         ap = assess_z(xp)
         if ap.better_than(best_a):
             best_x, best_a = xp, ap
-    rep = _report(problem, x0, best_x, it, trace, converged, "admm", last_x=z.copy())
-    return replace(
-        rep,
+    # never worse than x0 under the exact lexicographic order
+    if a0.better_than(best_a):
+        best_x, best_a = x0.copy(), a0
+    return ImproveReport(
+        x=best_x,
+        assessment=best_a,
+        iterations=it,
+        phase_trace=tuple(trace),
+        converged=converged,
+        method="admm",
+        last_x=z.copy(),
         final_state=(z.copy(), X.copy(), U.copy()),
         iterates=tuple(iterates) if record_iterates else None,
     )
 
 
-def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
-    """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
-    scale = 1.0 + np.linalg.norm(problem.objective.dense_p)
-    if min_eig_bound(problem.objective.dense_p) < -1e-9 * scale:
+def _check_convex(objective: QuadraticForm, constraints) -> None:
+    """Raise NotConvexError unless the objective and every row are convex.
+
+    Affine rows and rows with one curved coordinate (a > 0) are convex by
+    their class (see _Rows), so only the other rows take an eigenvalue check.
+    """
+    scale = 1.0 + np.linalg.norm(objective.dense_p)
+    if min_eig_bound(objective.dense_p) < -1e-9 * scale:
         raise NotConvexError("objective is not convex")
-    for k, c in enumerate(problem.constraints):
-        if c.form.is_affine:
+    for k, c in enumerate(constraints):
+        if c.form.is_affine or _curved_coordinate(c) is not None:
             continue
         if c.sense is Sense.EQ:
             raise NotConvexError(f"equality constraint {k} is not affine")
         s = 1.0 + np.linalg.norm(c.form.dense_p)
         if min_eig_bound(c.form.dense_p) < -1e-9 * s:
             raise NotConvexError(f"constraint {k} is not convex")
-    opts = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
-    opts.update(admm_opts)
-    return replace(improve_admm(problem, x0, **opts), method="convex")
+
+
+_CONVEX_OPTS = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
+
+
+def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
+    """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
+    _check_convex(problem.objective, problem.constraints)
+    return replace(improve_admm(problem, x0, **{**_CONVEX_OPTS, **admm_opts}), method="convex")
 
 
 # -- penalty convex-concave -------------------------------------------------
@@ -655,9 +841,17 @@ def improve_ccp(
     Every form is written as a difference of convex quadratics; equalities
     become two inequalities split separately.  Each iteration linearizes the
     concave parts at the current point, adds one slack per constraint row
-    with penalty tau, solves the convex subproblem, and doubles tau up to
-    tau_max.  The convexified rows overestimate the true constraints, so a
-    near-zero slack sum certifies feasibility.
+    with penalty tau, solves the convex subproblem by ADMM (with
+    solve_convex's defaults), and doubles tau up to tau_max.  The
+    convexified rows overestimate the true constraints, so a near-zero slack
+    sum certifies feasibility.
+
+    Only the linear terms and constants of the subproblem move with the
+    current point, so it is set up once per call: the fixed curvature, the
+    slack rows s_k >= 0, the row classes of _Rows with the projectors of
+    the rows that have no concave part, and the convexity check.  Each
+    iteration then updates the linear terms and constants, tau, and the
+    ADMM step size rho with the Cholesky factor of P0 + m rho I.
     """
     splitter = _SPLITTERS[split_method]
     x0 = np.asarray(x0, dtype=float)
@@ -670,9 +864,40 @@ def improve_ccp(
         if c.sense is Sense.EQ:
             rows.append((sp.minus, sp.plus, -c.form.q_vec, -c.form.r))
     K = len(rows)
-    sub_opts = {"max_iter": 600, "resid_tol": 1e-7}
-    if subsolver_opts:
-        sub_opts.update(subsolver_opts)
+    dim = n + K
+    r_rows = np.array([r for _, _, _, r in rows], dtype=float)
+
+    def convexified(x, L):
+        # x' plus_k x + L_k' x for every row k; one dot product per row, as a
+        # stacked product would round differently
+        return np.array([float(x @ (p @ x)) + float(l @ x) for (p, _, _, _), l in zip(rows, L)])
+
+    def linearized(xk):
+        # linear terms q_k - 2 minus_k xk of the convexified rows, and xk' minus_k xk
+        L = np.array([q - 2.0 * (minus @ xk) for _, minus, q, _ in rows]).reshape(K, n)
+        return L, np.array([float(xk @ (minus @ xk)) for _, minus, _, _ in rows])
+
+    # subproblem rows in (x, s): row 2k is convexified row k with -s_k, row
+    # 2k+1 is s_k >= 0; Q and R hold their linear terms and constants
+    Q = np.zeros((2 * K, dim))
+    Q[0::2, n:] = Q[1::2, n:] = -np.eye(K)
+    R = np.zeros(2 * K)
+    L, lin_r = linearized(x0)
+    Q[0::2, :n], R[0::2] = L, r_rows + lin_r
+    sub_constraints = []
+    for k, (plus, _, _, _) in enumerate(rows):
+        Pk = np.zeros((dim, dim))
+        Pk[:n, :n] = plus
+        row = QuadraticForm.from_dense(Pk, Q[2 * k], R[2 * k])
+        slack = QuadraticForm.create(dim, (), Q[2 * k + 1], 0.0)
+        sub_constraints += [Constraint(row, Sense.LE), Constraint(slack, Sense.LE)]
+    Pq = np.zeros((dim, dim))
+    Pq[:n, :n] = sp0.plus
+    sub_objective = QuadraticForm.from_dense(Pq)
+    _check_convex(sub_objective, sub_constraints)
+    sub_rows = _Rows(sub_constraints, dim)
+    del sub_constraints  # the dense forms of affine and curved rows are not needed again
+    sub_opts = {**_CONVEX_OPTS, "max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
     warm = None  # (X, U) from the previous subsolve; rows only shift with xk
 
     xk = x0.copy()
@@ -684,30 +909,15 @@ def improve_ccp(
     prev_slack = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        dim = n + K
         # objective: convex part + linearized concave part + tau * sum(s)
-        Pq = np.zeros((dim, dim))
-        Pq[:n, :n] = sp0.plus
         qq = np.zeros(dim)
         qq[:n] = problem.objective.q_vec - 2.0 * (sp0.minus @ xk)
         qq[n:] = tau
         rr = problem.objective.r + float(xk @ (sp0.minus @ xk))
-        sub_constraints = []
-        s_init = np.zeros(K)
-        for k, (plus, minus, q, r) in enumerate(rows):
-            Pk = np.zeros((dim, dim))
-            Pk[:n, :n] = plus
-            qk = np.zeros(dim)
-            qk[:n] = q - 2.0 * (minus @ xk)
-            qk[n + k] = -1.0
-            rk = r + float(xk @ (minus @ xk))
-            sub_constraints.append(Constraint(QuadraticForm.from_dense(Pk, qk, rk), Sense.LE))
-            # s_k >= 0
-            qs = np.zeros(dim)
-            qs[n + k] = -1.0
-            sub_constraints.append(Constraint(QuadraticForm.create(dim, (), qs, 0.0), Sense.LE))
-            s_init[k] = max(0.0, float(xk @ (plus @ xk)) + qk[:n] @ xk + rk) + 1e-6
-        sub = QcqpProblem.create(QuadraticForm.from_dense(Pq, qq, rr), sub_constraints)
+        L, lin_r = linearized(xk)
+        Q[0::2, :n], R[0::2] = L, r_rows + lin_r
+        sub = sub_rows.with_linear(Q, R)
+        s_init = np.maximum(0.0, convexified(xk, L) + R[0::2]) + 1e-6
         # the slack weight tau dominates the subproblem objective as it grows,
         # so the subsolver step size tracks it unless the caller pins rho
         it_opts = dict(sub_opts)
@@ -718,22 +928,15 @@ def improve_ccp(
             it_opts.setdefault("init_z", z_init)
             it_opts.setdefault("init_x", warm[0])
             it_opts.setdefault("init_u", warm[1] * (warm[2] / rho_it))
-        rep = solve_convex(sub, z_init, **it_opts)
+        objective = QuadraticForm._of_symmetric(sub_objective.dense_p, qq, rr)
+        rep = _admm(objective, sub, z_init, **it_opts)
         warm = (rep.final_state[1], rep.final_state[2], rho_it)
 
         def penalized(xc):
             # exact subproblem value at xc with the slacks eliminated:
             # the optimal s_k is the positive part of the convexified row
-            val = float(xc @ (Pq[:n, :n] @ xc)) + float(qq[:n] @ xc) + rr
-            res = np.zeros(K)
-            for k2, (plus2, minus2, q2, r2) in enumerate(rows):
-                g = (
-                    float(xc @ (plus2 @ xc))
-                    + float((q2 - 2.0 * (minus2 @ xk)) @ xc)
-                    + r2
-                    + float(xk @ (minus2 @ xk))
-                )
-                res[k2] = max(0.0, g)
+            val = float(xc @ (sp0.plus @ xc)) + float(qq[:n] @ xc) + rr
+            res = np.maximum(0.0, convexified(xc, L) + r_rows + lin_r)
             return val + tau * float(np.sum(res)), res
 
         # the subsolver's contract point can lag its actual limit when the

@@ -123,6 +123,38 @@ def test_brute_force_boolean_oracle():
     assert f == pytest.approx(best)
 
 
+def brute_force_reference(p, domain):
+    """brute_force's boolean mode as a plain loop over domain^n, every row assessed."""
+    best_x, best_f = None, np.inf
+    for combo in __import__("itertools").product(domain, repeat=p.n):
+        a = assess(p, np.array(combo))
+        if a.violation <= 1e-9 and a.objective < best_f:
+            best_x, best_f = np.array(combo), a.objective
+    return best_x, best_f
+
+
+def test_brute_force_skips_only_the_rows_that_set_a_domain():
+    # brute_force assesses every row but those that set a domain, which are
+    # exactly 0 on it.  In the last case x_0 carries x_0^2 = 1 and then
+    # x_0(x_0 - 1) = 0, which sets {0, 1}; the first row is still assessed,
+    # so it forces x_0 = 1, where the clique alone picks {1, 2}.
+    from qcqp.core import Constraint, QcqpProblem, QuadraticForm
+
+    clique = gen_maxclique(np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+    sign_row = Constraint(QuadraticForm.create(3, [(0, 0, 1.0)], None, -1.0), Sense.EQ)
+    cases = [
+        (gen_boolean_ls(8, 6, seed=2), (-1.0, 1.0)),
+        (gen_3sat([(1, 2, 3), (-1, 2, 3), (1, -2, -3)]), (0.0, 1.0)),
+        (clique, (0.0, 1.0)),
+        (QcqpProblem.create(clique.objective, [sign_row] + list(clique.constraints)), (0.0, 1.0)),
+    ]
+    for p, domain in cases:
+        x, f = brute_force(p)
+        want_x, want_f = brute_force_reference(p, domain)
+        assert f == want_f and np.array_equal(x, want_x)
+    assert x.tolist() == [1.0, 1.0, 0.0] and brute_force(clique)[0].tolist() == [0.0, 1.0, 1.0]
+
+
 def test_brute_force_grid_mode():
     # min (x - 0.3)^2 on a grid over [-1, 1]
     from qcqp.core import QcqpProblem, QuadraticForm

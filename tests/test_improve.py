@@ -11,6 +11,8 @@ from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableEr
 from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_partitioning
 from qcqp.improve import (
     _AffineRows,
+    _CurvedRows,
+    _Rows,
     BoxSet,
     SingleQuadraticSet,
     default_rho,
@@ -24,7 +26,8 @@ from qcqp.improve import (
     scale_to_cover,
     solve_convex,
 )
-from qcqp.oneconstraint import ConstraintProjector
+from qcqp.oneconstraint import FEAS_TOL, ConstraintProjector
+from qcqp.split import split_eigen
 from qcqp.onevar import OneVarStatus, solve_onevar
 
 
@@ -172,6 +175,10 @@ def _cd_case(name: str):
 
 # Outputs of improve_coordinate_descent as recorded with dense coordinate
 # steps (every move updated every row); x and the trace as float.hex.
+# random_support and infeasible_phase2 were re-recorded when phase II began
+# to count an LE row with f <= eq_tol as satisfied: both start phase II with
+# an LE row at a rounding residue (5.3e-15 and 4.4e-16), which used to
+# freeze every coordinate outside its support.
 CD_PINS = {
     "boolean_ls": {
         "x": [
@@ -214,26 +221,27 @@ CD_PINS = {
     "random_support": {
         "x": [
             "0x1.fde8bc2a3bc3fp-3", "0x1.28b5bebb4bb51p-2", "0x1.8fcc1ac48a672p-1", "-0x1.5a42090a4e558p-2",
-            "0x1.1d37215c14a56p-1", "0x1.c7ad0d47ee7d6p+2", "0x1.6725323f8975dp-1", "0x1.68f247dc6525ep-1",
+            "-0x1.d4c9e4c472383p-1", "0x1.c7ad0d47ee7d6p+2", "0x1.6725323f8975dp-1", "-0x1.37cddbc46ba2dp+2",
         ],
-        "iterations": 3,
+        "iterations": 4,
         "converged": True,
         "phase_trace": [
             ("0x0.0p+0", "-0x1.a5182d215b955p+4"),
-            ("0x1.8000000000000p-48", "-0x1.d22c9d0215bd4p+4"),
-            ("0x1.8000000000000p-48", "-0x1.d22c9d0215bd4p+4"),
+            ("0x1.8000000000000p-48", "-0x1.44fc0226bbfd9p+5"),
+            ("0x1.8000000000000p-48", "-0x1.b7cb2d2772567p+5"),
+            ("0x1.8000000000000p-48", "-0x1.b7cb2d2772567p+5"),
         ],
     },
     "infeasible_phase2": {
         "x": [
-            "-0x1.4f22756a6d158p-2", "-0x1.0524dcb903d64p+0", "0x1.93e13fffe6033p-1", "0x1.e939005f9f461p-1",
-            "-0x1.5f6ebd40c5013p+1", "-0x1.a628b949f97bcp-1", "0x1.6725323f8975ep-1", "-0x1.0420f7b2121b2p-1",
+            "-0x1.4f22756a6d158p-2", "-0x1.1b5943125a992p-3", "0x1.93e13fffe6033p-1", "0x1.e939005f9f461p-1",
+            "-0x1.5f6ebd40c5013p+1", "-0x1.71ffd21009e4bp-1", "0x1.6725323f8975ep-1", "-0x1.0420f7b2121b2p-1",
         ],
         "iterations": 2,
-        "converged": True,
+        "converged": False,
         "phase_trace": [
             ("0x0.0p+0", "-0x1.1477a621d9399p+5"),
-            ("0x1.0000000000000p-51", "-0x1.1477a621d939ap+5"),
+            ("0x1.0000000000000p-51", "-0x1.256828420a1d3p+5"),
         ],
     },
 }
@@ -256,7 +264,7 @@ def test_cd_phase2_starts_with_a_violated_row_outside_some_supports():
     problem, x0, opts = _cd_case("infeasible_phase2")
     rep = improve_coordinate_descent(problem, x0, **opts)
     assert rep.phase_trace[0][0] == 0.0 < rep.phase_trace[1][0]
-    # violated as phase II reads it: f > 0 on LE rows, |f| > eq_tol on EQ rows
+    # violated: f > 0 on LE rows, |f| > eq_tol on EQ rows
     eq_tol = 1e-8
     violated = [
         k
@@ -265,6 +273,22 @@ def test_cd_phase2_starts_with_a_violated_row_outside_some_supports():
     ]
     assert violated == [3]
     assert problem.constraints[3].form.support.tolist() == [2, 4]
+
+
+def test_cd_phase2_moves_coordinates_outside_a_row_at_a_rounding_residue():
+    # phase I ends with row 3 (on x2, x4) at f = 4.4e-16 > 0 by the exact
+    # values.  Counted as violated, that row froze every coordinate outside
+    # {2, 4} in phase II; within eq_tol it counts as satisfied, so phase II
+    # moves x1 and x5 and lowers the objective.
+    problem, x0, _ = _cd_case("infeasible_phase2")
+    after_phase1 = improve_coordinate_descent(problem, x0, max_sweeps=1)
+    rep = improve_coordinate_descent(problem, x0, max_sweeps=2)
+    row = problem.constraints[3]
+    assert 0.0 < evaluate(row.form, after_phase1.x) <= 1e-15
+    assert 0.0 < evaluate(row.form, rep.x) <= 1e-15
+    moved = np.flatnonzero(rep.x != after_phase1.x).tolist()
+    assert moved == [1, 5]
+    assert rep.assessment.objective < after_phase1.assessment.objective - 1.0
 
 
 # -- ADMM -------------------------------------------------------------------
@@ -556,37 +580,169 @@ def test_ccp_split_methods_agree_on_contract():
 
 def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     # beamforming's coverage rows are concave, so their linearizations and
-    # every slack row reach the subproblem affine; only the convex upper
-    # bound rows are quadratic there
+    # every slack row reach the subproblem affine; only the 2 convex upper
+    # bound rows are quadratic there.  CCP sets its subproblem up once per
+    # call, so their projectors and the convexity checks are built once,
+    # whatever the number of outer iterations.
     p = gen_beamforming(4, 6, 2, seed=3)
     x0 = np.random.default_rng(4).standard_normal(8)
-    init, solve, eig = ConstraintProjector.__init__, qcqp.improve.solve_convex, qcqp.improve.min_eig_bound
-    subproblems = []
-
-    def record(sub, x, **opts):
-        subproblems.append(sub)
-        return solve(sub, x, **opts)
-
+    init, eig, admm = ConstraintProjector.__init__, qcqp.improve.min_eig_bound, qcqp.improve._admm
     with (
-        mock.patch.object(qcqp.improve, "solve_convex", autospec=True, side_effect=record),
+        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
         mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
         mock.patch.object(qcqp.improve, "min_eig_bound", autospec=True, side_effect=eig) as eigs,
     ):
-        improve_ccp(p, x0, max_iter=4)
-    k = len(subproblems)
-    assert k >= 1
-    quadratic = [c.form for sub in subproblems for c in sub.constraints if not c.form.is_affine]
-    affine = [c.form for sub in subproblems for c in sub.constraints if c.form.is_affine]
-    assert len(quadratic) == 2 * k and len(affine) == (6 + 8) * k  # 6 coverage rows, 8 slacks
+        rep = improve_ccp(p, x0, max_iter=4)
+    assert subsolves.call_count == rep.iterations >= 2
+    rows = [call.args[1] for call in subsolves.call_args_list]
+    assert all(r.aff.size == 6 + 8 and r.cur.size == 0 and len(r.general) == 2 for r in rows)
+    # every subproblem projects its quadratic rows with the same projectors
+    projectors = [[proj for _, proj in r.general.values()] for r in rows]
+    assert all(list(map(id, ps)) == list(map(id, projectors[0])) for ps in projectors)
     built = [call.args[1] for call in inits.call_args_list]
     assert not any(form.is_affine for form in built)
-    # each quadratic row builds its projector, which builds one on its support
-    top = [form for form in built if any(form is q for q in quadratic)]
-    assert [id(f) for f in top] == [id(q) for q in quadratic]
-    assert len(built) == 2 * len(quadratic)
-    checked = [call.args[0] for call in eigs.call_args_list]
-    assert len(checked) == len(subproblems) + len(quadratic)
-    assert not any(P is form.dense_p for P in checked for form in affine)
+    # 2 top-level projectors, each building one on its support
+    assert [id(f) for f in built[::2]] == [id(proj.form) for proj in projectors[0]]
+    assert len(built) == 2 + 2
+    assert eigs.call_count == 1 + 2  # the objective and the 2 quadratic rows
+
+
+def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=split_eigen) -> QcqpProblem:
+    """CCP's convex subproblem at xk in (x, s), built as one QcqpProblem.
+
+    Row 2k is the k-th convexified row x'(plus)x + (q - 2 minus xk)'x + r +
+    xk'(minus)xk - s_k <= 0 and row 2k+1 is s_k >= 0, the order improve_ccp uses.
+    """
+    n = problem.n
+    rows = []
+    for c in problem.constraints:
+        sp = splitter(c.form.dense_p)
+        rows.append((sp.plus, sp.minus, c.form.q_vec, c.form.r))
+        if c.sense is Sense.EQ:
+            rows.append((sp.minus, sp.plus, -c.form.q_vec, -c.form.r))
+    K = len(rows)
+    dim = n + K
+    cons = []
+    for k, (plus, minus, q, r) in enumerate(rows):
+        P = np.zeros((dim, dim))
+        P[:n, :n] = plus
+        qk = np.zeros(dim)
+        qk[:n] = q - 2.0 * (minus @ xk)
+        qk[n + k] = -1.0
+        cons.append(Constraint(QuadraticForm.from_dense(P, qk, r + float(xk @ (minus @ xk))), Sense.LE))
+        cons.append(Constraint(QuadraticForm.create(dim, (), -np.eye(dim)[n + k], 0.0), Sense.LE))
+    sp0 = splitter(problem.objective.dense_p)
+    P0 = np.zeros((dim, dim))
+    P0[:n, :n] = sp0.plus
+    q0 = np.concatenate([problem.objective.q_vec - 2.0 * (sp0.minus @ xk), np.full(K, tau)])
+    r0 = problem.objective.r + float(xk @ (sp0.minus @ xk))
+    return QcqpProblem.create(QuadraticForm.from_dense(P0, q0, r0), cons)
+
+
+def test_admm_on_ccp_subproblem_matches_per_row_reference_without_secular_solves():
+    # boolean LS: each x_i^2 = 1 gives the convexified row x_i^2 - 1 - s <= 0,
+    # one curved coordinate and a slack, and an affine linearized row
+    p = gen_boolean_ls(8, 5, seed=0)
+    xk = np.random.default_rng(1).standard_normal(5)
+    sub = ccp_subproblem(p, xk, tau=4.0)
+    rows = _Rows(sub.constraints, sub.n)
+    assert rows.cur.tolist() == [0, 4, 8, 12, 16] and not rows.general
+    z0 = np.concatenate([xk, np.full(10, 0.5)])
+    secular = ConstraintProjector._solve_secular
+    with mock.patch.object(ConstraintProjector, "_solve_secular", autospec=True, side_effect=secular) as calls:
+        rep = solve_convex(sub, z0, rho=2.0, max_iter=40, resid_tol=0.0, record_iterates=True)
+    assert calls.call_count == 0
+    assert rep.iterations == len(rep.iterates) == 40
+    U_prev = np.zeros((sub.m, sub.n))
+    for z, X, U in rep.iterates:
+        V = z + U_prev
+        tol = 1e-10 * (1.0 + np.linalg.norm(V, axis=1))
+        assert np.all(np.max(np.abs(X - per_row_projections(sub, V)), axis=1) <= tol)
+        assert np.array_equal(U, U_prev + (z - X))
+        U_prev = U
+    # a row at a time, as the polish projects, gives the block's answer
+    V = rep.iterates[-1][0] + rep.iterates[-2][2]
+    X = rows.project(V)
+    for k in range(sub.m):
+        assert np.array_equal(rows.project_row(k, V[k]), X[k])
+
+
+@pytest.mark.parametrize("split_method", ["eigen", "shift"])
+def test_rows_with_linear_match_rows_set_up_at_the_new_point(split_method):
+    # improve_ccp sets its rows up at x0 and then moves only their linear
+    # terms; that must project exactly as rows set up afresh at the new
+    # point.  The indefinite rows on 2-3 variables are general rows whose
+    # terms move, so they need new projectors.
+    p = _sparse_rows_problem(86)
+    rng = np.random.default_rng(6)
+    xa, xb = rng.standard_normal(8), rng.standard_normal(8)
+    splitter = qcqp.improve._SPLITTERS[split_method]
+    sub_a, sub_b = ccp_subproblem(p, xa, 1.0, splitter), ccp_subproblem(p, xb, 1.0, splitter)
+    Q = np.array([c.form.q_vec for c in sub_b.constraints])
+    R = np.array([c.form.r for c in sub_b.constraints])
+    moved = _Rows(sub_a.constraints, sub_a.n).with_linear(Q, R)
+    fresh = _Rows(sub_b.constraints, sub_b.n)
+    assert moved.aff.size and moved.cur.size and moved.general
+    assert moved.cur.tolist() == fresh.cur.tolist() and list(moved.general) == list(fresh.general)
+    assert any(not np.array_equal(Q[k], sub_a.constraints[k].form.q_vec) for k in fresh.general)
+    V = rng.standard_normal((sub_b.m, sub_b.n)) * 3.0
+    assert np.array_equal(moved.project(V), fresh.project(V))
+    z = V[0]
+    assert moved.assess(sub_b.objective, z) == fresh.assess(sub_b.objective, z)
+
+
+# -- the curved-coordinate block ------------------------------------------
+
+
+@st.composite
+def curved_rows_and_points(draw):
+    """LE rows a x_i^2 + w'x + r <= 0 on n <= 5 variables, each with a slack-like
+    coordinate in w, and a point v at f(v) = gap (inside the set for gap <= 0)."""
+    n = draw(st.integers(2, 5))
+    rows, points = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        i, slack = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        P = np.zeros((n, n))
+        P[i, i] = 10.0 ** draw(st.floats(-3.0, 3.0))
+        q = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
+        q[slack] = draw(nonzero)
+        v = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
+        gap = draw(coefficient)
+        r = gap - evaluate(QuadraticForm.from_dense(P, q), v)
+        rows.append(Constraint(QuadraticForm.from_dense(P, q, r), Sense.LE))
+        points.append(v)
+    return QcqpProblem.create(QuadraticForm.create(n), rows), np.array(points)
+
+
+@given(curved_rows_and_points())
+def test_curved_block_matches_per_row_projection(case):
+    problem, V = case
+    assert _Rows(problem.constraints, problem.n).cur.size == problem.m
+    block = _CurvedRows(problem.constraints, problem.n)
+    X = block.project(V)
+    ref = per_row_projections(problem, V)
+    assert np.all(np.max(np.abs(X - ref), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(ref), axis=1)))
+    for k, c in enumerate(problem.constraints):
+        assert evaluate(c.form, X[k]) <= FEAS_TOL * ConstraintProjector(c.form).scale
+        assert np.array_equal(block.project(V[k : k + 1], [k])[0], X[k])
+    want = [c.violation(V[0]) for c in problem.constraints]
+    assert np.allclose(block.violations(V[0]), want, rtol=1e-12, atol=1e-12)
+
+
+def test_curved_class_takes_only_le_rows_with_one_positive_curvature_and_a_flat_term():
+    def row(P, q, sense=Sense.LE):
+        return Constraint(QuadraticForm.from_dense(np.array(P, dtype=float), q, -1.0), sense)
+
+    curved = row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0])
+    others = [
+        row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0], Sense.EQ),  # equality
+        row([[-2.0, 0.0], [0.0, 0.0]], [0.0, -1.0]),  # concave
+        row([[2.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),  # one variable: closed form in ConstraintProjector
+        row([[2.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),  # two curved coordinates
+        row([[0.0, 1.0], [1.0, 0.0]], [0.0, -1.0]),  # off-diagonal curvature
+    ]
+    rows = _Rows([curved] + others, 2)
+    assert rows.cur.tolist() == [0] and list(rows.general) == [1, 2, 3, 4, 5]
 
 
 # -- composition ------------------------------------------------------------
