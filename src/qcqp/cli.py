@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,11 +56,13 @@ def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
         trips = [(int(i), int(j), float(v)) for i, j, v in obj.get("P", [])]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed P triplets") from exc
-    q = obj.get("q")
-    r = float(obj.get("r", 0.0))
     try:
-        return QuadraticForm.create(n, trips, q, r)
-    except (QcqpError, ValueError) as exc:
+        r = float(obj.get("r", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: r must be a number") from exc
+    try:
+        return QuadraticForm.create(n, trips, obj.get("q"), r)
+    except (QcqpError, TypeError, ValueError) as exc:  # TypeError: q is not a list of numbers
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -78,10 +79,17 @@ def problem_to_json(problem: QcqpProblem) -> dict:
 def problem_from_json(data) -> QcqpProblem:
     if not isinstance(data, dict) or "n" not in data or "objective" not in data:
         raise ParseError("problem file must contain 'n' and 'objective'")
-    n = int(data["n"])
+    n = data["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"'n' must be an integer, got {n!r}")
+    entries = data.get("constraints", [])
+    if not isinstance(entries, list):
+        raise ParseError("'constraints' must be a list")
     obj = _form_from_json(data["objective"], n, "objective")
     cons = []
-    for k, entry in enumerate(data.get("constraints", [])):
+    for k, entry in enumerate(entries):
         sense_str = entry.get("sense", "le") if isinstance(entry, dict) else None
         if sense_str not in ("le", "eq"):
             raise ParseError(f"constraint {k}: sense must be 'le' or 'eq'")
@@ -147,7 +155,7 @@ def _suggest(problem: QcqpProblem, config: PipelineConfig):
         )
     if config.suggest == "spectral":
         out = suggest_spectral(problem, **config.suggest_opts)
-        # one deterministic candidate, replicated so each worker improves a copy
+        # one deterministic candidate, replicated so each slot improves its own copy
         pts = tuple(out.candidates[0].copy() for _ in range(config.candidates))
         return type(out)(candidates=pts, method=out.method, bound=out.bound)
     if config.suggest == "sdr":
@@ -158,39 +166,27 @@ def _suggest(problem: QcqpProblem, config: PipelineConfig):
 
 
 def run_pipeline(problem: QcqpProblem, config: PipelineConfig) -> dict:
-    """Suggest candidates, improve each one, and report the best point.
+    """Suggest candidates, improve each one in order, and report the best point.
 
     Per-candidate failures are recorded and skipped; the run fails only when
-    every candidate fails.  The report layout is stable and canonically
-    serializable; timing lives under the separate "timing" key.
+    every candidate fails.  config.parallel is accepted and echoed in the
+    report, but it changes neither the results nor the schedule: the improve
+    methods are Python loops that hold the GIL, so a thread pool only made
+    them take turns, more slowly than one after another.  The report layout
+    is stable and canonically serializable; timing lives under the separate
+    "timing" key.
     """
     t_wall = time.perf_counter()
     t_cpu = time.process_time()
     outcome = _suggest(problem, config)
 
-    def _improve(item):
-        idx, x0 = item
-        try:
-            opts = dict(config.improve_opts)
-            # deterministic per-candidate sub-seed for any stochastic method
-            rep = improve_sequence(problem, x0, list(config.improve), opts)
-            return idx, rep, None
-        except QcqpError as exc:
-            return idx, None, str(exc)
-
-    items = list(enumerate(outcome.candidates))
-    if config.parallel > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            results = list(pool.map(_improve, items))
-    else:
-        results = [_improve(it) for it in items]
-    results.sort(key=lambda t: t[0])
-
     per_candidate = []
     best = None  # (assessment tuple, index, x)
-    for idx, rep, err in results:
-        if err is not None:
-            per_candidate.append({"index": idx, "error": err})
+    for idx, x0 in enumerate(outcome.candidates):
+        try:
+            rep = improve_sequence(problem, x0, list(config.improve), dict(config.improve_opts))
+        except QcqpError as exc:
+            per_candidate.append({"index": idx, "error": str(exc)})
             continue
         a = rep.assessment
         per_candidate.append(
@@ -337,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--improve", default="", help="comma-separated method list, e.g. cd,admm")
     ps.add_argument("--candidates", type=int, default=1)
     ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--parallel", type=int, default=1)
+    ps.add_argument(
+        "--parallel", type=int, default=1, help="accepted for compatibility; candidates run one after another"
+    )
     ps.add_argument("--out", default=None)
     ps.set_defaults(fn=cmd_solve)
 

@@ -4,8 +4,9 @@ Quadratic functions f(x) = x'Px + q'x + r are stored as a read-only
 symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
 (i, j, v) triplets are the problem-file format only: `create` reads them
 and `triplets` writes them back.  All types are immutable after
-construction, so they can be shared freely between threads and worker
-processes.
+construction; what they add later are caches of values derived from
+their fields (`QuadraticForm.support`, a problem's stacked rows of one
+variable), which `assess` and the improve methods share.
 """
 
 from __future__ import annotations
@@ -151,6 +152,59 @@ class Constraint:
         return abs(v) if self.sense is Sense.EQ else max(v, 0.0)
 
 
+class _OneVariableRows:
+    """The rows a x_i^2 + b x_i + r (= or <=) 0 of a constraint list, a != 0, stacked as arrays.
+
+    A row whose support is one variable x_i and whose P is nonzero has P =
+    a e_i e_i' and q = b e_i, so _value computes round(round(x_i a x_i) +
+    round(b x_i)) + r: every other term of its dense products is an exact
+    zero.  values() computes the same roundings for every such row at once.
+    The dense products give +0.0 where the row's terms cancel exactly, and so
+    does r + 0.0.  With n > 1 they give NaN at a point with any non-finite
+    coordinate (0 * inf is NaN), and so does values().
+    """
+
+    def __init__(self, constraints: Sequence[Constraint]):
+        rows, i = [], []
+        for k, c in enumerate(constraints):
+            s = c.form.support
+            if s.size == 1 and c.form.dense_p[s[0], s[0]] != 0.0:
+                rows.append(k)
+                i.append(int(s[0]))
+        self.rows = np.array(rows, dtype=int)  # each row's index in the constraint list
+        self.i = np.array(i, dtype=int)
+        forms = [constraints[k].form for k in rows]
+        self.a = np.array([f.dense_p[j, j] for f, j in zip(forms, i)], dtype=float)
+        self.b = np.array([f.q_vec[j] for f, j in zip(forms, i)], dtype=float)
+        self.r = np.array([f.r for f in forms], dtype=float) + 0.0
+        self.eq = np.array([constraints[k].sense is Sense.EQ for k in rows], dtype=bool)
+        held = set(rows)
+        self.others = tuple(c for k, c in enumerate(constraints) if k not in held)  # evaluated per row
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Each row's f(x), equal bit for bit to _value(form, x)."""
+        xi = x[self.i]
+        f = xi * (self.a * xi) + self.b * xi + self.r
+        if x.size > 1 and not np.isfinite(x).all():
+            f[:] = math.nan
+        return f
+
+    def violations(self, x: np.ndarray) -> np.ndarray:
+        """Each row's Constraint._violation_of(f(x)), bit for bit (max(f, 0.0) keeps f = -0.0)."""
+        f = self.values(x)
+        v = np.where(self.eq, np.abs(f), np.where(f < 0.0, 0.0, f))
+        return np.where(np.isfinite(f), v, math.inf)
+
+    def max_violation(self, x: np.ndarray) -> float:
+        """The largest violation over every constraint at x, folded as assess folds it."""
+        v = 0.0
+        for c in self.others:
+            v = max(v, c._violation_of(_value(c.form, x)))
+        if self.rows.size:
+            v = max(v, float(np.max(self.violations(x))))
+        return v
+
+
 @dataclass(frozen=True)
 class Assessment:
     """Pair (max constraint violation, objective value), ordered lexicographically."""
@@ -191,18 +245,21 @@ class QcqpProblem:
     def m(self) -> int:
         return len(self.constraints)
 
+    @cached_property
+    def _one_variable_rows(self) -> _OneVariableRows:
+        return _OneVariableRows(self.constraints)
+
 
 def assess(problem: QcqpProblem, x) -> Assessment:
     """Maximum constraint violation and objective value at x.
 
     A non-finite objective counts as violation inf, like a non-finite
     constraint value, so such a point never beats a finite one.  x is
-    checked once; every row is then evaluated as `evaluate` would.
+    checked once; every row is then evaluated as `evaluate` would, the rows
+    of one variable all at once.
     """
     x = _check_vector(x, problem.n)
-    v = 0.0
-    for c in problem.constraints:
-        v = max(v, c._violation_of(_value(c.form, x)))
+    v = problem._one_variable_rows.max_violation(x)
     f = _value(problem.objective, x)
     if not math.isfinite(f):
         v = math.inf

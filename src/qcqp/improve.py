@@ -22,6 +22,7 @@ from .core import (
     QcqpProblem,
     QuadraticForm,
     Sense,
+    _OneVariableRows,
     _value,
     assess,
     evaluate,
@@ -178,10 +179,12 @@ class _CoordState:
     constant in x_j, so move(j, t) updates only the objective and rows[j].
     violated holds the constraint rows that a constant in x_j could not
     satisfy in phase II (|f| > eq_tol for EQ, f > eq_tol for LE): it is
-    rebuilt by refresh() and updated by move().
+    rebuilt by refresh(), which evaluates every row exactly (the rows of one
+    variable as the problem's stacked block), and updated by move().
     """
 
     def __init__(self, problem: QcqpProblem, x0, eq_tol: float):
+        self.block = problem._one_variable_rows
         self.forms = [problem.objective] + [c.form for c in problem.constraints]
         self.senses = [None] + [c.sense for c in problem.constraints]
         self.P = [f.dense_p for f in self.forms]
@@ -196,7 +199,8 @@ class _CoordState:
 
     def refresh(self):
         self.g = [P @ self.x for P in self.P]
-        self.fval = [evaluate(f, self.x) for f in self.forms]
+        known = dict(zip((self.block.rows + 1).tolist(), self.block.values(self.x).tolist()))
+        self.fval = [known[k] if k in known else evaluate(f, self.x) for k, f in enumerate(self.forms)]
         self.violated = {k for k in range(1, len(self.forms)) if self._is_violated(k)}
 
     def _is_violated(self, k: int) -> bool:
@@ -558,6 +562,7 @@ class _Rows:
             for k, c in enumerate(constraints)
             if not c.form.is_affine and coords[k] is None
         }
+        self._general_rows = _OneVariableRows([c for c, _ in self.general.values()])
         # constraint index -> (class, row in that class), to project one row alone
         self._slot = {k: ("affine", j) for j, k in enumerate(self.aff.tolist())}
         self._slot.update({k: ("curved", j) for j, k in enumerate(self.cur.tolist())})
@@ -565,7 +570,9 @@ class _Rows:
     def with_linear(self, Q: np.ndarray, R: np.ndarray) -> "_Rows":
         """The same rows with linear terms Q[k] and constants R[k].
 
-        A general row keeps its projector when its terms did not move.
+        A general row keeps its projector when its terms did not move, and
+        otherwise derives one from it: the row's curvature, and so its
+        eigenbasis, is fixed.
         """
         new = copy.copy(self)
         new.affine = self.affine.with_linear(Q[self.aff], R[self.aff])
@@ -574,8 +581,9 @@ class _Rows:
         for k, (c, proj) in self.general.items():
             if R[k] != c.form.r or not np.array_equal(Q[k], c.form.q_vec):
                 c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
-                proj = ConstraintProjector(c.form)
+                proj = proj._with_linear(c.form)
             new.general[k] = (c, proj)
+        new._general_rows = _OneVariableRows([c for c, _ in new.general.values()])
         return new
 
     def project(self, V: np.ndarray) -> np.ndarray:
@@ -598,10 +606,13 @@ class _Rows:
         return getattr(self, name).project(x[None, :], [j])[0]
 
     def assess(self, objective: QuadraticForm, x: np.ndarray) -> Assessment:
-        """assess() of the problem with these rows, reading each class's violations at once."""
-        v = 0.0
-        for c, _ in self.general.values():
-            v = max(v, c._violation_of(_value(c.form, x)))
+        """assess() of the problem with these rows, reading each class's violations at once.
+
+        The general rows of one variable (boolean LS's x_i^2 = 1) are one
+        stacked block too, for evaluation only: they still project one row at
+        a time through their ConstraintProjector.
+        """
+        v = self._general_rows.max_violation(x)
         for rows, block in ((self.aff, self.affine), (self.cur, self.curved)):
             if rows.size:
                 v = max(v, float(np.max(block.violations(x))))

@@ -19,6 +19,7 @@ space of P0 + eta*P1 where the multiplier is fixed.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,42 +68,83 @@ def _quad_range(lam: np.ndarray, qhat: np.ndarray, r: float, eps: float) -> tupl
 
 
 class ConstraintProjector:
-    """Caches the eigendecomposition of one constraint for repeated projections."""
+    """Caches the eigendecomposition of one constraint for repeated projections.
+
+    Projections leave the coordinates outside the support of f untouched, so
+    a constraint touching few variables projects in the subspace of its
+    support, through a projector of its restriction there.  A support of one
+    variable x_i with P_ii != 0 needs no restriction: the projection is the
+    root of P_ii x_i^2 + q_i x_i + r nearest z_i (_nearest_root), and the
+    restriction is built only where that closed form does not give the KKT
+    point, or when a kkt_residual is read.
+    """
 
     def __init__(self, form: QuadraticForm):
-        self.form = form
         self.n = form.n
-        # projections leave coordinates outside the support of f untouched,
-        # so constraints touching few variables project in a small subspace
         P = form.dense_p
         support = form.support
-        self._support = None
-        self._sub = None
-        if 0 < support.size < form.n:
-            self._support = support
-            sub_form = QuadraticForm._of_symmetric(
-                P[np.ix_(support, support)], form.q_vec[support], form.r
-            )
-            self._sub = ConstraintProjector(sub_form)
+        self._support = support if 0 < support.size < form.n else None
+        self._sub = None  # the projector of the restriction to the support
+        self._i = None  # the variable of a one-variable support
+        if self._support is not None:
+            i = int(support[0])
+            if support.size == 1 and P[i, i] != 0.0:
+                self._i = i
+                self.lam = np.array([P[i, i]])
+        else:
+            self._is_diagonal = bool(np.count_nonzero(P - np.diag(np.diag(P))) == 0)
+            if self._is_diagonal:
+                order = np.argsort(np.diag(P))
+                self.lam = np.diag(P)[order]
+                self._perm = order
+                self.Q = None
+            else:
+                eig = sym_eigen(P)
+                self.lam = eig.values
+                self.Q = eig.vectors
+                self._perm = None
+        self._set_linear(form)
+
+    def _set_linear(self, form: QuadraticForm) -> None:
+        """Set everything that depends on q and r; the curvature parts are already set."""
+        self.form = form
+        if self._support is not None and self._i is None:
+            restriction = self._restriction(form)
+            self._sub = ConstraintProjector(restriction) if self._sub is None else self._sub._with_linear(restriction)
             self.feas_range = self._sub.feas_range
             self.scale = self._sub.scale
             return
-        self._affine_q = form.q_vec if form.is_affine else None
-        self._is_diagonal = bool(np.count_nonzero(P - np.diag(np.diag(P))) == 0)
-        if self._is_diagonal:
-            order = np.argsort(np.diag(P))
-            self.lam = np.diag(P)[order]
-            self._perm = order
-            self.Q = None
+        if self._i is not None:
+            self._sub = None  # a restriction of the old terms is stale
+            self.qhat = form.q_vec[self._i : self._i + 1]
         else:
-            eig = sym_eigen(P)
-            self.lam = eig.values
-            self.Q = eig.vectors
-            self._perm = None
-        self.qhat = self._rotate(form.q_vec)
+            self._affine_q = form.q_vec if form.is_affine else None
+            self.qhat = self._rotate(form.q_vec)
         self.r = form.r
         self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(self.r) + 1.0)
         self.feas_range = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
+
+    def _with_linear(self, form: QuadraticForm) -> "ConstraintProjector":
+        """The projector of form, which has this projector's P but other q and r.
+
+        The eigenbasis is kept, and qhat, r, scale and feas_range recomputed,
+        unless the support moved; then the projector is built anew.
+        """
+        if not np.array_equal(form.support, self.form.support):
+            return ConstraintProjector(form)
+        new = copy.copy(self)
+        new._set_linear(form)
+        return new
+
+    def _restriction(self, form: QuadraticForm) -> QuadraticForm:
+        s = self._support
+        return QuadraticForm._of_symmetric(form.dense_p[np.ix_(s, s)], form.q_vec[s], form.r)
+
+    def _restricted(self) -> "ConstraintProjector":
+        """The projector of the restriction to the support, built on first use for one variable."""
+        if self._sub is None:
+            self._sub = ConstraintProjector(self._restriction(self.form))
+        return self._sub
 
     def _rotate(self, v: np.ndarray) -> np.ndarray:
         if self.Q is None:
@@ -284,14 +326,26 @@ class ConstraintProjector:
     def project_eq(self, z) -> ProjectionResult:
         """Global minimizer of ||x - z||^2 subject to f(x) = 0."""
         z = np.asarray(z, dtype=float)
-        if self._sub is not None:
-            sub_res = self._sub.project_eq(z[self._support])
+        if self._i is not None:
+            self._check_equality_feasible()
+            i = self._i
+            closed = self._nearest_root(z[i : i + 1])
+            if closed is not None:
+                xh, nu = closed
+                x = z.copy()
+                x[i] = xh[0]
+                zi = float(z[i])
+
+                def residual():  # the restriction's residual at the same point
+                    return self._restricted()._kkt_residual(xh, xh - zi, nu)
+
+                return ProjectionResult(x=x, nu=float(nu), _residual=residual)
+        if self._support is not None:
+            sub_res = self._restricted().project_eq(z[self._support])
             x = z.copy()
             x[self._support] = sub_res.x
             return ProjectionResult(x=x, nu=sub_res.nu, _residual=lambda: sub_res.kkt_residual)
-        lo_r, hi_r = self.feas_range
-        if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
-            raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
+        self._check_equality_feasible()
         if self._affine_q is not None:
             qn = float(self._affine_q @ self._affine_q)
             if qn == 0.0:
@@ -323,6 +377,11 @@ class ConstraintProjector:
         x = self._unrotate(xh)
         step = x - z
         return ProjectionResult(x=x, nu=float(nu), _residual=lambda: self._kkt_residual(x, step, nu))
+
+    def _check_equality_feasible(self) -> None:
+        lo_r, hi_r = self.feas_range
+        if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
+            raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
 
     def project_ineq(self, z) -> ProjectionResult:
         """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""

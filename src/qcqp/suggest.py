@@ -3,7 +3,7 @@
 Candidates need not be feasible; downstream improvement methods only ever
 move them lexicographically toward feasibility.  All three generators are
 deterministic per seed, and per-candidate sub-seeds are derived as
-seed + index so serial and parallel runs see identical candidate sets.
+seed + index, so a candidate set is fixed by its seed alone.
 """
 
 from __future__ import annotations

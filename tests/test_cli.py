@@ -1,4 +1,6 @@
 import json
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,6 +230,41 @@ def test_cli_solve_rejects_nonfinite_numbers(tmp_path, field, token):
     with pytest.raises(ParseError):
         load_problem(path)
     assert main(["solve", str(path), "--improve", "cd", "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "where, field, token",
+    [
+        ("constraint", "r", "[1]"),
+        ("top", "n", "null"),
+        ("top", "n", "1e400"),
+        ("top", "constraints", "5"),
+        ("constraint", "q", '{"a": 1}'),
+    ],
+)
+def test_cli_solve_rejects_malformed_fields(tmp_path, capsys, where, field, token):
+    data = problem_to_json(small_problem())
+    (data["constraints"][0] if where == "constraint" else data)[field] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data).replace('"@"', token))
+    with pytest.raises(ParseError):
+        load_problem(path)
+    assert main(["solve", str(path), "--improve", "cd", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_run_pipeline_starts_no_thread_at_any_parallel():
+    # --parallel is accepted for compatibility: candidates run one after another
+    p = small_problem()
+    config = PipelineConfig(suggest="random", improve=("sign", "cd"), candidates=8, seed=2, parallel=4)
+    start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=start) as starts:
+        report = run_pipeline(p, config)
+    assert starts.call_count == 0
+    assert report["config"]["parallel"] == 4
+    serial = run_pipeline(p, PipelineConfig(suggest="random", improve=("sign", "cd"), candidates=8, seed=2))
+    assert canonical_report_json(report) == canonical_report_json(serial).replace('"parallel": 1', '"parallel": 4')
 
 
 def test_cli_byte_identical_reports(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcqp.core import (
     Assessment,
@@ -12,6 +16,7 @@ from qcqp.core import (
     evaluate,
     to_epigraph,
     to_homogeneous,
+    _value,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
 
@@ -197,3 +202,75 @@ def test_scaled_and_negated():
     x = np.array([1.0, 1.0])
     assert evaluate(g, x) == pytest.approx(-3.0 * evaluate(f, x))
     assert evaluate(f.negated(), x) == pytest.approx(-evaluate(f, x))
+
+
+# -- the stacked rows of one variable ----------------------------------------
+
+number = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+curvature = st.floats(1e-3, 1e3).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@st.composite
+def one_variable_rows_and_points(draw):
+    """Rows a x_i^2 + b x_i + r (= or <=) 0, mixed with dense rows, and a point."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        sense = draw(st.sampled_from([Sense.EQ, Sense.LE]))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            q = np.zeros(n)
+            q[i] = draw(number)
+            form = QuadraticForm.create(n, [(i, i, draw(curvature))], q, draw(number))
+        else:
+            P = np.array(draw(st.lists(number, min_size=n * n, max_size=n * n))).reshape(n, n)
+            form = QuadraticForm.from_dense(P, draw(st.lists(number, min_size=n, max_size=n)), draw(number))
+        rows.append(Constraint(form, sense))
+    x = np.array(draw(st.lists(number, min_size=n, max_size=n)))
+    return QcqpProblem.create(QuadraticForm.create(n), rows), x
+
+
+def same(a, b) -> bool:
+    """a and b are the same float bit for bit, or both NaN (whose sign bit is not kept)."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@given(one_variable_rows_and_points())
+def test_one_variable_block_matches_each_row_bit_for_bit(case):
+    problem, x = case
+    block = problem._one_variable_rows
+    values, violations = block.values(x), block.violations(x)
+    for j, k in enumerate(block.rows.tolist()):
+        c = problem.constraints[k]
+        assert c.form.support.size == 1
+        assert same(values[j], _value(c.form, x))
+        assert same(violations[j], c._violation_of(_value(c.form, x)))
+    held = set(block.rows.tolist())
+    assert list(block.others) == [c for k, c in enumerate(problem.constraints) if k not in held]
+    # assess folds the block in with the other rows as the per-row loop does
+    v = 0.0
+    for c in problem.constraints:
+        v = max(v, c._violation_of(_value(c.form, x)))
+    assert same(assess(problem, x).violation, v)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("xi", [0.0, -0.0])
+def test_one_variable_block_gives_plus_zero_where_the_dense_products_do(a, b, xi):
+    # x_i = 0 with r = -0.0: the dense products sum exact zeros to +0.0
+    form = QuadraticForm.create(3, [(1, 1, a)], [0.0, b, 0.0], -0.0)
+    problem = QcqpProblem.create(QuadraticForm.create(3), [Constraint(form, Sense.LE)])
+    x = np.array([2.0, xi, 1.0])
+    assert same(problem._one_variable_rows.values(x)[0], _value(form, x))
+
+
+@given(one_variable_rows_and_points(), st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(0, 4))
+def test_assess_gives_violation_inf_at_a_nonfinite_point(case, bad, at):
+    problem, x = case
+    x[at % problem.n] = bad
+    assert assess(problem, x).violation == math.inf
+    block = problem._one_variable_rows
+    assert np.all(block.violations(x) == math.inf)
+    for j, k in enumerate(block.rows.tolist()):
+        # n = 1 leaves no zero term to turn an infinite value into NaN
+        assert same(block.values(x)[j], _value(problem.constraints[k].form, x))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qcqp.improve
+import qcqp.oneconstraint
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_partitioning
@@ -364,6 +365,19 @@ def test_admm_trajectory_unchanged_by_one_variable_closed_form(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
+def test_admm_projects_each_boolean_row_through_its_projector_once_per_iteration():
+    # the rows x_i^2 = 1 stay general rows: every iteration projects each
+    # through ConstraintProjector.project, one call per row, which is what
+    # the benchmark's traced projection count reads
+    p = gen_boolean_ls(12, 8, seed=7)
+    x0 = np.random.default_rng(8).standard_normal(8)
+    project = ConstraintProjector.project
+    with mock.patch.object(ConstraintProjector, "project", autospec=True, side_effect=project) as calls:
+        rep = improve_admm(p, x0, max_iter=20)
+    assert rep.iterations == 20
+    assert calls.call_count == p.m * rep.iterations
+
+
 def test_admm_indefinite_z_update_falls_back_to_least_squares(monkeypatch):
     # rho far below default_rho leaves P0 + m rho I indefinite, so it has no
     # Cholesky factor and phase II solves its z-update by least squares
@@ -605,6 +619,34 @@ def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     assert [id(f) for f in built[::2]] == [id(proj.form) for proj in projectors[0]]
     assert len(built) == 2 + 2
     assert eigs.call_count == 1 + 2  # the objective and the 2 quadratic rows
+
+
+@pytest.mark.parametrize("case, split_method", [("boolean_ls", "cholesky"), ("sparse_rows", "eigen")])
+def test_ccp_builds_each_general_row_projector_once_per_call(case, split_method):
+    # a general row whose linear terms move keeps its curvature, so CCP
+    # derives its next projector from the last one: the projector builds (a
+    # row and its restriction to the row's support) and the eigendecompositions
+    # are those of the first subproblem, whatever max_iter is
+    if case == "boolean_ls":
+        p, x0 = gen_boolean_ls(6, 4, seed=5), np.random.default_rng(4).standard_normal(4)
+    else:
+        p, x0 = _sparse_rows_problem(86), np.random.default_rng(6).standard_normal(8)
+    init, eig, admm = ConstraintProjector.__init__, qcqp.oneconstraint.sym_eigen, qcqp.improve._admm
+    for max_iter in (1, 6):
+        with (
+            mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
+            mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
+            mock.patch.object(qcqp.oneconstraint, "sym_eigen", side_effect=eig) as eigs,
+        ):
+            rep = improve_ccp(p, x0, max_iter=max_iter, split_method=split_method, subsolver_opts={"max_iter": 30})
+        assert rep.iterations == max_iter
+        rows = [call.args[1] for call in subsolves.call_args_list]
+        general = len(rows[0].general)
+        assert general > 0
+        # every subproblem moves the linear terms of some general row
+        assert all(any(r.general[k][1] is not proj for k, (_, proj) in rows[0].general.items()) for r in rows[1:])
+        assert inits.call_count == 2 * general  # each row and its restriction
+        assert eigs.call_count <= general
 
 
 def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=split_eigen) -> QcqpProblem:

@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcqp.core import QuadraticForm, evaluate
-from qcqp.errors import InfeasibleConstraintError
+from qcqp.errors import InfeasibleConstraintError, QcqpError
 from qcqp.generators import gen_beamforming
 from qcqp.onevar import _stable_roots
 from qcqp.oneconstraint import (
@@ -337,6 +337,119 @@ def test_one_variable_closed_form_matches_secular_path(p, q, r, z):
         general = proj.project_eq([z])
     assert abs(closed.x[0] - general.x[0]) <= 1e-12 * (1.0 + abs(general.x[0]))
     assert abs(closed.nu - general.nu) <= 1e-12 * (1.0 + abs(general.nu))
+
+
+def project_or_error(proj: ConstraintProjector, z, equality=True):
+    """proj.project(z, equality), or the type of the error it raises."""
+    try:
+        return proj.project(z, equality)
+    except QcqpError as exc:
+        return type(exc)
+
+
+def same_float(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@given(curvature, coefficient, coefficient, coefficient, st.integers(0, 2))
+def test_one_variable_support_projects_as_its_restriction(p, q, r, z, at):
+    # a form on x_at alone projects in closed form without building its
+    # restriction; x, nu and kkt_residual must be those of the restriction,
+    # and so must an error
+    zs = np.array([1.5, -2.25, 0.75])
+    zs[at] = z
+    got = project_or_error(ConstraintProjector(one_variable(p, q, r, at=at, n=3)), zs)
+    want = project_or_error(ConstraintProjector(one_variable(p, q, r)), zs[at : at + 1])
+    if isinstance(want, type):
+        assert got is want
+        return
+    x = zs.copy()
+    x[at] = want.x[0]
+    assert got.x.tobytes() == x.tobytes()
+    assert same_float(got.nu, want.nu)
+    assert same_float(got.kkt_residual, want.kkt_residual)
+
+
+@pytest.mark.parametrize(
+    "p, q, r, z",
+    [
+        (1.0, 0.0, 0.0, 1.0),  # x^2 = 0: a double root where grad f = 0
+        (-2.0, 0.0, 0.0, -3.0),
+        (1.0, -2.0, 1.0, 0.5),  # (x - 1)^2 = 0
+        (1.0, 0.0, -4.0, 0.0),  # a tie between the roots -2 and 2
+    ],
+)
+def test_one_variable_support_falls_back_to_its_restriction(p, q, r, z):
+    # where the closed form gives no KKT point (or is bypassed), the
+    # restriction's general path answers, exactly as for the restriction alone
+    form = one_variable(p, q, r, at=2, n=4)
+    zs = np.array([0.25, -1.0, z, 3.0])
+    for bypass in (False, True):
+        with mock.patch.object(ConstraintProjector, "_nearest_root", return_value=None) if bypass else mock.MagicMock():
+            got = ConstraintProjector(form).project_eq(zs)
+            want = ConstraintProjector(one_variable(p, q, r)).project_eq([z])
+        assert got.x.tobytes() == np.array([0.25, -1.0, want.x[0], 3.0]).tobytes()
+        assert same_float(got.nu, want.nu)
+        assert same_float(got.kkt_residual, want.kkt_residual)
+
+
+@given(curvature, coefficient, st.floats(0.1, 10.0), coefficient)
+def test_one_variable_support_without_real_root_is_infeasible(p, q, gap, z):
+    # p x^2 + q x + r keeps the sign of p by at least gap: {f = 0} is empty
+    r = q * q / (4.0 * p) + math.copysign(gap, p)
+    proj = ConstraintProjector(one_variable(p, q, r, at=1, n=2))
+    with pytest.raises(InfeasibleConstraintError):
+        proj.project_eq([0.5, z])
+
+
+@st.composite
+def forms_with_one_curvature(draw):
+    """Two forms on n <= 4 variables with the same P (some rows zero) and other q and r."""
+    n = draw(st.integers(1, 4))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    P = np.array(draw(st.lists(coefficient, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        P = np.diag(np.diag(P))
+    P = P * np.outer(keep, keep)
+
+    def linear():
+        q = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
+        return q * (keep | np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))), draw(coefficient)
+
+    (qa, ra), (qb, rb) = linear(), linear()
+    return QuadraticForm.from_dense(P, qa, ra), QuadraticForm._of_symmetric(QuadraticForm.from_dense(P).dense_p, qb, rb)
+
+
+@given(forms_with_one_curvature(), st.lists(coefficient, min_size=4, max_size=4))
+def test_projector_with_new_linear_terms_matches_a_fresh_projector(forms, zs):
+    # CCP moves only q and r of a row; the projector derived from the old
+    # one keeps its eigenbasis and must project exactly as a fresh one
+    a, b = forms
+    derived, fresh = ConstraintProjector(a)._with_linear(b), ConstraintProjector(b)
+    assert derived.feas_range == fresh.feas_range and derived.scale == fresh.scale
+    z = np.array(zs[: b.n])
+    for equality in (True, False):
+        got, want = project_or_error(derived, z, equality), project_or_error(fresh, z, equality)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.x.tobytes() == want.x.tobytes() and same_float(got.nu, want.nu)
+
+
+def test_projector_with_new_linear_terms_rebuilds_only_when_the_support_moves():
+    a = QuadraticForm.create(3, [(0, 0, 1.0)], [0.0, 0.0, 0.0], -1.0)
+    b = QuadraticForm.create(3, [(0, 0, 1.0)], [3.0, 0.0, 0.0], -2.0)
+    c = QuadraticForm.create(3, [(0, 0, 1.0)], [0.0, 2.0, 0.0], -1.0)  # x_1 joins the support
+    proj = ConstraintProjector(a)
+    init = ConstraintProjector.__init__
+    with mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits:
+        kept = proj._with_linear(b)
+        assert inits.call_count == 0 and kept._i == 0
+        moved = proj._with_linear(c)
+    assert inits.call_args_list[0].args[1] is c and moved._i is None
+    z = np.array([0.5, -0.5, 2.0])
+    for derived, form in ((kept, b), (moved, c)):
+        assert derived.project_eq(z).x.tobytes() == ConstraintProjector(form).project_eq(z).x.tobytes()
 
 
 def test_solve_one_constraint_inactive():
