@@ -175,29 +175,20 @@ def gen_beamforming(n: int, m: int, l: int, tau: float = 20.0, eta: float = 2.0,
 def _boolean_domains(problem: QcqpProblem):
     """Per-variable finite domains for Boolean-structured problems, and the rows that set them.
 
-    Recognizes x_i^2 = 1 rows ({-1, 1}) and x_i(x_i - 1) = 0 rows ({0, 1});
-    the last such row of a variable sets its domain.  Returns (domains, set
+    Reads the problem's rows of one variable, a x_i^2 + b x_i + r: the EQ
+    rows x_i^2 = 1 ({-1, 1}) and x_i(x_i - 1) = 0 ({0, 1}) are the markers,
+    and the last one of a variable sets its domain.  Returns (domains, set
     of the indices of those rows), or None when some variable carries
     neither marker.
     """
+    block = problem._one_variable_rows
     domains: dict[int, tuple[float, ...]] = {}
     rows: dict[int, int] = {}
-    for k, c in enumerate(problem.constraints):
-        if c.sense is not Sense.EQ:
-            continue
-        P = c.form.dense_p
-        diag = np.flatnonzero(np.diag(P))
-        if diag.size != 1 or np.count_nonzero(P) != 1:
-            continue
-        i = int(diag[0])
-        v = P[i, i]
-        q = c.form.q_vec
-        others = np.delete(q, i)
-        if np.any(others != 0.0):
-            continue
-        if v == 1.0 and q[i] == 0.0 and c.form.r == -1.0:
+    columns = (block.rows, block.i, block.a, block.b, block.r, block.eq)
+    for k, i, a, b, r, eq in zip(*(c.tolist() for c in columns)):
+        if eq and a == 1.0 and b == 0.0 and r == -1.0:
             domains[i], rows[i] = (-1.0, 1.0), k
-        elif v == 1.0 and q[i] == -1.0 and c.form.r == 0.0:
+        elif eq and a == 1.0 and b == -1.0 and r == 0.0:
             domains[i], rows[i] = (0.0, 1.0), k
     if len(domains) != problem.n:
         return None

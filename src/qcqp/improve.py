@@ -38,13 +38,9 @@ from .onevar import (
     intersect,
     minimize_over_set,
 )
-from .oneconstraint import (
-    FEAS_TOL,
-    SECULAR_STEP_MAX,
-    ConstraintProjector,
-    OneConstraintStatus,
-    solve_one_constraint,
-)
+from .oneconstraint import FEAS_TOL, SECULAR_STEP_MAX, ConstraintProjector
+# the benchmark's tracer patches solve_one_constraint by this name
+from .oneconstraint import solve_one_constraint
 from .split import split_cholesky_diff, split_eigen, split_shift
 
 
@@ -133,12 +129,12 @@ def greedy_clique(x, adjacency) -> np.ndarray:
     return z
 
 
-def improve_round_sign(problem: QcqpProblem, x0, **_) -> ImproveReport:
+def improve_round_sign(problem: QcqpProblem, x0) -> ImproveReport:
     z = round_sign(x0)
     return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "sign")
 
 
-def improve_round_balanced_sign(problem: QcqpProblem, x0, **_) -> ImproveReport:
+def improve_round_balanced_sign(problem: QcqpProblem, x0) -> ImproveReport:
     z = round_balanced_sign(x0)
     return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "balanced-sign")
 
@@ -157,7 +153,7 @@ def _covering_forms(problem: QcqpProblem):
     return out
 
 
-def improve_scale_to_cover(problem: QcqpProblem, x0, **_) -> ImproveReport:
+def improve_scale_to_cover(problem: QcqpProblem, x0) -> ImproveReport:
     forms = _covering_forms(problem)
     if not forms:
         return _report(problem, x0, x0, 0, [], True, "scale")
@@ -283,14 +279,14 @@ def _phase2_set(rows, eq_tol: float) -> IntervalSet:
     return S
 
 
+# phase I of cd: the bisection on the restricted violation s stops at this
+# width, and a sweep that lowers the violation by less than STALL_TOL stalls
+BISECTION_TOL = 1e-9
+STALL_TOL = 1e-7
+
+
 def improve_coordinate_descent(
-    problem: QcqpProblem,
-    x0,
-    max_sweeps: int = 100,
-    bisection_tol: float = 1e-9,
-    stall_tol: float = 1e-7,
-    eq_tol: float = 1e-8,
-    **_,
+    problem: QcqpProblem, x0, max_sweeps: int = 100, eq_tol: float = 1e-8
 ) -> ImproveReport:
     """Greedy coordinate updates in two phases.
 
@@ -343,7 +339,7 @@ def improve_coordinate_descent(
                 S = _phase1_set(rows, hi)
                 if S.is_empty:
                     continue  # numerical guard; current x_j attains hi
-                while hi - lo > bisection_tol:
+                while hi - lo > BISECTION_TOL:
                     mid = 0.5 * (lo + hi)
                     Sm = _phase1_set(rows, mid)
                     if Sm.is_empty:
@@ -361,7 +357,7 @@ def improve_coordinate_descent(
         trace.append((v_after, st.objective()))
         if v_after <= 0.0:
             phase1 = False
-        elif v_before - v_after < stall_tol:
+        elif v_before - v_after < STALL_TOL:
             # stalled without reaching feasibility
             return _report(problem, x0, st.x, sweeps, trace, False, "cd", last_x=st.x.copy())
     st.refresh()
@@ -390,21 +386,6 @@ def improve_coordinate_descent(
 
 
 # -- consensus ADMM ---------------------------------------------------------
-
-
-class FullSpace:
-    """No extra convex set: z ranges over R^n."""
-
-
-@dataclass(frozen=True)
-class BoxSet:
-    l: np.ndarray
-    u: np.ndarray
-
-
-@dataclass(frozen=True)
-class SingleQuadraticSet:
-    form: QuadraticForm  # convex set {x : form(x) <= 0}
 
 
 class _StackedRows:
@@ -625,16 +606,21 @@ def default_rho(problem: QcqpProblem) -> float:
     return max(1.0, 1.1 * (-min_eig_bound(problem.objective.dense_p)) / m)
 
 
+# ADMM's phase I ends once v(z) <= EPS_FEAS, and the best iterate counts
+# violations up to EPS_FEAS as feasible
+EPS_FEAS = 1e-6
+
+
 def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> ImproveReport:
     """Consensus ADMM with one copy x_i per constraint.
 
-    Phase I drops the objective: z is the mean of x_i - u_i projected onto
-    the convex set, so iterates are rho-independent; it ends once v(z) <=
-    eps_feas.  Phase II minimizes the augmented objective in z (over the
-    full space, a matvec with the inverse of P0 + m rho I, built once from a
-    numpy Cholesky factorization, or least squares when that matrix is not
-    positive definite; a one-constraint solve; or clipped coordinate sweeps
-    for a box) and projects each x_i onto its constraint.  The rows are set
+    Phase I drops the objective: z is the mean of x_i - u_i, so iterates are
+    rho-independent; it ends once v(z) <= EPS_FEAS.  Phase II minimizes the
+    augmented objective in z, one linear solve: a matvec with the inverse of
+    P0 + m rho I, built once from a numpy Cholesky factorization, or least
+    squares when that matrix is not positive definite.  Constraints enter
+    only through the copies, so a box or a ball is posed as constraint
+    rows.  Each x_i is projected onto its constraint.  The rows are set
     up once (_Rows): the affine rows and the LE rows with one curved
     coordinate each project as one stacked block, every other row through
     its ConstraintProjector, and the per-iteration assessment and the
@@ -642,10 +628,9 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     nonconvex problems, so the report returns the best iterate ever seen
     under the lexicographic order.
 
-    Options (keywords of _admm): max_iter=500, eps_feas=1e-6,
-    two_phase=True, convex_set=None (FullSpace, BoxSet or
-    SingleQuadraticSet), init_z/init_x/init_u (a warm start),
-    record_iterates=False and resid_tol=1e-6.
+    Options (keywords of _admm): max_iter=500, two_phase=True,
+    init_z/init_x/init_u (a warm start), record_iterates=False and
+    resid_tol=1e-6.  Any other keyword raises TypeError.
     """
     rho = default_rho(problem) if rho is None else rho
     return _admm(problem.objective, _Rows(problem.constraints, problem.n), x0, rho, **opts)
@@ -657,21 +642,16 @@ def _admm(
     x0,
     rho: float,
     max_iter: int = 500,
-    eps_feas: float = 1e-6,
     two_phase: bool = True,
-    convex_set=None,
     init_z=None,
     init_x=None,
     init_u=None,
     record_iterates: bool = False,
     resid_tol: float = 1e-6,
-    **_,
 ) -> ImproveReport:
-    """The iterations of improve_admm on rows already set up."""
+    """The iterations of improve_admm on rows already set up; the options are improve_admm's."""
     x0 = np.asarray(x0, dtype=float)
     n, m = rows.n, rows.m
-    cset = convex_set if convex_set is not None else FullSpace()
-    cset_proj = ConstraintProjector(cset.form) if isinstance(cset, SingleQuadraticSet) else None
 
     z = np.asarray(init_z, dtype=float).copy() if init_z is not None else x0.copy()
     X = (
@@ -688,48 +668,19 @@ def _admm(
     P0 = objective.dense_p
     q0 = objective.q_vec
     A = P0 + m * rho * np.eye(n)
-    A_inv = None
-    if isinstance(cset, FullSpace):
-        try:
-            Li = inv_chol(A)
-            A_inv = Li.T @ Li
-        except np.linalg.LinAlgError:  # A not PD: z_phase2 uses least squares
-            pass
-
-    def proj_set(v):
-        if isinstance(cset, FullSpace):
-            return v
-        if isinstance(cset, BoxSet):
-            return np.clip(v, cset.l, cset.u)
-        return cset_proj.project_ineq(v).x
-
-    def z_phase2(t):
-        # minimize z'Az + (q0 - 2 rho t)'z over the convex set
-        b = rho * t - 0.5 * q0
-        if isinstance(cset, FullSpace):
-            if A_inv is not None:
-                return A_inv @ b
-            return np.linalg.lstsq(A, b, rcond=None)[0]
-        if isinstance(cset, BoxSet):
-            zz = np.clip(z, cset.l, cset.u)
-            for _sweep in range(3):
-                for j in range(n):
-                    bj = -2.0 * b[j] + 2.0 * (A[j] @ zz - A[j, j] * zz[j])
-                    zz[j] = min(max(-bj / (2.0 * A[j, j]), cset.l[j]), cset.u[j])
-            return zz
-        obj = QuadraticForm.from_dense(A, -2.0 * b, 0.0)
-        res = solve_one_constraint(obj, cset.form)
-        if res.status is OneConstraintStatus.OPTIMAL:
-            return res.x
-        return z
+    try:
+        Li = inv_chol(A)
+        A_inv = Li.T @ Li
+    except np.linalg.LinAlgError:  # A not PD: phase II uses least squares
+        A_inv = None
 
     def assess_z(x):
         return rows.assess(objective, x)
 
     def best_key(a: Assessment):
-        # violations below eps_feas count as feasible, so late near-feasible
+        # violations below EPS_FEAS count as feasible, so late near-feasible
         # iterates with better objectives win over early interior points
-        return (a.violation if a.violation > eps_feas else 0.0, a.objective)
+        return (a.violation if a.violation > EPS_FEAS else 0.0, a.objective)
 
     a0 = assess_z(x0)
     best_x, best_a = x0.copy(), a0
@@ -744,12 +695,14 @@ def _admm(
         if phase1:
             if az is None:
                 az = assess_z(z)
-            if az.violation <= eps_feas:
+            if az.violation <= EPS_FEAS:
                 phase1 = False
         if phase1:
-            z = proj_set(np.mean(X - U, axis=0))
+            z = np.mean(X - U, axis=0)
         else:
-            z = z_phase2(np.sum(X - U, axis=0)) if m > 0 else z_phase2(np.zeros(n))
+            # minimize z'Az + (q0 - 2 rho t)'z, t the sum of x_i - u_i
+            b = rho * (np.sum(X - U, axis=0) if m > 0 else np.zeros(n)) - 0.5 * q0
+            z = A_inv @ b if A_inv is not None else np.linalg.lstsq(A, b, rcond=None)[0]
         X = rows.project(z + U)
         gap = z - X
         U += gap
@@ -770,7 +723,7 @@ def _admm(
         if m == 0 and dual_resid <= resid_tol * scale_z:
             converged = True
             break
-    if 0.0 < best_a.violation <= 10.0 * eps_feas and m > 0:
+    if 0.0 < best_a.violation <= 10.0 * EPS_FEAS and m > 0:
         # cyclic projection polish: a near-feasible best iterate can lose the
         # exact lexicographic comparison to a feasible x0 on violation alone
         xp = best_x.copy()
@@ -835,17 +788,19 @@ _SPLITTERS = {
 }
 
 
+# CCP multiplies its penalty weight tau by TAU_GROWTH each iteration, up to TAU_MAX
+TAU_MAX = 1e4
+TAU_GROWTH = 2.0
+
+
 def improve_ccp(
     problem: QcqpProblem,
     x0,
     tau0: float = 1.0,
-    tau_max: float = 1e4,
-    mu: float = 2.0,
     max_iter: int = 30,
     split_method: str = "eigen",
     feas_tol: float = 1e-6,
     subsolver_opts: dict | None = None,
-    **_,
 ) -> ImproveReport:
     """Penalty convex-concave procedure.
 
@@ -853,9 +808,13 @@ def improve_ccp(
     become two inequalities split separately.  Each iteration linearizes the
     concave parts at the current point, adds one slack per constraint row
     with penalty tau, solves the convex subproblem by ADMM (with
-    solve_convex's defaults), and doubles tau up to tau_max.  The
+    solve_convex's defaults), and doubles tau up to TAU_MAX.  The
     convexified rows overestimate the true constraints, so a near-zero slack
     sum certifies feasibility.
+
+    Options: tau0=1.0, max_iter=30, split_method="eigen" (a key of
+    _SPLITTERS), feas_tol=1e-6 and subsolver_opts (keywords of _admm, rho
+    included).  Any other keyword raises TypeError.
 
     Only the linear terms and constants of the subproblem move with the
     current point, so it is set up once per call: the fixed curvature, the
@@ -967,10 +926,10 @@ def improve_ccp(
         if slack <= feas_tol and a.violation <= math.sqrt(feas_tol):
             converged = True
             break
-        if tau >= tau_max and abs(prev_slack - slack) <= 1e-9 * (1.0 + slack):
+        if tau >= TAU_MAX and abs(prev_slack - slack) <= 1e-9 * (1.0 + slack):
             break
         prev_slack = slack
-        tau = min(mu * tau, tau_max)
+        tau = min(TAU_GROWTH * tau, TAU_MAX)
     return _report(problem, x0, best_x, it, trace, converged, "ccp", last_x=xk)
 
 

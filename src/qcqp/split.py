@@ -81,6 +81,11 @@ def split_eigen(P) -> Splitting:
     return Splitting(plus=plus, minus=minus, curvature=curvature)
 
 
+def _excess_curvature(plus, minus, S) -> float:
+    """tr P+ + tr P- - sum |lambda(S)|: the curvature a split adds beyond S's own."""
+    return float(np.trace(plus) + np.trace(minus) - np.sum(np.abs(np.linalg.eigvalsh(S))))
+
+
 def default_delta(P) -> float:
     S = np.atleast_2d(np.asarray(P, dtype=float))
     return 1e-8 * (1.0 + float(np.max(np.abs(np.diag(S)), initial=0.0)))
@@ -153,7 +158,7 @@ def split_cholesky_diff(P, delta: float | None = None, pivot_choice: PivotChoice
         plus=plus,
         minus=minus,
         factors=(L1, L2),
-        curvature=float(np.trace(plus) + np.trace(minus) - np.sum(np.abs(np.linalg.eigvalsh(S)))),
+        curvature=_excess_curvature(plus, minus, S),
         min_divisor=None if math.isinf(min_div) else float(min_div),
     )
 
@@ -179,9 +184,11 @@ def split_ldl(P, delta: float | None = None) -> Splitting:
     sm = np.sqrt(np.clip(-d, 0.0, None))
     L1 = L * sp
     L2 = L * sm
+    plus = L1 @ L1.T
+    minus = L2 @ L2.T
     return Splitting(
-        plus=L1 @ L1.T,
-        minus=L2 @ L2.T,
+        plus=plus,
+        minus=minus,
         factors=(L1, L2),
-        curvature=0.0,
+        curvature=_excess_curvature(plus, minus, S),
     )

@@ -14,8 +14,7 @@ from qcqp.improve import (
     _AffineRows,
     _CurvedRows,
     _Rows,
-    BoxSet,
-    SingleQuadraticSet,
+    METHODS,
     default_rho,
     greedy_clique,
     improve_admm,
@@ -399,23 +398,48 @@ def test_admm_indefinite_z_update_falls_back_to_least_squares(monkeypatch):
 
 
 def test_admm_box_set_phase2():
-    # minimize ||x - 2|| over the box [-1, 1]^2 with no constraints beyond C
+    # minimize ||x - 2|| over the box [-1, 1]^2, posed as four affine rows, and C
     obj = QuadraticForm.from_dense(np.eye(2), [-4.0, -4.0], 8.0)
     c = Constraint(QuadraticForm.create(2, (), [1.0, 0.0], -1.0), Sense.LE)
-    p = QcqpProblem.create(obj, [c])
-    rep = improve_admm(
-        p, np.zeros(2), convex_set=BoxSet(l=-np.ones(2), u=np.ones(2)), max_iter=200
-    )
+    box = [
+        Constraint(QuadraticForm.create(2, (), sign * np.eye(2)[j], -1.0), Sense.LE)
+        for j in range(2)
+        for sign in (1.0, -1.0)
+    ]
+    p = QcqpProblem.create(obj, [c] + box)
+    rep = improve_admm(p, np.zeros(2), max_iter=200)
     assert rep.assessment.objective <= assess(p, np.zeros(2)).objective
 
 
 def test_admm_single_quadratic_set():
     obj = QuadraticForm.from_dense(np.eye(2), [-4.0, 0.0], 0.0)
-    ball = SingleQuadraticSet(QuadraticForm.from_dense(np.eye(2), None, -1.0))
+    ball = Constraint(QuadraticForm.from_dense(np.eye(2), None, -1.0), Sense.LE)
     c = Constraint(QuadraticForm.from_dense(np.eye(2), None, -4.0), Sense.LE)
-    p = QcqpProblem.create(obj, [c])
-    rep = improve_admm(p, np.zeros(2), convex_set=ball, max_iter=200, two_phase=False)
+    p = QcqpProblem.create(obj, [c, ball])
+    rep = improve_admm(p, np.zeros(2), max_iter=200, two_phase=False)
     assert rep.assessment.objective <= -2.9  # optimum -3 at (1, 0)
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_methods_reject_unknown_options(name):
+    p = gen_boolean_ls(4, 3, seed=1)
+    with pytest.raises(TypeError):
+        METHODS[name](p, np.zeros(3), no_such_option=1)
+    with pytest.raises(TypeError):
+        improve_sequence(p, np.zeros(3), [name], {name: {"no_such_option": 1}})
+
+
+def test_misspelled_iteration_caps_are_rejected_not_ignored():
+    p = gen_boolean_ls(4, 3, seed=1)
+    x0 = np.zeros(3)
+    with pytest.raises(TypeError):
+        improve_admm(p, x0, max_iters=3)
+    with pytest.raises(TypeError):
+        improve_ccp(p, x0, max_iters=1)
+    with pytest.raises(TypeError):
+        improve_ccp(p, x0, max_iter=1, subsolver_opts={"max_iters": 3})
+    assert improve_admm(p, x0, max_iter=3).iterations <= 3
+    assert improve_ccp(p, x0, max_iter=1).iterations == 1
 
 
 # -- the affine block ------------------------------------------------------

@@ -1,4 +1,5 @@
 """The interior-point SDR bound: agreement with the converged cutting plane,
+the sandwich spectral <= SDR <= optimum on every boolean family,
 certification of the bound from the dual, and its infeasible, unbounded and
 early-stopped cases."""
 
@@ -9,7 +10,16 @@ import pytest
 
 import qcqp.relax as relax_mod
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense
-from qcqp.generators import brute_force, gen_beamforming, gen_partitioning
+from qcqp.generators import (
+    brute_force,
+    gen_3sat,
+    gen_beamforming,
+    gen_boolean_ls,
+    gen_maxbisection,
+    gen_maxclique,
+    gen_maxcut,
+    gen_partitioning,
+)
 from qcqp.improve import round_sign
 from qcqp.relax import (
     CutPlaneOptions,
@@ -82,6 +92,54 @@ def test_sdr_bound_below_brute_force_on_small_instances():
         spec = spectral_bound(p).bound
         assert spec <= res.bound + 1e-6 * (1.0 + abs(res.bound))
     assert checked >= 40
+
+
+def _weights(rng, n):
+    W = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    return W + W.T
+
+
+def _adjacency(rng, n):
+    A = np.triu((rng.uniform(size=(n, n)) < 0.5).astype(int), 1)
+    return A + A.T + np.eye(n, dtype=int)
+
+
+def _clauses(rng, n):
+    """Random 3-SAT clauses on n variables, satisfied by a planted assignment."""
+    planted = rng.integers(0, 2, size=n)
+    out = []
+    while len(out) < 2 * n:
+        vs = rng.choice(n, size=3, replace=False)
+        lits = [int(v + 1) * (1 if rng.uniform() < 0.5 else -1) for v in vs]
+        if any((lit > 0) == bool(planted[abs(lit) - 1]) for lit in lits):
+            out.append(tuple(lits))
+    return out
+
+
+BOOLEAN_FAMILIES = {
+    "boolean-ls": lambda rng, n: gen_boolean_ls(n + 2, n, seed=rng),
+    "partitioning": lambda rng, n: gen_partitioning(_weights(rng, n)),
+    "maxcut": lambda rng, n: gen_maxcut(_weights(rng, n)),
+    "maxbisection": lambda rng, n: gen_maxbisection(_weights(rng, n)),
+    "maxclique": lambda rng, n: gen_maxclique(_adjacency(rng, n)),
+    "3sat": lambda rng, n: gen_3sat(_clauses(rng, n), n),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOOLEAN_FAMILIES))
+def test_bound_sandwich_on_every_boolean_family(family):
+    # spectral <= sdr_bound <= optimum, with the SDR bound valid
+    rng = np.random.default_rng(sorted(BOOLEAN_FAMILIES).index(family))
+    for n in (4, 6, 8):
+        for _ in range(8):
+            p = BOOLEAN_FAMILIES[family](rng, n)
+            _, opt = brute_force(p)
+            assert math.isfinite(opt)
+            res = sdr_bound(p)
+            tol = 1e-6 * (1.0 + abs(opt))
+            assert res.valid
+            assert spectral_bound(p).bound <= res.bound + tol
+            assert res.bound <= opt + tol
 
 
 def test_certified_bound_absorbs_perturbed_duals():

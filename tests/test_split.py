@@ -25,13 +25,30 @@ def check_split(sp, P, tol=1e-9):
     assert np.linalg.eigvalsh(sp.minus)[0] >= -1e-9 * scale
 
 
+def excess_curvature(sp, P) -> float:
+    """tr P+ + tr P- - sum |lambda(P)|: the curvature a split adds beyond P's own."""
+    return float(np.trace(sp.plus) + np.trace(sp.minus) - np.sum(np.abs(np.linalg.eigvalsh(P))))
+
+
 def test_all_splits_reconstruct():
     rng = np.random.default_rng(0)
     for _ in range(40):
         n = int(rng.integers(1, 20))
         P = random_symmetric(rng, n)
         for fn in (split_shift, split_eigen, split_cholesky_diff, split_ldl):
-            check_split(fn(P), P)
+            sp = fn(P)
+            check_split(sp, P)
+            if fn is not split_shift:  # the shift split reports its 2t instead
+                assert sp.curvature == pytest.approx(excess_curvature(sp, P), abs=1e-9 * (1.0 + np.linalg.norm(P)))
+
+
+def test_ldl_split_reports_its_curvature():
+    # a diagonal-D LDL' whose parts carry more trace than |lambda| sums to
+    P = np.array([[4.0, 1.0, 0.5], [1.0, -3.0, 0.2], [0.5, 0.2, 2.0]])
+    sp = split_ldl(P)
+    check_split(sp, P)
+    assert sp.curvature == pytest.approx(0.2169, abs=1e-4)
+    assert sp.curvature == pytest.approx(excess_curvature(sp, P), abs=1e-12)
 
 
 def test_shift_uses_smaller_side():
