@@ -108,6 +108,8 @@ def load_problem(path) -> QcqpProblem:
             data = json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
     return problem_from_json(data)
 
 
@@ -248,10 +250,13 @@ def canonical_report_json(report: dict) -> str:
 
 def _emit(payload: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(payload)
+                if not payload.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:  # a missing directory, a directory, or not writable
+            raise ParseError(f"{out_path}: cannot write: {exc.strerror}") from exc
     else:
         print(payload)
 

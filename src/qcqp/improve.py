@@ -174,18 +174,17 @@ class _CoordState:
     the constraint rows whose support contains x_j; every other row is
     constant in x_j, so move(j, t) updates only the objective and rows[j].
     violated holds the constraint rows that a constant in x_j could not
-    satisfy in phase II (|f| > eq_tol for EQ, f > eq_tol for LE): it is
+    satisfy in phase II (|f| > EQ_TOL for EQ, f > EQ_TOL for LE): it is
     rebuilt by refresh(), which evaluates every row exactly (the rows of one
     variable as the problem's stacked block), and updated by move().
     """
 
-    def __init__(self, problem: QcqpProblem, x0, eq_tol: float):
+    def __init__(self, problem: QcqpProblem, x0):
         self.block = problem._one_variable_rows
         self.forms = [problem.objective] + [c.form for c in problem.constraints]
         self.senses = [None] + [c.sense for c in problem.constraints]
         self.P = [f.dense_p for f in self.forms]
         self.qv = [f.q_vec for f in self.forms]
-        self.eq_tol = eq_tol
         self.rows: list[list[int]] = [[] for _ in range(problem.n)]
         for k in range(1, len(self.forms)):
             for j in self.forms[k].support.tolist():
@@ -202,7 +201,7 @@ class _CoordState:
     def _is_violated(self, k: int) -> bool:
         # written as "not within" so that a NaN value counts as violated
         f = self.fval[k]
-        return not ((abs(f) if self.senses[k] is Sense.EQ else f) <= self.eq_tol)
+        return not ((abs(f) if self.senses[k] is Sense.EQ else f) <= EQ_TOL)
 
     def coeffs(self, k: int, j: int):
         """(p, q, c) of f_k as a quadratic in x_j with the rest fixed."""
@@ -251,10 +250,10 @@ def _phase1_set(rows, s: float) -> IntervalSet:
     return S
 
 
-def _equality_root_set(p: float, q: float, c: float, eq_tol: float) -> IntervalSet:
+def _equality_root_set(p: float, q: float, c: float) -> IntervalSet:
     """Exact solution set of p t^2 + q t + c = 0 as degenerate intervals."""
     if abs(p) < AFFINE_EPS and abs(q) < AFFINE_EPS:
-        return IntervalSet.full() if abs(c) <= eq_tol else IntervalSet.empty()
+        return IntervalSet.full() if abs(c) <= EQ_TOL else IntervalSet.empty()
     if abs(p) < AFFINE_EPS:
         t = -c / q
         return IntervalSet.of((t, t))
@@ -267,11 +266,11 @@ def _equality_root_set(p: float, q: float, c: float, eq_tol: float) -> IntervalS
     return IntervalSet.of((a, a), (b, b))
 
 
-def _phase2_set(rows, eq_tol: float) -> IntervalSet:
+def _phase2_set(rows) -> IntervalSet:
     S = IntervalSet.full()
     for p, q, c, sense in rows:
         if sense is Sense.EQ:
-            S = intersect(S, _equality_root_set(p, q, c, eq_tol))
+            S = intersect(S, _equality_root_set(p, q, c))
         else:
             S = intersect(S, constraint_solution_set(p, q, c))
         if S.is_empty:
@@ -283,11 +282,11 @@ def _phase2_set(rows, eq_tol: float) -> IntervalSet:
 # width, and a sweep that lowers the violation by less than STALL_TOL stalls
 BISECTION_TOL = 1e-9
 STALL_TOL = 1e-7
+# phase II of cd counts a row with |f| <= EQ_TOL (EQ) or f <= EQ_TOL (LE) as satisfied
+EQ_TOL = 1e-8
 
 
-def improve_coordinate_descent(
-    problem: QcqpProblem, x0, max_sweeps: int = 100, eq_tol: float = 1e-8
-) -> ImproveReport:
+def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) -> ImproveReport:
     """Greedy coordinate updates in two phases.
 
     Phase I ignores the objective and reduces the maximum violation: each
@@ -300,13 +299,13 @@ def improve_coordinate_descent(
     A coordinate step reads and updates only the rows whose support holds
     x_j.  A row outside it is a constant in x_j: phase I cannot reduce its
     violation, and in phase II it admits every x_j or none.  So phase II
-    skips x_j while some violated row (|f| > eq_tol for EQ, f > eq_tol for
+    skips x_j while some violated row (|f| > EQ_TOL for EQ, f > EQ_TOL for
     LE, after the exact re-evaluation that ends phase I) lies outside its
-    support.  eq_tol serves LE rows too: phase I stops on running values,
+    support.  EQ_TOL serves LE rows too: phase I stops on running values,
     and the exact values can leave a row it satisfied at a rounding residue
     such as f = 4e-16, which must not freeze every other coordinate.
     """
-    st = _CoordState(problem, x0, eq_tol)
+    st = _CoordState(problem, x0)
     n = problem.n
     trace: list[tuple[float, float]] = []
     sweeps = 0
@@ -367,7 +366,7 @@ def improve_coordinate_descent(
             if st.violated and not st.violated.issubset(st.rows[j]):
                 continue
             rows = [st.coeffs(k, j) + (st.senses[k],) for k in st.rows[j]]
-            S = _phase2_set(rows, eq_tol)
+            S = _phase2_set(rows)
             if S.is_empty:
                 continue
             p0, q0, c0 = st.coeffs(0, j)

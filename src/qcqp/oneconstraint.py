@@ -2,10 +2,11 @@
 
 Three related subproblems live here:
 
-* projection of a point onto {x : f(x) = 0} or {x : f(x) <= 0}, solved by
-  rotating into the eigenbasis of the constraint matrix and solving the
-  monotone secular equation in the multiplier nu by safeguarded Newton
-  steps (one-variable supports take the nearest root in closed form);
+* projection of a point onto {x : f(x) = 0} or {x : f(x) <= 0}, solved in
+  the coordinates of the support of f by rotating into the eigenbasis of
+  the constraint matrix there and solving the monotone secular equation in
+  the multiplier nu by safeguarded Newton steps (a support of one variable
+  first tries the nearest root in closed form);
 * the interval-constraint variant l <= f(x) <= u, solved as two one-sided
   problems;
 * the general one-constraint QCQP min f0 s.t. f1 <= 0, reduced to that
@@ -36,6 +37,7 @@ from .onevar import _stable_roots
 SINGULAR_TOL = 1e-10
 SECULAR_STEP_MAX = 1100  # bisection alone shrinks any finite bracket of doubles in fewer steps
 FEAS_TOL = 1e-9
+_FIRST = np.zeros(1, dtype=int)  # the one permutation of a single coordinate
 
 
 @dataclass(frozen=True)
@@ -71,55 +73,43 @@ class ConstraintProjector:
     """Caches the eigendecomposition of one constraint for repeated projections.
 
     Projections leave the coordinates outside the support of f untouched, so
-    a constraint touching few variables projects in the subspace of its
-    support, through a projector of its restriction there.  A support of one
-    variable x_i with P_ii != 0 needs no restriction: the projection is the
-    root of P_ii x_i^2 + q_i x_i + r nearest z_i (_nearest_root), and the
-    restriction is built only where that closed form does not give the KKT
-    point, or when a kkt_residual is read.
+    the projector works in the coordinates of its support: lam and the basis
+    are those of P restricted there, qhat is q restricted and rotated, and
+    project_eq projects z's support coordinates and writes them back into a
+    copy of z.  A support of one variable x_i with P_ii != 0 first takes the
+    root of P_ii x_i^2 + q_i x_i + r nearest z_i in closed form
+    (_nearest_root), and the general path only where that is not the KKT
+    point.
     """
 
     def __init__(self, form: QuadraticForm):
-        self.n = form.n
-        P = form.dense_p
-        support = form.support
-        self._support = support if 0 < support.size < form.n else None
-        self._sub = None  # the projector of the restriction to the support
+        P, s = form.dense_p, form.support
+        self._support = s if s.size < form.n else None  # None: the support is all of x
         self._i = None  # the variable of a one-variable support
-        if self._support is not None:
-            i = int(support[0])
-            if support.size == 1 and P[i, i] != 0.0:
-                self._i = i
-                self.lam = np.array([P[i, i]])
+        if s.size == 1 and P[s[0], s[0]] != 0.0:
+            self._i = int(s[0])
+            self.lam = np.array([P[self._i, self._i]])
+            self.Q, self._perm, self._affine_q = None, _FIRST, None
         else:
-            self._is_diagonal = bool(np.count_nonzero(P - np.diag(np.diag(P))) == 0)
-            if self._is_diagonal:
-                order = np.argsort(np.diag(P))
-                self.lam = np.diag(P)[order]
-                self._perm = order
+            self._p = P if self._support is None else P[np.ix_(s, s)]  # P on the support
+            if np.count_nonzero(self._p - np.diag(np.diag(self._p))) == 0:
+                self._perm = np.argsort(np.diag(self._p))
+                self.lam = np.diag(self._p)[self._perm]
                 self.Q = None
             else:
-                eig = sym_eigen(P)
-                self.lam = eig.values
-                self.Q = eig.vectors
-                self._perm = None
+                eig = sym_eigen(self._p)
+                self.lam, self.Q, self._perm = eig.values, eig.vectors, None
         self._set_linear(form)
 
     def _set_linear(self, form: QuadraticForm) -> None:
         """Set everything that depends on q and r; the curvature parts are already set."""
         self.form = form
-        if self._support is not None and self._i is None:
-            restriction = self._restriction(form)
-            self._sub = ConstraintProjector(restriction) if self._sub is None else self._sub._with_linear(restriction)
-            self.feas_range = self._sub.feas_range
-            self.scale = self._sub.scale
-            return
         if self._i is not None:
-            self._sub = None  # a restriction of the old terms is stale
             self.qhat = form.q_vec[self._i : self._i + 1]
         else:
-            self._affine_q = form.q_vec if form.is_affine else None
-            self.qhat = self._rotate(form.q_vec)
+            q = form.q_vec if self._support is None else form.q_vec[self._support]
+            self._affine_q = q if form.is_affine else None
+            self.qhat = self._rotate(q)
         self.r = form.r
         self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(self.r) + 1.0)
         self.feas_range = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
@@ -136,20 +126,8 @@ class ConstraintProjector:
         new._set_linear(form)
         return new
 
-    def _restriction(self, form: QuadraticForm) -> QuadraticForm:
-        s = self._support
-        return QuadraticForm._of_symmetric(form.dense_p[np.ix_(s, s)], form.q_vec[s], form.r)
-
-    def _restricted(self) -> "ConstraintProjector":
-        """The projector of the restriction to the support, built on first use for one variable."""
-        if self._sub is None:
-            self._sub = ConstraintProjector(self._restriction(self.form))
-        return self._sub
-
     def _rotate(self, v: np.ndarray) -> np.ndarray:
-        if self.Q is None:
-            return v[self._perm]
-        return self.Q.T @ v
+        return v[self._perm] if self.Q is None else self.Q.T @ v
 
     def _unrotate(self, v: np.ndarray) -> np.ndarray:
         if self.Q is None:
@@ -157,6 +135,14 @@ class ConstraintProjector:
             out[self._perm] = v
             return out
         return self.Q @ v
+
+    def _embed(self, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """z with its support coordinates replaced by xs."""
+        if self._support is None:
+            return xs
+        x = z.copy()
+        x[self._support] = xs
+        return x
 
     # -- secular machinery -------------------------------------------------
 
@@ -172,8 +158,7 @@ class ConstraintProjector:
         return float(-0.5 * np.sum(num / (1.0 + nu * self.lam) ** 3))
 
     def _nu_bounds(self) -> tuple[float, float]:
-        lmax = self.lam[-1] if self.n else 0.0
-        lmin = self.lam[0] if self.n else 0.0
+        lmin, lmax = self.lam[0], self.lam[-1]
         lo = -1.0 / lmax if lmax > 0.0 else -math.inf
         hi = -1.0 / lmin if lmin < 0.0 else math.inf
         return lo, hi
@@ -219,10 +204,7 @@ class ConstraintProjector:
         phi0 = self._phi(0.0, zhat)
         if phi0 == 0.0:
             return 0.0
-        if phi0 > 0.0:
-            bracket = self._march(zhat, phi0, hi_b, +1)
-        else:
-            bracket = self._march(zhat, phi0, lo_b, -1)
+        bracket = self._march(zhat, phi0, hi_b, +1) if phi0 > 0.0 else self._march(zhat, phi0, lo_b, -1)
         if bracket is None:
             return None
         # keep phi(lo) >= 0 >= phi(hi)
@@ -251,25 +233,25 @@ class ConstraintProjector:
         # that rounding gave a sign change: the hard case, not a root
         return None if self._singular(nu).any() else nu
 
-    def _nearest_root(self, zhat: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """Closed-form projection for one variable: the root of lam y^2 + qhat y + r nearest zhat.
+    def _nearest_root(self, zi: float) -> tuple[float, float] | None:
+        """Closed-form projection for one variable: (x, nu), x the root of lam x^2 + qhat x + r nearest zi.
 
         The lower root wins a tie.  None where the closed form does not give
         the KKT point (no real root, zero gradient, or 1 + nu*lam <= 0).
         """
-        lam, qh, z0 = float(self.lam[0]), float(self.qhat[0]), float(zhat[0])
+        lam, qh = float(self.lam[0]), float(self.qhat[0])
         roots = _stable_roots(lam, qh, self.r)
         if roots is None:
             return None
         lo, hi = roots
-        x = hi if abs(hi - z0) < abs(lo - z0) else lo
+        x = hi if abs(hi - zi) < abs(lo - zi) else lo
         grad = 2.0 * lam * x + qh
         if grad == 0.0:
             return None
-        nu = -2.0 * (x - z0) / grad
+        nu = -2.0 * (x - zi) / grad
         if 1.0 + nu * lam <= 0.0:
             return None
-        return np.array([x]), nu
+        return x, nu
 
     def _singular(self, nu: float) -> np.ndarray:
         """Mask of the eigen-directions where 1 + nu*lam is zero to working precision."""
@@ -289,8 +271,7 @@ class ConstraintProjector:
         # free coordinates stay at z, which the consistency check puts at the
         # center of f along them; one free direction then moves onto f = 0
         xh = zhat.copy()
-        nonfree = ~free
-        xh[nonfree] = rhs[nonfree] / d[nonfree]
+        xh[~free] = rhs[~free] / d[~free]
         e = int(np.argmax(free))  # lowest eigenvector index among free directions
         le = self.lam[e]
         c0 = float(self.lam @ (xh * xh) + self.qhat @ xh + self.r)
@@ -326,38 +307,32 @@ class ConstraintProjector:
     def project_eq(self, z) -> ProjectionResult:
         """Global minimizer of ||x - z||^2 subject to f(x) = 0."""
         z = np.asarray(z, dtype=float)
-        if self._i is not None:
-            self._check_equality_feasible()
-            i = self._i
-            closed = self._nearest_root(z[i : i + 1])
-            if closed is not None:
-                xh, nu = closed
-                x = z.copy()
-                x[i] = xh[0]
-                zi = float(z[i])
-
-                def residual():  # the restriction's residual at the same point
-                    return self._restricted()._kkt_residual(xh, xh - zi, nu)
-
-                return ProjectionResult(x=x, nu=float(nu), _residual=residual)
-        if self._support is not None:
-            sub_res = self._restricted().project_eq(z[self._support])
+        lo_r, hi_r = self.feas_range
+        if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
+            raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
+        i = self._i
+        if i is not None and (closed := self._nearest_root(float(z[i]))) is not None:
+            zi = float(z[i])
             x = z.copy()
-            x[self._support] = sub_res.x
-            return ProjectionResult(x=x, nu=sub_res.nu, _residual=lambda: sub_res.kkt_residual)
-        self._check_equality_feasible()
+            x[i], nu = closed
+
+            def residual():  # the step is zero off x_i
+                step = np.zeros_like(x)
+                step[i] = x[i] - zi
+                return self._kkt_residual(x, step, nu)
+
+            return ProjectionResult(x=x, nu=nu, _residual=residual)
+        zs = z if self._support is None else z[self._support]
         if self._affine_q is not None:
-            qn = float(self._affine_q @ self._affine_q)
+            q = self._affine_q
+            qn = float(q @ q)
             if qn == 0.0:
-                return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: abs(self.form.r))
-            nu = 2.0 * evaluate(self.form, z) / qn
-            x = z - 0.5 * nu * self._affine_q
+                return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: abs(self.r))
+            nu = 2.0 * float(zs @ (self._p @ zs) + q @ zs + self.r) / qn  # 2 f(z) / ||q||^2
+            x = self._embed(z, zs - 0.5 * nu * q)
             return ProjectionResult(x=x, nu=nu, _residual=lambda: abs(evaluate(self.form, x)))
-        zhat = self._rotate(z)
-        closed = self._nearest_root(zhat) if self.n == 1 else None
-        if closed is not None:
-            xh, nu = closed
-        elif (nu := self._solve_secular(zhat)) is not None:
+        zhat = self._rotate(zs)
+        if (nu := self._solve_secular(zhat)) is not None:
             xh = self._xhat(nu, zhat)
         else:
             xh = None
@@ -374,14 +349,9 @@ class ConstraintProjector:
                 if extremum is None:
                     raise NumericalFailureError("no KKT point found for the projection")
                 xh, nu = extremum
-        x = self._unrotate(xh)
+        x = self._embed(z, self._unrotate(xh))
         step = x - z
         return ProjectionResult(x=x, nu=float(nu), _residual=lambda: self._kkt_residual(x, step, nu))
-
-    def _check_equality_feasible(self) -> None:
-        lo_r, hi_r = self.feas_range
-        if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
-            raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
 
     def project_ineq(self, z) -> ProjectionResult:
         """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""
@@ -394,7 +364,7 @@ class ConstraintProjector:
         return self.project_eq(z) if equality else self.project_ineq(z)
 
     def _kkt_residual(self, x: np.ndarray, step: np.ndarray, nu: float) -> float:
-        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z.
+        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z, in all of x's coordinates.
 
         An infinite nu (see _extremum) leaves |grad f(x)| as the stationarity
         part: the Fritz John conditions with no weight on the distance.
@@ -561,7 +531,6 @@ def solve_interval(objective: QuadraticForm, form: QuadraticForm, l: float, u: f
     """
     if l > u:
         raise ValueError("interval bounds must satisfy l <= u")
-    scale1 = float(np.linalg.norm(form.dense_p) + np.linalg.norm(form.q_vec) + abs(form.r) + 1.0)
     subresults = []
     if math.isfinite(u):
         upper = QuadraticForm._of_symmetric(form.dense_p, form.q_vec, form.r - u)
@@ -571,7 +540,7 @@ def solve_interval(objective: QuadraticForm, form: QuadraticForm, l: float, u: f
     if math.isfinite(l):
         lower = QuadraticForm._of_symmetric(-form.dense_p, -form.q_vec, l - form.r)
         subresults.append(solve_one_constraint(objective, lower))
-    tol = 1e-6 * scale1
+    tol = 1e-6 * _scale(form)
     feasible = []
     for res in subresults:
         if res.status is not OneConstraintStatus.OPTIMAL:

@@ -542,7 +542,10 @@ def sample_from_lifted(result: RelaxationResult, count: int, rng_seed=None) -> L
     return LiftedSamples(points=tuple(pts), sigma_repair=repair)
 
 
-def tighten(problem: QcqpProblem, pair_budget: int = 100) -> QcqpProblem:
+PAIR_BUDGET = 100  # tighten appends at most this many pair products
+
+
+def tighten(problem: QcqpProblem) -> QcqpProblem:
     """Append products of pairs of affine constraints as redundant quadratics.
 
     Each affine row is read as a'x <= b (equalities contribute both signs);
@@ -564,7 +567,7 @@ def tighten(problem: QcqpProblem, pair_budget: int = 100) -> QcqpProblem:
     extra = []
     pairs = [(i, j) for i in range(len(halfspaces)) for j in range(i + 1, len(halfspaces))]
     pairs += [(i, i) for i in range(len(halfspaces))]
-    for i, j in pairs[:pair_budget]:
+    for i, j in pairs[:PAIR_BUDGET]:
         ai, bi = halfspaces[i]
         aj, bj = halfspaces[j]
         # (b_i - a_i'x)(b_j - a_j'x) >= 0  ->  -x'SyM x + (b_i a_j + b_j a_i)'x - b_i b_j <= 0

@@ -195,6 +195,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["solve", str(bad)]) == 2
+    # a missing problem file, a directory as the problem file, and an --out
+    # that cannot be written: each is bad input, and no file is written
+    missing, unwritable = tmp_path / "missing.json", tmp_path / "no-such-dir" / "r.json"
+    for args in (
+        ["solve", str(missing)],
+        ["bound", str(missing)],
+        ["brute", str(tmp_path)],
+        ["solve", str(tmp_path)],
+        ["solve", str(p), "--out", str(unwritable)],
+        ["bound", str(p), "--out", str(tmp_path)],
+        ["brute", str(p), "--out", str(unwritable)],
+        ["generate", "--family", "boolean-ls", "--n", "3", "--m", "4", "--out", str(unwritable)],
+    ):
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args) == 2, args
+        assert sorted(tmp_path.rglob("*")) == before
+        assert "cannot" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -176,7 +176,7 @@ def _cd_case(name: str):
 # Outputs of improve_coordinate_descent as recorded with dense coordinate
 # steps (every move updated every row); x and the trace as float.hex.
 # random_support and infeasible_phase2 were re-recorded when phase II began
-# to count an LE row with f <= eq_tol as satisfied: both start phase II with
+# to count an LE row with f <= EQ_TOL as satisfied: both start phase II with
 # an LE row at a rounding residue (5.3e-15 and 4.4e-16), which used to
 # freeze every coordinate outside its support.
 CD_PINS = {
@@ -264,12 +264,11 @@ def test_cd_phase2_starts_with_a_violated_row_outside_some_supports():
     problem, x0, opts = _cd_case("infeasible_phase2")
     rep = improve_coordinate_descent(problem, x0, **opts)
     assert rep.phase_trace[0][0] == 0.0 < rep.phase_trace[1][0]
-    # violated: f > 0 on LE rows, |f| > eq_tol on EQ rows
-    eq_tol = 1e-8
+    # violated: f > 0 on LE rows, |f| > EQ_TOL on EQ rows
     violated = [
         k
         for k, c in enumerate(problem.constraints)
-        if c.violation(rep.x) > (eq_tol if c.sense is Sense.EQ else 0.0)
+        if c.violation(rep.x) > (qcqp.improve.EQ_TOL if c.sense is Sense.EQ else 0.0)
     ]
     assert violated == [3]
     assert problem.constraints[3].form.support.tolist() == [2, 4]
@@ -278,7 +277,7 @@ def test_cd_phase2_starts_with_a_violated_row_outside_some_supports():
 def test_cd_phase2_moves_coordinates_outside_a_row_at_a_rounding_residue():
     # phase I ends with row 3 (on x2, x4) at f = 4.4e-16 > 0 by the exact
     # values.  Counted as violated, that row froze every coordinate outside
-    # {2, 4} in phase II; within eq_tol it counts as satisfied, so phase II
+    # {2, 4} in phase II; within EQ_TOL it counts as satisfied, so phase II
     # moves x1 and x5 and lowers the objective.
     problem, x0, _ = _cd_case("infeasible_phase2")
     after_phase1 = improve_coordinate_descent(problem, x0, max_sweeps=1)
@@ -639,18 +638,18 @@ def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     assert all(list(map(id, ps)) == list(map(id, projectors[0])) for ps in projectors)
     built = [call.args[1] for call in inits.call_args_list]
     assert not any(form.is_affine for form in built)
-    # 2 top-level projectors, each building one on its support
-    assert [id(f) for f in built[::2]] == [id(proj.form) for proj in projectors[0]]
-    assert len(built) == 2 + 2
+    # one build per quadratic row, and none for a restriction to a support
+    assert [id(f) for f in built] == [id(proj.form) for proj in projectors[0]]
+    assert len(built) == 2
     assert eigs.call_count == 1 + 2  # the objective and the 2 quadratic rows
 
 
 @pytest.mark.parametrize("case, split_method", [("boolean_ls", "cholesky"), ("sparse_rows", "eigen")])
 def test_ccp_builds_each_general_row_projector_once_per_call(case, split_method):
     # a general row whose linear terms move keeps its curvature, so CCP
-    # derives its next projector from the last one: the projector builds (a
-    # row and its restriction to the row's support) and the eigendecompositions
-    # are those of the first subproblem, whatever max_iter is
+    # derives its next projector from the last one: the projector builds (one
+    # per row, none for a restriction to its support) and the
+    # eigendecompositions are those of the first subproblem, whatever max_iter is
     if case == "boolean_ls":
         p, x0 = gen_boolean_ls(6, 4, seed=5), np.random.default_rng(4).standard_normal(4)
     else:
@@ -669,7 +668,7 @@ def test_ccp_builds_each_general_row_projector_once_per_call(case, split_method)
         assert general > 0
         # every subproblem moves the linear terms of some general row
         assert all(any(r.general[k][1] is not proj for k, (_, proj) in rows[0].general.items()) for r in rows[1:])
-        assert inits.call_count == 2 * general  # each row and its restriction
+        assert inits.call_count == general  # each row once
         assert eigs.call_count <= general
 
 

@@ -353,8 +353,8 @@ def same_float(a, b) -> bool:
 
 @given(curvature, coefficient, coefficient, coefficient, st.integers(0, 2))
 def test_one_variable_support_projects_as_its_restriction(p, q, r, z, at):
-    # a form on x_at alone projects in closed form without building its
-    # restriction; x, nu and kkt_residual must be those of the restriction,
+    # a form on x_at alone projects in closed form; x, nu and kkt_residual
+    # (computed in all three coordinates) must be those of the restriction,
     # and so must an error
     zs = np.array([1.5, -2.25, 0.75])
     zs[at] = z
@@ -370,6 +370,47 @@ def test_one_variable_support_projects_as_its_restriction(p, q, r, z, at):
     assert same_float(got.kkt_residual, want.kkt_residual)
 
 
+@st.composite
+def partial_support_forms(draw):
+    """Two forms on n = 5 with the same P on 1 to 3 variables (dense, diagonal or zero) and other q and r."""
+    s = np.array(sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))))
+    k = s.size
+    B = np.array(draw(st.lists(coefficient, min_size=k * k, max_size=k * k))).reshape(k, k)
+    B = draw(st.sampled_from([B, np.diag(np.diag(B)), 0.0 * B]))
+    P = np.zeros((5, 5))
+    P[np.ix_(s, s)] = B + B.T
+
+    def form():
+        q = np.zeros(5)
+        q[s] = draw(st.lists(coefficient, min_size=k, max_size=k))
+        return QuadraticForm.from_dense(P, q, draw(coefficient))
+
+    return form(), form()
+
+
+@given(partial_support_forms(), st.lists(coefficient, min_size=5, max_size=5), st.booleans())
+def test_support_projects_as_its_restriction(forms, zs, derive):
+    # a projector works in its support's coordinates: on a form touching 1
+    # to 3 of 5 variables, fresh or derived with new linear terms, x and nu
+    # must be those of the restriction's projector on z[support], byte for
+    # byte, and so must an error
+    a, b = forms
+    s = b.support
+    assume(s.size > 0)
+    proj = ConstraintProjector(a)._with_linear(b) if derive else ConstraintProjector(b)
+    restricted = ConstraintProjector(QuadraticForm._of_symmetric(b.dense_p[np.ix_(s, s)], b.q_vec[s], b.r))
+    z = np.array(zs)
+    for equality in (True, False):
+        got, want = project_or_error(proj, z, equality), project_or_error(restricted, z[s], equality)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        x = z.copy()
+        x[s] = want.x
+        assert got.x.tobytes() == x.tobytes()
+        assert same_float(got.nu, want.nu)
+
+
 @pytest.mark.parametrize(
     "p, q, r, z",
     [
@@ -380,8 +421,8 @@ def test_one_variable_support_projects_as_its_restriction(p, q, r, z, at):
     ],
 )
 def test_one_variable_support_falls_back_to_its_restriction(p, q, r, z):
-    # where the closed form gives no KKT point (or is bypassed), the
-    # restriction's general path answers, exactly as for the restriction alone
+    # where the closed form gives no KKT point (or is bypassed), the general
+    # path on the support answers, exactly as for the restriction alone
     form = one_variable(p, q, r, at=2, n=4)
     zs = np.array([0.25, -1.0, z, 3.0])
     for bypass in (False, True):
