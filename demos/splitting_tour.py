@@ -1,6 +1,6 @@
 """Tour of the difference-of-convex splittings P = P+ - P-.
 
-Builds one indefinite matrix and decomposes it four ways, reporting the
+Builds one indefinite matrix and decomposes it three ways, reporting the
 added curvature tr(P+) + tr(P-) - sum |eig(P)| (extra convexity the
 convex-concave procedure has to fight through) and, where a factorization
 is involved, the smallest divisor encountered.  Ends with a zero-pivot
@@ -11,7 +11,7 @@ factors once delta is raised to 1.
 
 import numpy as np
 
-from qcqp import split_cholesky_diff, split_eigen, split_ldl, split_shift
+from qcqp import split_cholesky_diff, split_eigen, split_shift
 
 
 def report(name, P):
@@ -19,7 +19,6 @@ def report(name, P):
         "shift": split_shift,
         "eigen": split_eigen,
         "cholesky-diff": split_cholesky_diff,
-        "ldl": split_ldl,
     }[name]
     s = fn(P)
     assert np.allclose(s.plus - s.minus, P)
@@ -34,13 +33,13 @@ def main():
     A = rng.standard_normal((8, 8))
     P = A + A.T
     print("random indefinite 8x8:")
-    for name in ("shift", "eigen", "cholesky-diff", "ldl"):
+    for name in ("shift", "eigen", "cholesky-diff"):
         report(name, P)
 
     # a zero pivot in the top-left corner
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
     print("\nzero-pivot 2x2 [[0, 1], [1, 0]]:")
-    for name in ("shift", "eigen", "cholesky-diff", "ldl"):
+    for name in ("shift", "eigen", "cholesky-diff"):
         report(name, Q)
     s = split_cholesky_diff(Q, delta=1.0)
     print("  cholesky-diff factors at delta=1:")

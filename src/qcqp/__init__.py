@@ -65,7 +65,7 @@ from .relax import (
     spectral_bound,
     tighten,
 )
-from .split import split_cholesky_diff, split_eigen, split_ldl, split_shift
+from .split import split_cholesky_diff, split_eigen, split_shift
 from .suggest import SuggestOutcome, suggest_random, suggest_sdr, suggest_spectral
 from .cli import PipelineConfig, load_problem, run_pipeline, save_problem
 

@@ -14,6 +14,7 @@ times ride along in a separate non-canonical section.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -49,20 +50,30 @@ def _form_to_json(form: QuadraticForm) -> dict:
     }
 
 
+def _check_numbers(values: list, where: str, what: str) -> None:
+    """Raise ParseError unless every value is a JSON number, not a boolean or a string."""
+    if not set(map(type, values)) <= {int, float}:  # json gives numbers exactly these types
+        bad = next(v for v in values if type(v) is not int and type(v) is not float)
+        raise ParseError(f"{where}: {what} must be a number, got {bad!r}")
+
+
 def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
+    P, q, r = obj.get("P", []), obj.get("q"), obj.get("r", 0.0)
+    # set(map(...)) keeps these per-entry checks in C: P can hold n(n+1)/2 triplets
+    if not isinstance(P, list) or not set(map(type, P)) <= {list} or not set(map(len, P)) <= {3}:
+        raise ParseError(f"{where}: P must be a list of [i, j, value] triplets")
+    _check_numbers(list(itertools.chain.from_iterable(P)), where, "each P entry")
+    if q is not None and not isinstance(q, list):
+        raise ParseError(f"{where}: q must be a list of numbers")
+    _check_numbers(q or [], where, "each q entry")
+    _check_numbers([r], where, "r")
     try:
-        trips = [(int(i), int(j), float(v)) for i, j, v in obj.get("P", [])]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: malformed P triplets") from exc
-    try:
-        r = float(obj.get("r", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: r must be a number") from exc
-    try:
-        return QuadraticForm.create(n, trips, obj.get("q"), r)
-    except (QcqpError, TypeError, ValueError) as exc:  # TypeError: q is not a list of numbers
+        return QuadraticForm.create(n, P, q, r)
+    # a triplet index that is not an integer in [0, n), q of the wrong length,
+    # a non-finite number, or an integer beyond the float range
+    except (QcqpError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

@@ -50,7 +50,10 @@ class QuadraticForm:
 
     @classmethod
     def create(cls, n, triplets: Iterable[Triplet] = (), q=None, r=0.0) -> "QuadraticForm":
-        """Build from (i, j, v) triplets: folded to the upper triangle, duplicates summed."""
+        """Build from (i, j, v) triplets: folded to the upper triangle, duplicates summed.
+
+        Each index must be an integer (an integral float counts) in [0, n).
+        """
         n = int(n)
         if n < 0:
             raise DimensionMismatchError("dimension must be nonnegative")
@@ -58,11 +61,12 @@ class QuadraticForm:
         if t.size and t.shape[1:] != (3,):
             raise DimensionMismatchError("triplets must be (i, j, v) rows")
         t = t.reshape(-1, 3)
-        i, j = t[:, 0].astype(int), t[:, 1].astype(int)
-        bad = (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n)
+        ij = t[:, :2]
+        bad = (ij < 0) | (ij >= n) | (ij != np.trunc(ij))
         if bad.any():
-            k = int(np.argmax(bad))
-            raise DimensionMismatchError(f"triplet index ({i[k]},{j[k]}) out of range for n={n}")
+            k = int(np.argmax(bad.any(axis=1)))
+            raise DimensionMismatchError(f"triplet index ({ij[k, 0]:g},{ij[k, 1]:g}) is not an integer in [0, {n})")
+        i, j = ij.T.astype(int)
         U = np.zeros((n, n))
         np.add.at(U, (np.minimum(i, j), np.maximum(i, j)), t[:, 2])  # in input order
         return cls._of_symmetric(U + np.triu(U, 1).T, q, r)

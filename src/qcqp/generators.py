@@ -17,10 +17,25 @@ from .core import Assessment, Constraint, QcqpProblem, QuadraticForm, Sense, ass
 from .errors import TooLargeError
 
 BRUTE_MAX_N = 24
+# brute_force's grid mode spans [GRID_LO, GRID_HI] on every axis, and its
+# boolean mode counts a point feasible up to violation BRUTE_FEAS_TOL
+GRID_LO, GRID_HI = -1.0, 1.0
+BRUTE_FEAS_TOL = 1e-9
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
+
+
+def _sign_rows(n: int) -> list[Constraint]:
+    """The rows x_i^2 = 1, which keep each x_i in {-1, 1}."""
+    return [Constraint(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ) for i in range(n)]
+
+
+def _binary_rows(n: int) -> list[Constraint]:
+    """The rows x_i (x_i - 1) = 0, which keep each x_i in {0, 1}."""
+    minus_e = -np.eye(n)  # row i is q = -e_i
+    return [Constraint(QuadraticForm.create(n, [(i, i, 1.0)], minus_e[i], 0.0), Sense.EQ) for i in range(n)]
 
 
 def gen_boolean_ls(m: int, n: int, seed=None) -> QcqpProblem:
@@ -31,11 +46,7 @@ def gen_boolean_ls(m: int, n: int, seed=None) -> QcqpProblem:
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     obj = QuadraticForm.from_dense(A.T @ A, -2.0 * (A.T @ b), float(b @ b))
-    cons = [
-        Constraint(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ)
-        for i in range(n)
-    ]
-    return QcqpProblem.create(obj, cons)
+    return QcqpProblem.create(obj, _sign_rows(n))
 
 
 def laplacian(W) -> np.ndarray:
@@ -48,11 +59,7 @@ def gen_partitioning(W) -> QcqpProblem:
     W = np.asarray(W, dtype=float)
     n = W.shape[0]
     obj = QuadraticForm.from_dense(-W)
-    cons = [
-        Constraint(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ)
-        for i in range(n)
-    ]
-    return QcqpProblem.create(obj, cons)
+    return QcqpProblem.create(obj, _sign_rows(n))
 
 
 def gen_maxcut(W) -> QcqpProblem:
@@ -61,11 +68,7 @@ def gen_maxcut(W) -> QcqpProblem:
     n = W.shape[0]
     total = float(np.sum(W))
     obj = QuadraticForm.from_dense(0.25 * W, None, -0.25 * total)
-    cons = [
-        Constraint(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ)
-        for i in range(n)
-    ]
-    return QcqpProblem.create(obj, cons)
+    return QcqpProblem.create(obj, _sign_rows(n))
 
 
 def gen_maxbisection(W) -> QcqpProblem:
@@ -83,12 +86,7 @@ def gen_maxclique(adjacency) -> QcqpProblem:
     if not np.array_equal(A, A.T) or not np.all(np.diag(A) == 1):
         raise ValueError("adjacency must be symmetric with unit diagonal")
     obj = QuadraticForm.create(n, (), -np.ones(n), 0.0)
-    cons = []
-    for i in range(n):
-        # x_i (x_i - 1) = 0 keeps each variable in {0, 1}
-        cons.append(
-            Constraint(QuadraticForm.create(n, [(i, i, 1.0)], -_unit(n, i), 0.0), Sense.EQ)
-        )
+    cons = _binary_rows(n)
     for i in range(n):
         for j in range(i + 1, n):
             if not A[i, j]:
@@ -96,12 +94,6 @@ def gen_maxclique(adjacency) -> QcqpProblem:
                     Constraint(QuadraticForm.create(n, [(i, j, 0.5)], None, 0.0), Sense.EQ)
                 )
     return QcqpProblem.create(obj, cons)
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 def gen_3sat(clauses, n_vars: int | None = None) -> QcqpProblem:
@@ -124,11 +116,7 @@ def gen_3sat(clauses, n_vars: int | None = None) -> QcqpProblem:
     if max_var > n:
         raise ValueError("clause references a variable beyond n_vars")
     obj = QuadraticForm.create(n, (), None, 0.0)  # pure feasibility
-    cons = []
-    for i in range(n):
-        cons.append(
-            Constraint(QuadraticForm.create(n, [(i, i, 1.0)], -_unit(n, i), 0.0), Sense.EQ)
-        )
+    cons = _binary_rows(n)
     for cl in clauses:
         a = np.zeros(n)
         b = 0.0
@@ -195,14 +183,14 @@ def _boolean_domains(problem: QcqpProblem):
     return [domains[i] for i in range(problem.n)], set(rows.values())
 
 
-def brute_force(problem: QcqpProblem, mode: str = "boolean", lo=None, hi=None, steps: int = 11, feas_tol: float = 1e-9):
+def brute_force(problem: QcqpProblem, mode: str = "boolean", steps: int = 11):
     """Exhaustive oracle for desk-scale instances.
 
     "boolean" enumerates the finite domains implied by x_i^2 = 1 or
     x_i(x_i - 1) = 0 rows, filters by feasibility of the remaining
     constraints, and returns the exact optimum.  "grid" evaluates a regular
-    grid and returns the best point by the lexicographic assessment
-    (approximate by construction).
+    grid of `steps` points per axis on [GRID_LO, GRID_HI]^n and returns the
+    best point by the lexicographic assessment (approximate by construction).
     """
     n = problem.n
     if mode == "boolean":
@@ -221,19 +209,16 @@ def brute_force(problem: QcqpProblem, mode: str = "boolean", lo=None, hi=None, s
         for combo in itertools.product(*domains):
             x = np.array(combo)
             a = assess(rest, x)
-            if a.violation <= feas_tol and a.objective < best_f:
+            if a.violation <= BRUTE_FEAS_TOL and a.objective < best_f:
                 best_x, best_f = x, a.objective
         if best_x is None:
             return None, math.inf
         return best_x, best_f
     if mode == "grid":
-        lo = np.full(n, -1.0) if lo is None else np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-        hi = np.full(n, 1.0) if hi is None else np.broadcast_to(np.asarray(hi, dtype=float), (n,))
         if steps**n > 2**BRUTE_MAX_N:
             raise TooLargeError("grid enumeration too large")
-        axes = [np.linspace(lo[i], hi[i], steps) for i in range(n)]
         best_x, best_a = None, Assessment(math.inf, math.inf)
-        for combo in itertools.product(*axes):
+        for combo in itertools.product(np.linspace(GRID_LO, GRID_HI, steps), repeat=n):
             x = np.array(combo)
             a = assess(problem, x)
             if a.better_than(best_a):

@@ -750,32 +750,33 @@ def _admm(
     )
 
 
-def _check_convex(objective: QuadraticForm, constraints) -> None:
+def _check_convex(objective: QuadraticForm, rows: _Rows) -> None:
     """Raise NotConvexError unless the objective and every row are convex.
 
     Affine rows and rows with one curved coordinate (a > 0) are convex by
-    their class (see _Rows), so only the other rows take an eigenvalue check.
+    their class, so only the general rows are checked: an EQ row is not
+    convex, and an LE row is when the smallest eigenvalue its projector
+    already holds (lam ascends) is not negative.
     """
     scale = 1.0 + np.linalg.norm(objective.dense_p)
     if min_eig_bound(objective.dense_p) < -1e-9 * scale:
         raise NotConvexError("objective is not convex")
-    for k, c in enumerate(constraints):
-        if c.form.is_affine or _curved_coordinate(c) is not None:
-            continue
+    for k, (c, proj) in rows.general.items():
         if c.sense is Sense.EQ:
             raise NotConvexError(f"equality constraint {k} is not affine")
-        s = 1.0 + np.linalg.norm(c.form.dense_p)
-        if min_eig_bound(c.form.dense_p) < -1e-9 * s:
+        if proj.lam[0] < -1e-9 * (1.0 + np.linalg.norm(c.form.dense_p)):
             raise NotConvexError(f"constraint {k} is not convex")
 
 
 _CONVEX_OPTS = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
 
 
-def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
+def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts) -> ImproveReport:
     """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
-    _check_convex(problem.objective, problem.constraints)
-    return replace(improve_admm(problem, x0, **{**_CONVEX_OPTS, **admm_opts}), method="convex")
+    rows = _Rows(problem.constraints, problem.n)
+    _check_convex(problem.objective, rows)
+    rho = default_rho(problem) if rho is None else rho
+    return replace(_admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts}), method="convex")
 
 
 # -- penalty convex-concave -------------------------------------------------
@@ -783,7 +784,7 @@ def solve_convex(problem: QcqpProblem, x0, **admm_opts) -> ImproveReport:
 _SPLITTERS = {
     "eigen": split_eigen,
     "shift": split_shift,
-    "cholesky": lambda P: split_cholesky_diff(P),
+    "cholesky": split_cholesky_diff,
 }
 
 
@@ -863,8 +864,8 @@ def improve_ccp(
     Pq = np.zeros((dim, dim))
     Pq[:n, :n] = sp0.plus
     sub_objective = QuadraticForm.from_dense(Pq)
-    _check_convex(sub_objective, sub_constraints)
     sub_rows = _Rows(sub_constraints, dim)
+    _check_convex(sub_objective, sub_rows)
     del sub_constraints  # the dense forms of affine and curved rows are not needed again
     sub_opts = {**_CONVEX_OPTS, "max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
     warm = None  # (X, U) from the previous subsolve; rows only shift with xk

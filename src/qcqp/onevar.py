@@ -47,8 +47,8 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self.intervals)
+    def contains(self, x: float) -> bool:
+        return any(a <= x <= b for a, b in self.intervals)
 
     def closest_point(self, x: float) -> float:
         """Nearest point of the set to x; the set must be nonempty."""

@@ -1,10 +1,19 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+import tempfile
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import qcqp
 from qcqp.cli import (
     PipelineConfig,
     canonical_report_json,
@@ -257,11 +266,24 @@ def test_cli_solve_rejects_nonfinite_numbers(tmp_path, field, token):
         ("top", "n", "1e400"),
         ("top", "constraints", "5"),
         ("constraint", "q", '{"a": 1}'),
+        # booleans, strings and fractional indices are not read as numbers,
+        # and an integer beyond the float range is bad input, not a crash
+        ("triplet", 0, "0.7"),
+        ("triplet", 0, "true"),
+        ("triplet", 1, '"1"'),
+        ("triplet", 2, '"2.5"'),
+        ("constraint", "r", '"3"'),
+        ("constraint", "q", '["1", "2", "3"]'),
+        ("constraint", "q", "[true, false, true]"),
+        ("constraint", "q", "[1e400, 0, 0]"),
+        ("constraint", "P", "[[0, 0]]"),
+        pytest.param("constraint", "r", "1" + "0" * 400, id="constraint-r-10**400"),
     ],
 )
 def test_cli_solve_rejects_malformed_fields(tmp_path, capsys, where, field, token):
     data = problem_to_json(small_problem())
-    (data["constraints"][0] if where == "constraint" else data)[field] = "@"
+    target = {"top": data, "constraint": data["constraints"][0], "triplet": data["objective"]["P"][0]}[where]
+    target[field] = "@"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data).replace('"@"', token))
     with pytest.raises(ParseError):
@@ -269,6 +291,59 @@ def test_cli_solve_rejects_malformed_fields(tmp_path, capsys, where, field, toke
     assert main(["solve", str(path), "--improve", "cd", "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _json_paths(node, path=()):
+    """The path of node and of every value inside it: dict keys and list indices."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.floats(-4.0, 4.0),
+    st.text(max_size=3),
+    st.sampled_from(["le", "eq", "1", "0.5", "true"]),
+)
+# strings, booleans, fractions, null and nested lists; n takes no value that
+# would allocate a large problem
+_SMALL_JSON = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_ANY_JSON = st.one_of(_SMALL_JSON, st.just(10**400), st.just(1e300))
+
+
+@given(st.data())
+def test_cli_solve_exits_0_or_2_when_any_value_of_a_problem_file_is_swapped(data):
+    doc = problem_to_json(small_problem())
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    value = data.draw(_SMALL_JSON if path[:1] == ("n",) else _ANY_JSON)
+    if path:
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, out = os.path.join(tmp, "p.json"), os.path.join(tmp, "r.json")
+        with open(problem, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["solve", problem, "--seed", "0", "--out", out]) in (0, 2)
+
+
+def test_python_m_qcqp_runs_the_command_line_without_a_runpy_warning(tmp_path):
+    src = str(Path(qcqp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcqp", "solve", "missing.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "cannot read" in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_run_pipeline_starts_no_thread_at_any_parallel():

@@ -105,8 +105,10 @@ def test_support_is_rows_of_p_or_q_that_are_nonzero():
 
 
 def test_dimension_checks():
-    with pytest.raises(DimensionMismatchError):
-        QuadraticForm.create(2, [(0, 2, 1.0)])
+    for index in (2, -1, 0.5, 1e300, math.inf, math.nan):
+        with pytest.raises(DimensionMismatchError):
+            QuadraticForm.create(2, [(0, index, 1.0)])
+    assert QuadraticForm.create(2, [(0.0, 1.0, 1.0)]).triplets == ((0, 1, 1.0),)
     with pytest.raises(DimensionMismatchError):
         QuadraticForm.create(2, (), [1.0, 2.0, 3.0])
     f = QuadraticForm.create(2)

@@ -1,9 +1,11 @@
 """The package and every pipeline path load numpy only; scipy loads when the
-cutting-plane LP runs."""
+cutting-plane LP runs, and qcqp.lp is the only module that imports it."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import qcqp
 
@@ -53,3 +55,19 @@ def test_package_and_pipelines_load_no_scipy_until_the_lp_runs():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_lp_module_imports_scipy():
+    package = Path(qcqp.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.append(path.name)
+    assert importers and set(importers) == {"lp.py"}, importers
