@@ -19,7 +19,6 @@ from .errors import (
     InfeasibleConstraintError,
     NotConvexError,
     NotScalableError,
-    NotSPDError,
     NumericalFailureError,
     ParseError,
     QcqpError,

@@ -89,10 +89,6 @@ class QuadraticForm:
         return tuple(zip(iu[keep].tolist(), ju[keep].tolist(), v[keep].tolist()))
 
     @property
-    def q(self) -> tuple[float, ...]:
-        return tuple(self.q_vec.tolist())
-
-    @property
     def is_affine(self) -> bool:
         return not self.dense_p.any()
 

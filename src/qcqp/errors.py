@@ -9,10 +9,6 @@ class DimensionMismatchError(QcqpError):
     pass
 
 
-class NotSPDError(QcqpError):
-    """Matrix handed to an SPD factorization is not positive definite."""
-
-
 class DegenerateHomogeneousError(QcqpError):
     """Homogeneous point has a zero homogenizing coordinate."""
 

@@ -52,14 +52,13 @@ class ImproveReport:
     phase_trace: tuple[tuple[float, float], ...]
     converged: bool
     method: str
-    last_x: np.ndarray | None = None  # raw final iterate, for diagnostics
     # ADMM only: the final (z, X, U), which warm-starts CCP's next subsolve,
     # and every iteration's (z, X, U) when record_iterates is set
     final_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     iterates: tuple | None = None
 
 
-def _report(problem, x0, x, iterations, trace, converged, method, last_x=None) -> ImproveReport:
+def _report(problem, x0, x, iterations, trace, converged, method) -> ImproveReport:
     """Assemble a report, enforcing the never-worse contract against x0."""
     a0 = assess(problem, x0)
     a = assess(problem, x)
@@ -72,8 +71,13 @@ def _report(problem, x0, x, iterations, trace, converged, method, last_x=None) -
         phase_trace=tuple(trace),
         converged=converged,
         method=method,
-        last_x=last_x,
     )
+
+
+def _reassessed(problem, x0, rep: ImproveReport) -> ImproveReport:
+    """rep with its point checked as _report checks one: by assess(), and never worse than x0."""
+    checked = _report(problem, x0, rep.x, rep.iterations, rep.phase_trace, rep.converged, rep.method)
+    return replace(rep, x=checked.x, assessment=checked.assessment)
 
 
 # -- closed-form rounders ---------------------------------------------------
@@ -358,7 +362,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
             phase1 = False
         elif v_before - v_after < STALL_TOL:
             # stalled without reaching feasibility
-            return _report(problem, x0, st.x, sweeps, trace, False, "cd", last_x=st.x.copy())
+            return _report(problem, x0, st.x, sweeps, trace, False, "cd")
     st.refresh()
     while sweeps < max_sweeps:
         improved = False
@@ -381,7 +385,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
         if not improved:
             converged = True
             break
-    return _report(problem, x0, st.x, sweeps, trace, converged, "cd", last_x=st.x.copy())
+    return _report(problem, x0, st.x, sweeps, trace, converged, "cd")
 
 
 # -- consensus ADMM ---------------------------------------------------------
@@ -622,17 +626,18 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     rows.  Each x_i is projected onto its constraint.  The rows are set
     up once (_Rows): the affine rows and the LE rows with one curved
     coordinate each project as one stacked block, every other row through
-    its ConstraintProjector, and the per-iteration assessment and the
-    never-worse report read the same classes.  Iterates can cycle on
-    nonconvex problems, so the report returns the best iterate ever seen
-    under the lexicographic order.
+    its ConstraintProjector, and the per-iteration assessment reads the same
+    classes.  Iterates can cycle on nonconvex problems, so the report returns
+    the best iterate ever seen under the lexicographic order, assessed again
+    by assess() and never worse than x0.
 
     Options (keywords of _admm): max_iter=500, two_phase=True,
     init_z/init_x/init_u (a warm start), record_iterates=False and
     resid_tol=1e-6.  Any other keyword raises TypeError.
     """
     rho = default_rho(problem) if rho is None else rho
-    return _admm(problem.objective, _Rows(problem.constraints, problem.n), x0, rho, **opts)
+    rep = _admm(problem.objective, _Rows(problem.constraints, problem.n), x0, rho, **opts)
+    return _reassessed(problem, x0, rep)
 
 
 def _admm(
@@ -744,7 +749,6 @@ def _admm(
         phase_trace=tuple(trace),
         converged=converged,
         method="admm",
-        last_x=z.copy(),
         final_state=(z.copy(), X.copy(), U.copy()),
         iterates=tuple(iterates) if record_iterates else None,
     )
@@ -776,7 +780,8 @@ def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts
     rows = _Rows(problem.constraints, problem.n)
     _check_convex(problem.objective, rows)
     rho = default_rho(problem) if rho is None else rho
-    return replace(_admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts}), method="convex")
+    rep = _admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts})
+    return _reassessed(problem, x0, replace(rep, method="convex"))
 
 
 # -- penalty convex-concave -------------------------------------------------
@@ -807,14 +812,15 @@ def improve_ccp(
     Every form is written as a difference of convex quadratics; equalities
     become two inequalities split separately.  Each iteration linearizes the
     concave parts at the current point, adds one slack per constraint row
-    with penalty tau, solves the convex subproblem by ADMM (with
-    solve_convex's defaults), and doubles tau up to TAU_MAX.  The
-    convexified rows overestimate the true constraints, so a near-zero slack
-    sum certifies feasibility.
+    with penalty tau, solves the convex subproblem by ADMM (one phase, as
+    in solve_convex, warm-started from the previous subsolve), and doubles
+    tau up to TAU_MAX.  The convexified rows overestimate the true
+    constraints, so a near-zero slack sum certifies feasibility.
 
     Options: tau0=1.0, max_iter=30, split_method="eigen" (a key of
-    _SPLITTERS), feas_tol=1e-6 and subsolver_opts (keywords of _admm, rho
-    included).  Any other keyword raises TypeError.
+    _SPLITTERS), feas_tol=1e-6 and subsolver_opts, which sets the ADMM
+    subsolve's max_iter (600) and resid_tol (1e-7) and nothing else.  Any
+    other keyword, here or in subsolver_opts, raises TypeError.
 
     Only the linear terms and constants of the subproblem move with the
     current point, so it is set up once per call: the fixed curvature, the
@@ -867,7 +873,9 @@ def improve_ccp(
     sub_rows = _Rows(sub_constraints, dim)
     _check_convex(sub_objective, sub_rows)
     del sub_constraints  # the dense forms of affine and curved rows are not needed again
-    sub_opts = {**_CONVEX_OPTS, "max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
+    sub_opts = {"max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
+    if set(sub_opts) != {"max_iter", "resid_tol"}:
+        raise TypeError(f"subsolver_opts takes only max_iter and resid_tol, got {sorted(subsolver_opts)}")
     warm = None  # (X, U) from the previous subsolve; rows only shift with xk
 
     xk = x0.copy()
@@ -889,18 +897,21 @@ def improve_ccp(
         sub = sub_rows.with_linear(Q, R)
         s_init = np.maximum(0.0, convexified(xk, L) + R[0::2]) + 1e-6
         # the slack weight tau dominates the subproblem objective as it grows,
-        # so the subsolver step size tracks it unless the caller pins rho
-        it_opts = dict(sub_opts)
-        rho_it = it_opts.setdefault("rho", max(1.0, math.sqrt(tau)))
+        # so the subsolver step size tracks it
+        rho = max(1.0, math.sqrt(tau))
         z_init = np.concatenate([xk, s_init])
-        if warm is not None:
-            # U is the rho-scaled dual, so rescale it when rho moves with tau
-            it_opts.setdefault("init_z", z_init)
-            it_opts.setdefault("init_x", warm[0])
-            it_opts.setdefault("init_u", warm[1] * (warm[2] / rho_it))
+        # U is the rho-scaled dual, so rescale it when rho moves with tau
+        warm_start = {} if warm is None else {"init_x": warm[0], "init_u": warm[1] * (warm[2] / rho)}
         objective = QuadraticForm._of_symmetric(sub_objective.dense_p, qq, rr)
-        rep = _admm(objective, sub, z_init, **it_opts)
-        warm = (rep.final_state[1], rep.final_state[2], rho_it)
+        try:
+            rep = _admm(objective, sub, z_init, rho, two_phase=False, **sub_opts, **warm_start)
+        except InfeasibleConstraintError:
+            # every subproblem row has its own slack, so no row's set is
+            # empty; a projector finds one empty only when rounding has
+            # swamped the row (a point near 1e31 makes its constant ~1e64),
+            # and the iterations stop at the best point so far
+            break
+        warm = (rep.final_state[1], rep.final_state[2], rho)
 
         def penalized(xc):
             # exact subproblem value at xc with the slacks eliminated:
@@ -909,13 +920,14 @@ def improve_ccp(
             res = np.maximum(0.0, convexified(xc, L) + r_rows + lin_r)
             return val + tau * float(np.sum(res)), res
 
-        # the subsolver's contract point can lag its actual limit when the
-        # limit is only near-feasible; compare both under the true penalty
-        cand = rep.x[:n]
+        # the subsolver's contract point can lag its actual limit (its last
+        # iterate) when the limit is only near-feasible; compare both under
+        # the true penalty
+        cand, last = rep.x[:n], rep.final_state[0][:n]
         val_c, s_c = penalized(cand)
-        val_l, s_l = penalized(rep.last_x[:n])
+        val_l, s_l = penalized(last)
         if val_l < val_c:
-            cand, s_c = rep.last_x[:n], s_l
+            cand, s_c = last, s_l
         xk = np.asarray(cand, dtype=float).copy()
         s = s_c
         a = assess(problem, xk)
@@ -930,7 +942,7 @@ def improve_ccp(
             break
         prev_slack = slack
         tau = min(TAU_GROWTH * tau, TAU_MAX)
-    return _report(problem, x0, best_x, it, trace, converged, "ccp", last_x=xk)
+    return _report(problem, x0, best_x, it, trace, converged, "ccp")
 
 
 # -- composition ------------------------------------------------------------
@@ -973,4 +985,4 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
         if rep.assessment.better_than(best_a):
             best_a, best_x = rep.assessment, x.copy()
     label = "+".join(names) if names else "identity"
-    return _report(problem, x0, best_x, iterations, trace, converged, label, last_x=x)
+    return _report(problem, x0, best_x, iterations, trace, converged, label)

@@ -9,7 +9,6 @@ seed + index, so a candidate set is fixed by its seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,16 +26,9 @@ from .relax import (
 RANK_ONE_TOL = 1e-6  # max |X - xx'| at which the SDR solution counts as rank one
 
 
-class SuggestMethod(Enum):
-    RANDOM = "random"
-    SPECTRAL = "spectral"
-    SDR = "sdr"
-
-
 @dataclass(frozen=True)
 class SuggestOutcome:
     candidates: tuple[np.ndarray, ...]
-    method: SuggestMethod
     bound: RelaxationResult | None = None
 
 
@@ -47,35 +39,30 @@ def sub_seed(seed, index: int):
     return int(seed) + int(index)
 
 
-def suggest_random(problem: QcqpProblem, count: int = 1, scale: float = 1.0, rng_seed=None) -> SuggestOutcome:
-    """count i.i.d. N(0, scale^2 I) candidate points."""
+def suggest_random(problem: QcqpProblem, count: int = 1, rng_seed=None) -> SuggestOutcome:
+    """count i.i.d. N(0, I) candidate points."""
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = []
     for k in range(count):
         rng = np.random.default_rng(sub_seed(rng_seed, k))
-        pts.append(scale * rng.standard_normal(problem.n))
-    return SuggestOutcome(candidates=tuple(pts), method=SuggestMethod.RANDOM)
+        pts.append(rng.standard_normal(problem.n))
+    return SuggestOutcome(candidates=tuple(pts))
 
 
-def suggest_spectral(problem: QcqpProblem, lam=None) -> SuggestOutcome:
-    """The minimizer of the aggregated one-constraint relaxation, with its bound."""
-    res = spectral_bound(problem, lam)
+def suggest_spectral(problem: QcqpProblem) -> SuggestOutcome:
+    """The minimizer of the aggregated one-constraint relaxation (lam = 1), with its bound."""
+    res = spectral_bound(problem)
     if res.candidate is None:
         raise NumericalFailureError("spectral relaxation produced no candidate (unbounded dual)")
-    return SuggestOutcome(candidates=(res.candidate,), method=SuggestMethod.SPECTRAL, bound=res)
+    return SuggestOutcome(candidates=(res.candidate,), bound=res)
 
 
-def suggest_sdr(
-    problem: QcqpProblem,
-    count: int = 1,
-    rng_seed=None,
-    rank_one_tol: float = RANK_ONE_TOL,
-) -> SuggestOutcome:
+def suggest_sdr(problem: QcqpProblem, count: int = 1, rng_seed=None) -> SuggestOutcome:
     """Gaussian samples N(x, X - xx') around the interior-point solution of the SDR.
 
     The outcome carries the SDR's certified bound.  When (X, x) is rank one
-    within rank_one_tol the relaxation is tight, and the single point x is
+    within RANK_ONE_TOL the relaxation is tight, and the single point x is
     returned count times.  An SDR found infeasible or unbounded has no
     solution to sample from and raises NumericalFailureError.
     """
@@ -86,9 +73,9 @@ def suggest_sdr(
         raise NumericalFailureError(f"the SDR has no lifted solution (bound {res.bound})")
     X, x = res.certificate
     gap = float(np.max(np.abs(X - np.outer(x, x)), initial=0.0))
-    if gap <= rank_one_tol:
+    if gap <= RANK_ONE_TOL:
         pts = tuple(x.copy() for _ in range(count))
     else:
         samples = sample_from_lifted(res, count, rng_seed)
         pts = samples.points
-    return SuggestOutcome(candidates=pts, method=SuggestMethod.SDR, bound=res)
+    return SuggestOutcome(candidates=pts, bound=res)

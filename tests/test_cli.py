@@ -24,7 +24,7 @@ from qcqp.cli import (
     run_pipeline,
     save_problem,
 )
-from qcqp.core import Sense, assess
+from qcqp.core import QcqpProblem, QuadraticForm, Sense, assess
 from qcqp.errors import ParseError
 from qcqp.generators import brute_force, gen_boolean_ls, gen_partitioning
 
@@ -41,7 +41,7 @@ def test_problem_json_round_trip(tmp_path):
     q = load_problem(path)
     assert q.n == p.n and q.m == p.m
     assert q.objective.triplets == p.objective.triplets
-    assert q.objective.q == p.objective.q
+    assert np.array_equal(q.objective.q_vec, p.objective.q_vec)
     for a, b in zip(q.constraints, p.constraints):
         assert a.sense is b.sense
         assert a.form.triplets == b.form.triplets
@@ -188,7 +188,7 @@ def test_cli_bound_sdr(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     _, fstar = brute_force(p)
     assert payload["valid"] is True
-    assert payload["trace"] == [payload["bound"]]
+    assert set(payload) == {"bound", "valid"}
     assert spectral <= payload["bound"] <= fstar
 
 
@@ -221,6 +221,52 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(args) == 2, args
         assert sorted(tmp_path.rglob("*")) == before
         assert "cannot" in capsys.readouterr().err
+    # brute refuses an instance by its size before it enumerates: bad input, not a failure
+    too_many = tmp_path / "n30.json"
+    save_problem(gen_boolean_ls(4, 30, seed=0), too_many)
+    many_reals = tmp_path / "reals16.json"
+    save_problem(QcqpProblem.create(QuadraticForm.from_dense(np.eye(16))), many_reals)
+    for args in (["brute", str(too_many)], ["brute", str(many_reals), "--mode", "grid"]):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_writes_non_finite_numbers_as_strict_json(tmp_path, capsys):
+    def problem_file(name, objective, constraints=()):
+        path = tmp_path / name
+        path.write_text(json.dumps({"n": 1, "objective": objective, "constraints": list(constraints)}))
+        return str(path)
+
+    unbounded = problem_file("unbounded.json", {"P": [[0, 0, -1.0]]})  # min -x^2
+    empty = problem_file("empty.json", {"P": [[0, 0, 1.0]]}, [{"P": [[0, 0, 1.0]], "r": 1.0}])  # x^2 <= -1
+    infeasible = problem_file(
+        "infeasible.json",
+        {"P": [[0, 0, 1.0]]},
+        [{"P": [[0, 0, 1.0]], "r": -1.0, "sense": "eq"}, {"q": [-1.0], "r": 2.0}],  # x = +-1 and x >= 2
+    )
+    huge = problem_file("huge.json", {"P": [[0, 0, 1e308]]})  # overflows at |x| > 1
+    for args, want in (
+        (["bound", unbounded, "--method", "spectral"], {"bound": "-inf"}),
+        (["bound", unbounded, "--method", "sdr"], {"bound": "-inf"}),
+        (["bound", empty, "--method", "spectral"], {"bound": "inf"}),
+        (["bound", empty, "--method", "sdr"], {"bound": "inf"}),
+        (["brute", infeasible], {"objective": "inf", "x": None}),
+    ):
+        assert main(args) == 0, args
+        payload = _strict_json(capsys.readouterr().out)
+        assert {k: payload[k] for k in want} == want, args
+    assert main(["solve", huge, "--seed", "3"]) == 0
+    best = _strict_json(capsys.readouterr().out)["best"]
+    assert best["objective"] == best["violation"] == "inf"
 
 
 @pytest.mark.parametrize(

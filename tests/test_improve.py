@@ -1,8 +1,9 @@
+from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qcqp.improve
@@ -437,6 +438,9 @@ def test_misspelled_iteration_caps_are_rejected_not_ignored():
         improve_ccp(p, x0, max_iters=1)
     with pytest.raises(TypeError):
         improve_ccp(p, x0, max_iter=1, subsolver_opts={"max_iters": 3})
+    # CCP sets the subsolve's step size and warm start itself
+    with pytest.raises(TypeError):
+        improve_ccp(p, x0, max_iter=1, subsolver_opts={"rho": 2.0})
     assert improve_admm(p, x0, max_iter=3).iterations <= 3
     assert improve_ccp(p, x0, max_iter=1).iterations == 1
 
@@ -584,6 +588,30 @@ def test_solve_convex_reports_admm_final_state():
     for got, want in zip(rep.final_state, ref.final_state):
         assert np.array_equal(got, want)
     assert rep.iterates is None
+
+
+def test_solve_convex_reports_assess_of_its_point_and_is_never_worse():
+    # affine EQ/LE rows and PSD LE rows; ADMM's stacked affine rows can round
+    # a violation differently from assess (problems 8 and 21 of these did,
+    # before the report was reassessed)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        M = rng.standard_normal((n, n))
+        obj = QuadraticForm.from_dense(M @ M.T, rng.standard_normal(n))
+        rows = []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.5:
+                sense = Sense.EQ if rng.random() < 0.5 else Sense.LE
+                rows.append(Constraint(QuadraticForm.create(n, (), rng.standard_normal(n), rng.standard_normal()), sense))
+            else:
+                B = rng.standard_normal((n, n))
+                rows.append(Constraint(QuadraticForm.from_dense(B @ B.T, rng.standard_normal(n), -4.0), Sense.LE))
+        p = QcqpProblem.create(obj, rows)
+        x0 = rng.standard_normal(n)
+        rep = solve_convex(p, x0, max_iter=30)
+        assert rep.assessment == assess(p, rep.x)
+        assert not assess(p, x0).better_than(rep.assessment)
 
 
 # -- penalty CCP ------------------------------------------------------------
@@ -850,3 +878,68 @@ def test_beamforming_admm_then_cd():
     alone = improve_sequence(p, x0, ["admm"])
     composed = improve_sequence(p, x0, ["admm", "cd"])
     assert composed.assessment <= alone.assessment
+
+
+# -- the never-worse contract on random problems -----------------------------
+
+
+@st.composite
+def small_problems_and_starts(draw):
+    """A problem on n <= 4 variables with 1-3 rows, each affine or dense, EQ or LE, and a start x0.
+
+    Every row holds at one drawn point, so no row's set is empty.
+    """
+    n = draw(st.integers(1, 4))
+    vector = st.lists(coefficient, min_size=n, max_size=n).map(np.array)
+    dense = st.lists(coefficient, min_size=n * n, max_size=n * n).map(lambda v: np.reshape(v, (n, n)))
+    feasible = draw(vector)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        P = draw(dense) if draw(st.booleans()) else np.zeros((n, n))
+        q = draw(vector)
+        sense = draw(st.sampled_from([Sense.EQ, Sense.LE]))
+        slack = 0.0 if sense is Sense.EQ else draw(st.floats(0.0, 10.0))
+        r = -evaluate(QuadraticForm.from_dense(P, q), feasible) - slack
+        rows.append(Constraint(QuadraticForm.from_dense(P, q, r), sense))
+    objective = QuadraticForm.from_dense(draw(dense), draw(vector))
+    return QcqpProblem.create(objective, rows), draw(vector)
+
+
+# iteration caps that keep the property test to a few seconds
+SMALL_CAPS = {
+    "cd": {"max_sweeps": 10},
+    "admm": {"max_iter": 30},
+    "ccp": {"max_iter": 2, "subsolver_opts": {"max_iter": 20}},
+}
+
+
+def unbounded_case():
+    """A problem and start on which ADMM's best point is near 1e31.
+
+    There the constants of CCP's convexified rows (~1e64) swamp their linear
+    terms, so a row projector finds the row's least value positive, although
+    each row has its own slack.
+    """
+    obj = QuadraticForm.from_dense(
+        np.array([[-3.4932241156031365, -3.20436007469649], [-3.20436007469649, -0.00015521924964245716]]),
+        [8.089820297859905, -0.8495989022113974],
+    )
+    P = np.array([[-3.9875801071961217, 1.220868922096404], [1.220868922096404, 5.0615582802790444e-216]])
+    row = Constraint(QuadraticForm.from_dense(P, [3.0101133188492017, -0.5], -8.694054990279458), Sense.LE)
+    return QcqpProblem.create(obj, [row]), np.array([5.228796466539789, -7.533811431430176e-92])
+
+
+@example(unbounded_case())
+@given(small_problems_and_starts())
+def test_every_method_reports_assess_of_its_point_and_is_never_worse(case):
+    p, x0 = case
+    # balanced rounding needs an even dimension
+    names = [name for name in METHODS if name != "balanced-sign" or p.n % 2 == 0]
+    methods = {name: partial(METHODS[name], **SMALL_CAPS.get(name, {})) for name in names}
+    methods["sequence"] = partial(improve_sequence, methods=names, method_opts=SMALL_CAPS)
+    a0 = assess(p, x0)
+    for name, method in methods.items():
+        rep = method(p, x0)
+        assert rep.assessment == assess(p, rep.x), name
+        assert not a0.better_than(rep.assessment), name
+

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from qcqp.generators import gen_partitioning
-from qcqp.suggest import (
-    SuggestMethod,
-    sub_seed,
-    suggest_random,
-    suggest_sdr,
-    suggest_spectral,
-)
+from qcqp.suggest import sub_seed, suggest_random, suggest_sdr, suggest_spectral
 
 
 def small_problem():
@@ -25,20 +19,12 @@ def test_suggest_random_deterministic_per_seed():
     p = small_problem()
     a = suggest_random(p, count=4, rng_seed=7)
     b = suggest_random(p, count=4, rng_seed=7)
-    assert a.method is SuggestMethod.RANDOM
     for x, y in zip(a.candidates, b.candidates):
         assert np.array_equal(x, y)
     # candidate k only depends on seed + k, not on count
     c = suggest_random(p, count=2, rng_seed=7)
     assert np.array_equal(a.candidates[0], c.candidates[0])
     assert np.array_equal(a.candidates[1], c.candidates[1])
-
-
-def test_suggest_random_scale():
-    p = small_problem()
-    big = suggest_random(p, count=1, scale=100.0, rng_seed=0)
-    small = suggest_random(p, count=1, scale=1.0, rng_seed=0)
-    assert np.allclose(big.candidates[0], 100.0 * small.candidates[0])
     with pytest.raises(ValueError):
         suggest_random(p, count=0)
 
@@ -46,7 +32,6 @@ def test_suggest_random_scale():
 def test_suggest_spectral_carries_bound():
     p = small_problem()
     out = suggest_spectral(p)
-    assert out.method is SuggestMethod.SPECTRAL
     assert len(out.candidates) == 1
     assert out.bound is not None
     # partitioning closed form: bound -n lambda_max, candidate norm sqrt(n)
@@ -59,7 +44,6 @@ def test_suggest_spectral_carries_bound():
 def test_suggest_sdr_samples_and_bound():
     p = small_problem()
     out = suggest_sdr(p, count=5, rng_seed=3)
-    assert out.method is SuggestMethod.SDR
     assert len(out.candidates) == 5
     assert out.bound is not None and out.bound.valid
     # deterministic per seed
@@ -75,6 +59,7 @@ def test_suggest_sdr_rank_one_short_circuit():
 
     obj = QuadraticForm.from_dense(np.eye(2), [-2.0, 0.0], 1.0)
     p = QcqpProblem.create(obj)
-    out = suggest_sdr(p, count=3, rng_seed=0, rank_one_tol=1e-4)
+    out = suggest_sdr(p, count=3, rng_seed=0)
     for x in out.candidates:
         assert np.allclose(x, [1.0, 0.0], atol=1e-3)
+        assert np.array_equal(x, out.candidates[0])  # x itself, not samples around it
