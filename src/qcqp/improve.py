@@ -41,7 +41,7 @@ from .onevar import (
 from .oneconstraint import FEAS_TOL, SECULAR_STEP_MAX, ConstraintProjector
 # the benchmark's tracer patches solve_one_constraint by this name
 from .oneconstraint import solve_one_constraint
-from .split import split_cholesky_diff, split_eigen, split_shift
+from .split import split_eigen
 
 
 @dataclass(frozen=True)
@@ -391,29 +391,8 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
 # -- consensus ADMM ---------------------------------------------------------
 
 
-class _StackedRows:
-    """Rows of one class stacked as arrays: their linear terms (one row each) and constants.
-
-    with_linear() gives the same rows with other linear terms and constants;
-    a subclass keeps its curvature and senses, and its _set(A, b) stores the
-    terms and what depends on them.
-    """
-
-    def __init__(self, constraints, n: int):
-        self._set(
-            np.array([c.form.q_vec for c in constraints]).reshape(len(constraints), n),
-            np.array([c.form.r for c in constraints], dtype=float),
-        )
-
-    def with_linear(self, A: np.ndarray, b: np.ndarray):
-        """The same rows with linear terms A and constants b."""
-        new = copy.copy(self)
-        new._set(A, b)
-        return new
-
-
-class _AffineRows(_StackedRows):
-    """The affine rows q'x + r (= or <=) 0 of a problem, stacked to project as one block.
+class _AffineRows:
+    """Affine rows A[k]'x + b[k] = 0 (where eq[k]) or <= 0, stacked to project as one block.
 
     project(V) moves row i of V onto row i's set by the formula that
     ConstraintProjector uses for one affine row: x = v - (s / ||q||^2) q with
@@ -422,12 +401,8 @@ class _AffineRows(_StackedRows):
     does: when r is off the row's set by more than FEAS_TOL * (1 + |r|).
     """
 
-    def __init__(self, constraints, n: int):
-        self.eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
-        super().__init__(constraints, n)
-
-    def _set(self, A: np.ndarray, b: np.ndarray) -> None:
-        self.A, self.b = A, b
+    def __init__(self, eq: np.ndarray, A: np.ndarray, b: np.ndarray):
+        self.eq, self.A, self.b = eq, A, b
         norm2 = np.einsum("ij,ij->i", A, A)
         self.flat = norm2 == 0.0
         self.norm2 = np.where(self.flat, 1.0, norm2)
@@ -461,12 +436,13 @@ def _curved_coordinate(c: Constraint) -> int | None:
     return i if P[i, i] > 0.0 and c.form.support.size > 1 else None
 
 
-class _CurvedRows(_StackedRows):
+class _CurvedRows:
     """LE rows a x_i^2 + w'x + r <= 0, a > 0, w nonzero off x_i, stacked to project as one block.
 
-    The projection of v onto a row's set is x(nu) with x_i = (v_i - nu w_i) /
-    (1 + 2 a nu) and x_j = v_j - nu w_j elsewhere, at the root nu >= 0 of
-    phi(nu) = f(x(nu)) (Parikh & Boyd 2014, "Proximal Algorithms", section 6).
+    Row k has i[k], a[k], w = W[k] and r[k].  The projection of v onto a
+    row's set is x(nu) with x_i = (v_i - nu w_i) / (1 + 2 a nu) and x_j = v_j
+    - nu w_j elsewhere, at the root nu >= 0 of phi(nu) = f(x(nu)) (Parikh &
+    Boyd 2014, "Proximal Algorithms", section 6).
     phi is convex and decreases with slope at most -omega, omega the sum of
     w_j^2 over j != i, and its root lies in a bracket known in closed form,
     so safeguarded Newton steps (clipped to the bracket) from its lower end
@@ -476,17 +452,12 @@ class _CurvedRows(_StackedRows):
     leaves v unchanged, as ConstraintProjector.project_ineq does.
     """
 
-    def __init__(self, constraints, n: int):
-        self.i = np.array([_curved_coordinate(c) for c in constraints], dtype=int)
-        self.a = np.array([c.form.dense_p[i, i] for c, i in zip(constraints, self.i)], dtype=float)
-        super().__init__(constraints, n)
-
-    def _set(self, W: np.ndarray, r: np.ndarray) -> None:
-        self.W, self.r = W, r
+    def __init__(self, i: np.ndarray, a: np.ndarray, W: np.ndarray, r: np.ndarray):
+        self.i, self.a, self.W, self.r = i, a, W, r
         k = np.arange(r.size)
-        self.wi = W[k, self.i]
+        self.wi = W[k, i]
         self.W_off = W.copy()  # w with its curved coordinate zeroed
-        self.W_off[k, self.i] = 0.0
+        self.W_off[k, i] = 0.0
         # > 0 as long as every row keeps a term off x_i, which with_linear's callers ensure
         self.omega = np.einsum("ij,ij->i", self.W_off, self.W_off)
 
@@ -539,8 +510,13 @@ class _Rows:
         coords = [None if c.form.is_affine else _curved_coordinate(c) for c in constraints]
         self.aff = np.array([k for k, c in enumerate(constraints) if c.form.is_affine], dtype=int)
         self.cur = np.array([k for k, i in enumerate(coords) if i is not None], dtype=int)
-        self.affine = _AffineRows([constraints[k] for k in self.aff], n)
-        self.curved = _CurvedRows([constraints[k] for k in self.cur], n)
+        Q = np.array([c.form.q_vec for c in constraints]).reshape(self.m, n)
+        R = np.array([c.form.r for c in constraints], dtype=float)
+        eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
+        self.affine = _AffineRows(eq[self.aff], Q[self.aff], R[self.aff])
+        i = np.array([coords[k] for k in self.cur], dtype=int)
+        a = np.array([constraints[k].form.dense_p[j, j] for k, j in zip(self.cur, i)], dtype=float)
+        self.curved = _CurvedRows(i, a, Q[self.cur], R[self.cur])
         self.general = {
             k: (c, ConstraintProjector(c.form))
             for k, c in enumerate(constraints)
@@ -555,17 +531,16 @@ class _Rows:
         """The same rows with linear terms Q[k] and constants R[k].
 
         A general row keeps its projector when its terms did not move, and
-        otherwise derives one from it: the row's curvature, and so its
-        eigenbasis, is fixed.
+        otherwise gets a new one.
         """
         new = copy.copy(self)
-        new.affine = self.affine.with_linear(Q[self.aff], R[self.aff])
-        new.curved = self.curved.with_linear(Q[self.cur], R[self.cur])
+        new.affine = _AffineRows(self.affine.eq, Q[self.aff], R[self.aff])
+        new.curved = _CurvedRows(self.curved.i, self.curved.a, Q[self.cur], R[self.cur])
         new.general = {}
         for k, (c, proj) in self.general.items():
             if R[k] != c.form.r or not np.array_equal(Q[k], c.form.q_vec):
                 c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
-                proj = proj._with_linear(c.form)
+                proj = ConstraintProjector(c.form)
             new.general[k] = (c, proj)
         new._general_rows = _OneVariableRows([c for c, _ in new.general.values()])
         return new
@@ -786,11 +761,8 @@ def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts
 
 # -- penalty convex-concave -------------------------------------------------
 
-_SPLITTERS = {
-    "eigen": split_eigen,
-    "shift": split_shift,
-    "cholesky": split_cholesky_diff,
-}
+# improve_ccp splits through this table so that the benchmark's tracer can patch split_eigen
+_SPLITTERS = {"eigen": split_eigen}
 
 
 # CCP multiplies its penalty weight tau by TAU_GROWTH each iteration, up to TAU_MAX
@@ -803,24 +775,23 @@ def improve_ccp(
     x0,
     tau0: float = 1.0,
     max_iter: int = 30,
-    split_method: str = "eigen",
     feas_tol: float = 1e-6,
     subsolver_opts: dict | None = None,
 ) -> ImproveReport:
     """Penalty convex-concave procedure.
 
-    Every form is written as a difference of convex quadratics; equalities
-    become two inequalities split separately.  Each iteration linearizes the
-    concave parts at the current point, adds one slack per constraint row
-    with penalty tau, solves the convex subproblem by ADMM (one phase, as
-    in solve_convex, warm-started from the previous subsolve), and doubles
-    tau up to TAU_MAX.  The convexified rows overestimate the true
+    Every form is written as a difference of convex quadratics by
+    split_eigen; equalities become two inequalities split separately.  Each
+    iteration linearizes the concave parts at the current point, adds one
+    slack per constraint row with penalty tau, solves the convex subproblem
+    by ADMM (one phase, as in solve_convex, warm-started from the previous
+    subsolve), and doubles tau up to TAU_MAX.  The convexified rows overestimate the true
     constraints, so a near-zero slack sum certifies feasibility.
 
-    Options: tau0=1.0, max_iter=30, split_method="eigen" (a key of
-    _SPLITTERS), feas_tol=1e-6 and subsolver_opts, which sets the ADMM
-    subsolve's max_iter (600) and resid_tol (1e-7) and nothing else.  Any
-    other keyword, here or in subsolver_opts, raises TypeError.
+    Options: tau0=1.0, max_iter=30, feas_tol=1e-6 and subsolver_opts,
+    which sets the ADMM subsolve's max_iter (600) and resid_tol (1e-7) and
+    nothing else.  Any other keyword, here or in subsolver_opts, raises
+    TypeError.
 
     Only the linear terms and constants of the subproblem move with the
     current point, so it is set up once per call: the fixed curvature, the
@@ -829,7 +800,7 @@ def improve_ccp(
     iteration then updates the linear terms and constants, tau, and the
     ADMM step size rho with the Cholesky factor of P0 + m rho I.
     """
-    splitter = _SPLITTERS[split_method]
+    splitter = _SPLITTERS["eigen"]
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
     sp0 = splitter(problem.objective.dense_p)
@@ -961,23 +932,27 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     """Thread a point through an ordered list of improvement methods.
 
     Entries may be method names from METHODS or callables with the same
-    signature.  The composition is itself an improvement method: the output
-    is never worse than any intermediate point.
+    signature.  method_opts maps an entry's name (a callable's __name__) to
+    its keyword options; a key that names no entry raises TypeError.  The
+    composition is itself an improvement method: the output is never worse
+    than any intermediate point.
     """
-    method_opts = method_opts or {}
+    method_opts = {} if method_opts is None else method_opts
+    if not isinstance(method_opts, dict):
+        raise TypeError(f"method_opts must be a dict, got {type(method_opts).__name__}")
+    methods = list(methods)
+    names = [entry if isinstance(entry, str) else getattr(entry, "__name__", "custom") for entry in methods]
+    if unused := set(method_opts) - set(names):
+        raise TypeError(f"method_opts names no method of the sequence: {sorted(map(str, unused))}")
     x = np.asarray(x0, dtype=float)
     best_x = x.copy()
     best_a = assess(problem, x)
     trace: list[tuple[float, float]] = [best_a.as_tuple()]
     iterations = 0
     converged = True
-    names = []
-    for entry in methods:
+    for name, entry in zip(names, methods):
         fn = METHODS[entry] if isinstance(entry, str) else entry
-        name = entry if isinstance(entry, str) else getattr(entry, "__name__", "custom")
-        names.append(name)
-        opts = method_opts.get(name, {}) if isinstance(method_opts, dict) else {}
-        rep = fn(problem, x, **opts)
+        rep = fn(problem, x, **method_opts.get(name, {}))
         x = rep.x
         iterations += rep.iterations
         trace.extend(rep.phase_trace)

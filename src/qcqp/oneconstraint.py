@@ -20,12 +20,9 @@ space of P0 + eta*P1 where the multiplier is fixed.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -40,17 +37,31 @@ FEAS_TOL = 1e-9
 _FIRST = np.zeros(1, dtype=int)  # the one permutation of a single coordinate
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProjectionResult:
-    """Projected point x and multiplier nu; kkt_residual is computed on first read."""
+    """Projection x of z onto {form = 0} (onto {form <= 0} unless equality), with multiplier nu.
+
+    form and z are kept by reference, to compute kkt_residual when it is read.
+    """
 
     x: np.ndarray
     nu: float
-    _residual: Callable[[], float] = field(repr=False, compare=False)
+    form: QuadraticForm
+    z: np.ndarray
+    equality: bool = True
 
-    @cached_property
+    @property
     def kkt_residual(self) -> float:
-        return self._residual()
+        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), in all of x's coordinates.
+
+        An infinite nu (see ConstraintProjector._extremum) takes |grad f(x)|
+        as the stationarity part, the Fritz John conditions with no weight on
+        the distance; an inequality's feasible point takes max(f(x), 0).
+        """
+        grad = self.form.gradient(self.x)
+        stat = float(np.linalg.norm(grad if math.isinf(self.nu) else 2.0 * (self.x - self.z) + self.nu * grad))
+        f = evaluate(self.form, self.x)
+        return max(stat, abs(f) if self.equality else max(f, 0.0))
 
 
 def _quad_range(lam: np.ndarray, qhat: np.ndarray, r: float, eps: float) -> tuple[float, float]:
@@ -90,6 +101,7 @@ class ConstraintProjector:
             self._i = int(s[0])
             self.lam = np.array([P[self._i, self._i]])
             self.Q, self._perm, self._affine_q = None, _FIRST, None
+            self.qhat = form.q_vec[self._i : self._i + 1]
         else:
             self._p = P if self._support is None else P[np.ix_(s, s)]  # P on the support
             if np.count_nonzero(self._p - np.diag(np.diag(self._p))) == 0:
@@ -99,32 +111,13 @@ class ConstraintProjector:
             else:
                 eig = sym_eigen(self._p)
                 self.lam, self.Q, self._perm = eig.values, eig.vectors, None
-        self._set_linear(form)
-
-    def _set_linear(self, form: QuadraticForm) -> None:
-        """Set everything that depends on q and r; the curvature parts are already set."""
-        self.form = form
-        if self._i is not None:
-            self.qhat = form.q_vec[self._i : self._i + 1]
-        else:
             q = form.q_vec if self._support is None else form.q_vec[self._support]
             self._affine_q = q if form.is_affine else None
             self.qhat = self._rotate(q)
+        self.form = form
         self.r = form.r
         self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(self.r) + 1.0)
         self.feas_range = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
-
-    def _with_linear(self, form: QuadraticForm) -> "ConstraintProjector":
-        """The projector of form, which has this projector's P but other q and r.
-
-        The eigenbasis is kept, and qhat, r, scale and feas_range recomputed,
-        unless the support moved; then the projector is built anew.
-        """
-        if not np.array_equal(form.support, self.form.support):
-            return ConstraintProjector(form)
-        new = copy.copy(self)
-        new._set_linear(form)
-        return new
 
     def _rotate(self, v: np.ndarray) -> np.ndarray:
         return v[self._perm] if self.Q is None else self.Q.T @ v
@@ -312,25 +305,17 @@ class ConstraintProjector:
             raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
         i = self._i
         if i is not None and (closed := self._nearest_root(float(z[i]))) is not None:
-            zi = float(z[i])
             x = z.copy()
             x[i], nu = closed
-
-            def residual():  # the step is zero off x_i
-                step = np.zeros_like(x)
-                step[i] = x[i] - zi
-                return self._kkt_residual(x, step, nu)
-
-            return ProjectionResult(x=x, nu=nu, _residual=residual)
+            return ProjectionResult(x, nu, self.form, z)
         zs = z if self._support is None else z[self._support]
         if self._affine_q is not None:
             q = self._affine_q
             qn = float(q @ q)
             if qn == 0.0:
-                return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: abs(self.r))
+                return ProjectionResult(z.copy(), 0.0, self.form, z)
             nu = 2.0 * float(zs @ (self._p @ zs) + q @ zs + self.r) / qn  # 2 f(z) / ||q||^2
-            x = self._embed(z, zs - 0.5 * nu * q)
-            return ProjectionResult(x=x, nu=nu, _residual=lambda: abs(evaluate(self.form, x)))
+            return ProjectionResult(self._embed(z, zs - 0.5 * nu * q), nu, self.form, z)
         zhat = self._rotate(zs)
         if (nu := self._solve_secular(zhat)) is not None:
             xh = self._xhat(nu, zhat)
@@ -349,30 +334,17 @@ class ConstraintProjector:
                 if extremum is None:
                     raise NumericalFailureError("no KKT point found for the projection")
                 xh, nu = extremum
-        x = self._embed(z, self._unrotate(xh))
-        step = x - z
-        return ProjectionResult(x=x, nu=float(nu), _residual=lambda: self._kkt_residual(x, step, nu))
+        return ProjectionResult(self._embed(z, self._unrotate(xh)), float(nu), self.form, z)
 
     def project_ineq(self, z) -> ProjectionResult:
         """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""
         z = np.asarray(z, dtype=float)
         if evaluate(self.form, z) <= 0.0:
-            return ProjectionResult(x=z.copy(), nu=0.0, _residual=lambda: 0.0)
+            return ProjectionResult(z.copy(), 0.0, self.form, z, equality=False)
         return self.project_eq(z)
 
     def project(self, z, equality: bool) -> ProjectionResult:
         return self.project_eq(z) if equality else self.project_ineq(z)
-
-    def _kkt_residual(self, x: np.ndarray, step: np.ndarray, nu: float) -> float:
-        """max(|2 (x - z) + nu grad f(x)|, |f(x)|), with step = x - z, in all of x's coordinates.
-
-        An infinite nu (see _extremum) leaves |grad f(x)| as the stationarity
-        part: the Fritz John conditions with no weight on the distance.
-        """
-        grad = self.form.gradient(x)
-        stat = float(np.linalg.norm(grad if math.isinf(nu) else 2.0 * step + nu * grad))
-        feas = abs(evaluate(self.form, x))
-        return max(stat, feas)
 
 
 def project_eq(z, form: QuadraticForm) -> ProjectionResult:

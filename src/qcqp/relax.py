@@ -141,6 +141,16 @@ class _SdrIterate:
     status: str
 
 
+def _norm(M: np.ndarray) -> float:
+    """Frobenius norm of M, taken of M / max|M| where the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if math.isinf(norm):
+        big = float(np.max(np.abs(M)))
+        norm = big * float(np.linalg.norm(M / big))
+    return norm
+
+
 def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
     """Primal-dual interior-point method on the homogenised SDR.
 
@@ -156,7 +166,7 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
     # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
     row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
     keep = row_norm > 0.0
-    c_norm = float(np.linalg.norm(C)) or 1.0
+    c_norm = _norm(C) or 1.0
     As = A[keep] / row_norm[keep, None, None]
     Af = As.reshape(len(As), -1)
     slack = np.flatnonzero(le[keep])  # rows with an LP slack
@@ -331,7 +341,8 @@ def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
     The bound comes from the dual iterate through _certified_bound, so it is
     valid even when the interior-point method stops early (converged is
     then false).  An SDR found infeasible gives +inf flagged invalid, as an
-    unproven infeasibility; one found unbounded gives -inf.
+    unproven infeasibility; one found unbounded gives -inf.  A NaN bound is
+    flagged invalid.
     """
     it = _solve_sdr(problem)
     if it.status == "infeasible":
@@ -339,6 +350,7 @@ def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
     if it.status == "unbounded":
         return RelaxationResult(bound=-math.inf)
     bound, valid = _certified_bound(problem, it.y)
+    valid = valid and not math.isnan(bound)
     n = problem.n
     Z = 0.5 * (it.Z + it.Z.T)
     X, x = Z[:n, :n] / Z[n, n], Z[:n, n] / Z[n, n]

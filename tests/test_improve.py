@@ -7,13 +7,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qcqp.improve
-import qcqp.oneconstraint
+from qcqp.cli import PipelineConfig, run_pipeline
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_partitioning
 from qcqp.improve import (
-    _AffineRows,
-    _CurvedRows,
     _Rows,
     METHODS,
     default_rho,
@@ -28,7 +26,7 @@ from qcqp.improve import (
     solve_convex,
 )
 from qcqp.oneconstraint import FEAS_TOL, ConstraintProjector
-from qcqp.split import split_eigen
+from qcqp.split import split_eigen, split_shift
 from qcqp.onevar import OneVarStatus, solve_onevar
 
 
@@ -443,6 +441,14 @@ def test_misspelled_iteration_caps_are_rejected_not_ignored():
         improve_ccp(p, x0, max_iter=1, subsolver_opts={"rho": 2.0})
     assert improve_admm(p, x0, max_iter=3).iterations <= 3
     assert improve_ccp(p, x0, max_iter=1).iterations == 1
+    # a sequence's options must name its methods, and come as a dict
+    with pytest.raises(TypeError, match="admn"):
+        improve_sequence(p, x0, ["admm"], {"admn": {"max_iter": 1}})
+    with pytest.raises(TypeError):
+        improve_sequence(p, x0, ["admm"], [("admm", {"max_iter": 1})])
+    with pytest.raises(TypeError, match="ccp"):
+        run_pipeline(p, PipelineConfig(improve=("admm",), improve_opts={"ccp": {"max_iter": 1}}, seed=0))
+    assert improve_sequence(p, x0, ["admm"], {"admm": {"max_iter": 1}}).iterations == 1
 
 
 # -- the affine block ------------------------------------------------------
@@ -482,7 +488,7 @@ def affine_rows_and_points(draw):
 @given(affine_rows_and_points())
 def test_affine_block_matches_per_row_projection(case):
     problem, V = case
-    block = _AffineRows(problem.constraints, problem.n)
+    block = _Rows(problem.constraints, problem.n).affine
     X = block.project(V)
     tol = 1e-12 * (1.0 + np.linalg.norm(V, axis=1))
     assert np.all(np.max(np.abs(X - per_row_projections(problem, V)), axis=1) <= tol)
@@ -506,7 +512,7 @@ def test_affine_block_zero_gradient_row_follows_constraint_projector(sense, r, r
     other = Constraint(QuadraticForm.create(3, (), [1.0, 0.0, -1.0], 0.5), Sense.EQ)
     V = np.array([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]])
     proj = ConstraintProjector(zero.form)
-    block = _AffineRows([zero, other], 3)
+    block = _Rows([zero, other], 3).affine
     with np.errstate(all="raise"):
         if raises:
             with pytest.raises(InfeasibleConstraintError):
@@ -635,14 +641,6 @@ def test_ccp_merit_decreases():
     assert not assess(p, x0).better_than(rep.assessment)
 
 
-def test_ccp_split_methods_agree_on_contract():
-    p = gen_boolean_ls(6, 4, seed=5)
-    x0 = np.random.default_rng(4).standard_normal(4)
-    for method in ("eigen", "shift", "cholesky"):
-        rep = improve_ccp(p, x0, max_iter=6, split_method=method)
-        assert not assess(p, x0).better_than(rep.assessment)
-
-
 def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     # beamforming's coverage rows are concave, so their linearizations and
     # every slack row reach the subproblem affine; only the 2 convex upper
@@ -673,32 +671,40 @@ def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     assert eigs.call_count == 1
 
 
-@pytest.mark.parametrize("case, split_method", [("boolean_ls", "cholesky"), ("sparse_rows", "eigen")])
-def test_ccp_builds_each_general_row_projector_once_per_call(case, split_method):
-    # a general row whose linear terms move keeps its curvature, so CCP
-    # derives its next projector from the last one: the projector builds (one
-    # per row, none for a restriction to its support) and the
-    # eigendecompositions are those of the first subproblem, whatever max_iter is
-    if case == "boolean_ls":
-        p, x0 = gen_boolean_ls(6, 4, seed=5), np.random.default_rng(4).standard_normal(4)
-    else:
-        p, x0 = _sparse_rows_problem(86), np.random.default_rng(6).standard_normal(8)
-    init, eig, admm = ConstraintProjector.__init__, qcqp.oneconstraint.sym_eigen, qcqp.improve._admm
-    for max_iter in (1, 6):
-        with (
-            mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
-            mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
-            mock.patch.object(qcqp.oneconstraint, "sym_eigen", side_effect=eig) as eigs,
-        ):
-            rep = improve_ccp(p, x0, max_iter=max_iter, split_method=split_method, subsolver_opts={"max_iter": 30})
-        assert rep.iterations == max_iter
-        rows = [call.args[1] for call in subsolves.call_args_list]
-        general = len(rows[0].general)
-        assert general > 0
-        # every subproblem moves the linear terms of some general row
-        assert all(any(r.general[k][1] is not proj for k, (_, proj) in rows[0].general.items()) for r in rows[1:])
-        assert inits.call_count == general  # each row once
-        assert eigs.call_count <= general
+def test_ccp_keeps_the_projectors_of_unmoved_general_rows_and_rebuilds_moved_ones():
+    # CCP moves only the linear terms of its subproblem's rows.  A general
+    # row whose terms did not move keeps its projector object, and a moved
+    # one gets a projector of its new form, which projects byte for byte as
+    # a fresh one.  On this problem the PSD rows on 2-3 variables never
+    # move and the indefinite ones move in every subproblem.
+    p, x0 = _sparse_rows_problem(86), np.random.default_rng(6).standard_normal(8)
+    init, admm = ConstraintProjector.__init__, qcqp.improve._admm
+    with (
+        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
+        mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
+    ):
+        rep = improve_ccp(p, x0, max_iter=4, subsolver_opts={"max_iter": 30})
+    assert rep.iterations == 4
+    rows = [call.args[1] for call in subsolves.call_args_list]
+    zs = np.random.default_rng(7).standard_normal((4, rows[0].n)) * 3.0
+    kept = moved = 0
+    for prev, sub in zip(rows, rows[1:]):
+        for k, (c, proj) in sub.general.items():
+            c_prev, proj_prev = prev.general[k]
+            if c.form.r == c_prev.form.r and np.array_equal(c.form.q_vec, c_prev.form.q_vec):
+                assert proj is proj_prev
+                kept += 1
+                continue
+            assert proj is not proj_prev and proj.form is c.form
+            moved += 1
+            fresh = ConstraintProjector(c.form)
+            for z in zs:
+                for equality in (True, False):
+                    got, want = proj.project(z, equality), fresh.project(z, equality)
+                    assert got.x.tobytes() == want.x.tobytes() and np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
+    assert kept > 0 and moved > 0
+    # one build per general row for the first subproblem, and one per moved row after it
+    assert inits.call_count == len(rows[0].general) + moved
 
 
 def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=split_eigen) -> QcqpProblem:
@@ -761,8 +767,8 @@ def test_admm_on_ccp_subproblem_matches_per_row_reference_without_secular_solves
         assert np.array_equal(rows.project_row(k, V[k]), X[k])
 
 
-@pytest.mark.parametrize("split_method", ["eigen", "shift"])
-def test_rows_with_linear_match_rows_set_up_at_the_new_point(split_method):
+@pytest.mark.parametrize("splitter", [split_eigen, split_shift], ids=["eigen", "shift"])
+def test_rows_with_linear_match_rows_set_up_at_the_new_point(splitter):
     # improve_ccp sets its rows up at x0 and then moves only their linear
     # terms; that must project exactly as rows set up afresh at the new
     # point.  The indefinite rows on 2-3 variables are general rows whose
@@ -770,7 +776,6 @@ def test_rows_with_linear_match_rows_set_up_at_the_new_point(split_method):
     p = _sparse_rows_problem(86)
     rng = np.random.default_rng(6)
     xa, xb = rng.standard_normal(8), rng.standard_normal(8)
-    splitter = qcqp.improve._SPLITTERS[split_method]
     sub_a, sub_b = ccp_subproblem(p, xa, 1.0, splitter), ccp_subproblem(p, xb, 1.0, splitter)
     Q = np.array([c.form.q_vec for c in sub_b.constraints])
     R = np.array([c.form.r for c in sub_b.constraints])
@@ -811,8 +816,9 @@ def curved_rows_and_points(draw):
 @given(curved_rows_and_points())
 def test_curved_block_matches_per_row_projection(case):
     problem, V = case
-    assert _Rows(problem.constraints, problem.n).cur.size == problem.m
-    block = _CurvedRows(problem.constraints, problem.n)
+    rows = _Rows(problem.constraints, problem.n)
+    assert rows.cur.size == problem.m
+    block = rows.curved
     X = block.project(V)
     ref = per_row_projections(problem, V)
     assert np.all(np.max(np.abs(X - ref), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(ref), axis=1)))

@@ -371,34 +371,28 @@ def test_one_variable_support_projects_as_its_restriction(p, q, r, z, at):
 
 
 @st.composite
-def partial_support_forms(draw):
-    """Two forms on n = 5 with the same P on 1 to 3 variables (dense, diagonal or zero) and other q and r."""
+def partial_support_form(draw):
+    """A form on n = 5 with P on 1 to 3 variables (dense, diagonal or zero) and q on the same ones."""
     s = np.array(sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))))
     k = s.size
     B = np.array(draw(st.lists(coefficient, min_size=k * k, max_size=k * k))).reshape(k, k)
     B = draw(st.sampled_from([B, np.diag(np.diag(B)), 0.0 * B]))
     P = np.zeros((5, 5))
     P[np.ix_(s, s)] = B + B.T
-
-    def form():
-        q = np.zeros(5)
-        q[s] = draw(st.lists(coefficient, min_size=k, max_size=k))
-        return QuadraticForm.from_dense(P, q, draw(coefficient))
-
-    return form(), form()
+    q = np.zeros(5)
+    q[s] = draw(st.lists(coefficient, min_size=k, max_size=k))
+    return QuadraticForm.from_dense(P, q, draw(coefficient))
 
 
-@given(partial_support_forms(), st.lists(coefficient, min_size=5, max_size=5), st.booleans())
-def test_support_projects_as_its_restriction(forms, zs, derive):
+@given(partial_support_form(), st.lists(coefficient, min_size=5, max_size=5))
+def test_support_projects_as_its_restriction(form, zs):
     # a projector works in its support's coordinates: on a form touching 1
-    # to 3 of 5 variables, fresh or derived with new linear terms, x and nu
-    # must be those of the restriction's projector on z[support], byte for
-    # byte, and so must an error
-    a, b = forms
-    s = b.support
+    # to 3 of 5 variables, x and nu must be those of the restriction's
+    # projector on z[support], byte for byte, and so must an error
+    s = form.support
     assume(s.size > 0)
-    proj = ConstraintProjector(a)._with_linear(b) if derive else ConstraintProjector(b)
-    restricted = ConstraintProjector(QuadraticForm._of_symmetric(b.dense_p[np.ix_(s, s)], b.q_vec[s], b.r))
+    proj = ConstraintProjector(form)
+    restricted = ConstraintProjector(QuadraticForm._of_symmetric(form.dense_p[np.ix_(s, s)], form.q_vec[s], form.r))
     z = np.array(zs)
     for equality in (True, False):
         got, want = project_or_error(proj, z, equality), project_or_error(restricted, z[s], equality)
@@ -443,54 +437,35 @@ def test_one_variable_support_without_real_root_is_infeasible(p, q, gap, z):
         proj.project_eq([0.5, z])
 
 
-@st.composite
-def forms_with_one_curvature(draw):
-    """Two forms on n <= 4 variables with the same P (some rows zero) and other q and r."""
-    n = draw(st.integers(1, 4))
-    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    P = np.array(draw(st.lists(coefficient, min_size=n * n, max_size=n * n))).reshape(n, n)
-    if draw(st.booleans()):
-        P = np.diag(np.diag(P))
-    P = P * np.outer(keep, keep)
-
-    def linear():
-        q = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
-        return q * (keep | np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))), draw(coefficient)
-
-    (qa, ra), (qb, rb) = linear(), linear()
-    return QuadraticForm.from_dense(P, qa, ra), QuadraticForm._of_symmetric(QuadraticForm.from_dense(P).dense_p, qb, rb)
+def kkt_rule(form: QuadraticForm, z, x, nu: float, equality: bool) -> float:
+    """max(|2 (x - z) + nu grad f(x)|, |f(x)|); |grad f(x)| for an infinite nu, max(f(x), 0) for an inequality."""
+    grad = form.gradient(x)
+    stat = float(np.linalg.norm(grad if math.isinf(nu) else 2.0 * (x - np.asarray(z, dtype=float)) + nu * grad))
+    f = evaluate(form, x)
+    return max(stat, abs(f) if equality else max(f, 0.0))
 
 
-@given(forms_with_one_curvature(), st.lists(coefficient, min_size=4, max_size=4))
-def test_projector_with_new_linear_terms_matches_a_fresh_projector(forms, zs):
-    # CCP moves only q and r of a row; the projector derived from the old
-    # one keeps its eigenbasis and must project exactly as a fresh one
-    a, b = forms
-    derived, fresh = ConstraintProjector(a)._with_linear(b), ConstraintProjector(b)
-    assert derived.feas_range == fresh.feas_range and derived.scale == fresh.scale
-    z = np.array(zs[: b.n])
-    for equality in (True, False):
-        got, want = project_or_error(derived, z, equality), project_or_error(fresh, z, equality)
-        if isinstance(want, type):
-            assert got is want
-        else:
-            assert got.x.tobytes() == want.x.tobytes() and same_float(got.nu, want.nu)
-
-
-def test_projector_with_new_linear_terms_rebuilds_only_when_the_support_moves():
-    a = QuadraticForm.create(3, [(0, 0, 1.0)], [0.0, 0.0, 0.0], -1.0)
-    b = QuadraticForm.create(3, [(0, 0, 1.0)], [3.0, 0.0, 0.0], -2.0)
-    c = QuadraticForm.create(3, [(0, 0, 1.0)], [0.0, 2.0, 0.0], -1.0)  # x_1 joins the support
-    proj = ConstraintProjector(a)
-    init = ConstraintProjector.__init__
-    with mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits:
-        kept = proj._with_linear(b)
-        assert inits.call_count == 0 and kept._i == 0
-        moved = proj._with_linear(c)
-    assert inits.call_args_list[0].args[1] is c and moved._i is None
-    z = np.array([0.5, -0.5, 2.0])
-    for derived, form in ((kept, b), (moved, c)):
-        assert derived.project_eq(z).x.tobytes() == ConstraintProjector(form).project_eq(z).x.tobytes()
+@pytest.mark.parametrize(
+    "form, z, equality",
+    [
+        (one_variable(1.0, 0.5, -4.0, at=1, n=3), [0.3, 1.5, -2.0], True),  # closed form on x_1
+        (QuadraticForm.create(2, (), None, 1e-12), [0.3, -0.7], True),  # q = 0, r within FEAS_TOL
+        (QuadraticForm.create(3, (), [-0.298, -0.53, -0.236], 1.816), [-0.149, 0.26, -4.461], True),  # affine
+        (circle(), [2.0, 0.5], True),  # secular
+        (circle(), [0.0, 0.0], True),  # hard case at nu = -1
+        (QuadraticForm.from_dense(-np.eye(2)), [1.0, 0.5], True),  # extremum, nu = -inf
+        (circle(), [0.3, 0.1], False),  # feasible LE: z itself
+        (circle(), [2.0, 0.5], False),  # infeasible LE: the equality's point
+    ],
+    ids=["closed-form", "q=0", "affine", "secular", "hard-case", "extremum", "feasible-le", "infeasible-le"],
+)
+def test_kkt_residual_follows_one_rule_on_every_path(form, z, equality):
+    # on the affine path the rule's stationarity part is a rounding residue
+    # (8.9e-16) above |f(x)| = 0, so an |f(x)| alone would differ there
+    res = ConstraintProjector(form).project(z, equality)
+    feasible_le = not equality and evaluate(form, z) <= 0.0
+    assert same_float(res.kkt_residual, kkt_rule(form, z, res.x, res.nu, equality or not feasible_le))
+    assert res.kkt_residual <= 1e-9
 
 
 def test_solve_one_constraint_inactive():

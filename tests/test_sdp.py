@@ -251,6 +251,14 @@ def test_sdr_bound_unconstrained_rank_one():
     assert np.allclose(res.candidate, [1.0, 0.0], atol=1e-3)
 
 
+@pytest.mark.parametrize("s", [1e150, 1e200, 1e308])
+def test_sdr_bound_of_a_huge_objective_is_flagged_or_below_the_optimum(s):
+    # min s x^2 has optimum 0; above about 1e154 the sum of squares in
+    # ||C|| overflows, which once scaled C to 0 and gave a NaN bound marked valid
+    res = sdr_bound(QcqpProblem.create(QuadraticForm.create(1, [(0, 0, s)])))
+    assert not res.valid or res.bound <= 0.0  # False for a NaN bound
+
+
 def test_sdr_bound_and_samples_are_deterministic():
     p = gen_partitioning(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 0.0]]))
     a = suggest_sdr(p, count=4, rng_seed=11)
