@@ -185,7 +185,16 @@ def run_pipeline(problem: QcqpProblem, config: PipelineConfig) -> dict:
     them take turns, more slowly than one after another.  The report layout
     is stable and canonically serializable; timing lives under the separate
     "timing" key.
+
+    An objective or a row that overflows is an expected outcome, not a
+    fault: its value becomes inf, and the point counts as infinitely
+    violated.  So numpy does not warn about overflow inside the pipeline.
     """
+    with np.errstate(over="ignore"):
+        return _run_pipeline(problem, config)
+
+
+def _run_pipeline(problem: QcqpProblem, config: PipelineConfig) -> dict:
     t_wall = time.perf_counter()
     t_cpu = time.process_time()
     outcome = _suggest(problem, config)

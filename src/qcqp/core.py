@@ -6,7 +6,8 @@ symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
 and `triplets` writes them back.  All types are immutable after
 construction; what they add later are caches of values derived from
 their fields (`QuadraticForm.support`, a problem's stacked rows of one
-variable), which `assess` and the improve methods share.
+variable and the rows of each coordinate), which `assess` and the
+improve methods share.
 """
 
 from __future__ import annotations
@@ -205,6 +206,57 @@ class _OneVariableRows:
         return v
 
 
+class _CoordinateRows:
+    """The rows each coordinate x_j enters, set up once per problem for coordinate descent.
+
+    Row k = 0 is the objective and rows k >= 1 are the constraints.  forms,
+    P, q and senses hold each row's fields (senses[0] is None), and eq marks
+    the EQ constraints.  rows[j] lists the constraint rows whose support holds
+    x_j.  A block coordinate is one whose only row is an EQ row of the
+    stacked rows of one variable, a x_j^2 + b x_j + r = 0.  block_j lists
+    them in order, block_k their rows, block_a and block_b those rows' a
+    and b, and block_p0 and block_q0 the objective's P_jj and q_j.
+    run_end[j] is the first coordinate from j on that is not a block
+    coordinate (n if none), and block_at[j] counts the block coordinates
+    before j.  stacked lists the rows of the stacked block, and evaluated
+    every other row, the objective first.
+    """
+
+    def __init__(self, problem: "QcqpProblem"):
+        n = problem.n
+        self.forms = forms = [problem.objective] + [c.form for c in problem.constraints]
+        self.P = [f.dense_p for f in forms]
+        self.q = [f.q_vec for f in forms]
+        self.senses = [None] + [c.sense for c in problem.constraints]
+        self.eq = np.array([s is Sense.EQ for s in self.senses[1:]], dtype=bool)
+        self.rows: list[list[int]] = [[] for _ in range(n)]
+        for k in range(1, len(forms)):
+            for j in forms[k].support.tolist():
+                self.rows[j].append(k)
+        one = problem._one_variable_rows
+        self.stacked = one.rows + 1
+        held = set(self.stacked.tolist())
+        self.evaluated = [k for k in range(len(forms)) if k not in held]
+        pairs = enumerate(zip(one.i.tolist(), self.stacked.tolist()))
+        b = np.array([b for b, (j, k) in pairs if one.eq[b] and self.rows[j] == [k]], dtype=int)
+        b = b[np.argsort(one.i[b])]  # in coordinate order
+        self.block_j = one.i[b]
+        self.block_k = self.stacked[b]
+        self.block_a = one.a[b]
+        self.block_b = one.b[b]
+        self.block_p0 = problem.objective.dense_p[self.block_j, self.block_j]
+        self.block_q0 = problem.objective.q_vec[self.block_j]
+        is_block = np.zeros(n, dtype=bool)
+        is_block[self.block_j] = True
+        self.block_at = [0] + np.cumsum(is_block).tolist()
+        self.run_end = [0] * n
+        end = n
+        for j in range(n - 1, -1, -1):
+            if not is_block[j]:
+                end = j
+            self.run_end[j] = end
+
+
 @dataclass(frozen=True)
 class Assessment:
     """Pair (max constraint violation, objective value), ordered lexicographically."""
@@ -248,6 +300,10 @@ class QcqpProblem:
     @cached_property
     def _one_variable_rows(self) -> _OneVariableRows:
         return _OneVariableRows(self.constraints)
+
+    @cached_property
+    def _coordinate_rows(self) -> _CoordinateRows:
+        return _CoordinateRows(self)
 
 
 def assess(problem: QcqpProblem, x) -> Assessment:

@@ -23,9 +23,9 @@ from .core import (
     QuadraticForm,
     Sense,
     _OneVariableRows,
+    _check_vector,
     _value,
     assess,
-    evaluate,
 )
 from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from .linalg import inv_chol, min_eig_bound
@@ -174,8 +174,10 @@ def improve_scale_to_cover(problem: QcqpProblem, x0) -> ImproveReport:
 class _CoordState:
     """Incrementally maintained values f_k(x) and gradientlike products P_k x.
 
-    Row k = 0 is the objective, rows k >= 1 the constraints.  rows[j] lists
-    the constraint rows whose support contains x_j; every other row is
+    Row k = 0 is the objective, rows k >= 1 the constraints, classified once
+    per problem (`_CoordinateRows`).  g[k] = P_k x is row k of one
+    (m+1) x n array and fval[k] = f_k(x) entry k of one vector.  rows[j]
+    lists the constraint rows whose support contains x_j; every other row is
     constant in x_j, so move(j, t) updates only the objective and rows[j].
     violated holds the constraint rows that a constant in x_j could not
     satisfy in phase II (|f| > EQ_TOL for EQ, f > EQ_TOL for LE): it is
@@ -184,23 +186,23 @@ class _CoordState:
     """
 
     def __init__(self, problem: QcqpProblem, x0):
+        self.cr = problem._coordinate_rows
         self.block = problem._one_variable_rows
-        self.forms = [problem.objective] + [c.form for c in problem.constraints]
-        self.senses = [None] + [c.sense for c in problem.constraints]
-        self.P = [f.dense_p for f in self.forms]
-        self.qv = [f.q_vec for f in self.forms]
-        self.rows: list[list[int]] = [[] for _ in range(problem.n)]
-        for k in range(1, len(self.forms)):
-            for j in self.forms[k].support.tolist():
-                self.rows[j].append(k)
-        self.x = np.asarray(x0, dtype=float).copy()
+        self.P, self.qv, self.senses, self.rows = self.cr.P, self.cr.q, self.cr.senses, self.cr.rows
+        self.x = _check_vector(x0, problem.n).copy()
+        self.g = np.empty((len(self.P), problem.n))
+        self.fval = np.empty(len(self.P))
         self.refresh()
 
     def refresh(self):
-        self.g = [P @ self.x for P in self.P]
-        known = dict(zip((self.block.rows + 1).tolist(), self.block.values(self.x).tolist()))
-        self.fval = [known[k] if k in known else evaluate(f, self.x) for k, f in enumerate(self.forms)]
-        self.violated = {k for k in range(1, len(self.forms)) if self._is_violated(k)}
+        for k, P in enumerate(self.P):
+            self.g[k] = P @ self.x
+        self.fval[self.cr.stacked] = self.block.values(self.x)
+        for k in self.cr.evaluated:
+            self.fval[k] = _value(self.cr.forms[k], self.x)
+        f = self.fval[1:]
+        out = ~(np.where(self.cr.eq, np.abs(f), f) <= EQ_TOL)  # _is_violated of every row
+        self.violated = set((np.flatnonzero(out) + 1).tolist())
 
     def _is_violated(self, k: int) -> bool:
         # written as "not within" so that a NaN value counts as violated
@@ -210,7 +212,7 @@ class _CoordState:
     def coeffs(self, k: int, j: int):
         """(p, q, c) of f_k as a quadratic in x_j with the rest fixed."""
         p = self.P[k][j, j]
-        ql = 2.0 * (self.g[k][j] - p * self.x[j]) + self.qv[k][j]
+        ql = 2.0 * (self.g[k, j] - p * self.x[j]) + self.qv[k][j]
         c = self.fval[k] - p * self.x[j] ** 2 - ql * self.x[j]
         return p, ql, c
 
@@ -230,14 +232,58 @@ class _CoordState:
         self.x[j] = t
 
     def violation(self) -> float:
-        v = 0.0
-        for k in range(1, len(self.forms)):
-            f = self.fval[k]
-            v = max(v, abs(f) if self.senses[k] is Sense.EQ else max(f, 0.0))
-        return v
+        """The largest |f| (EQ) or f (LE) over the constraints, 0.0 if none is positive; NaN is skipped."""
+        f = self.fval[1:]
+        v = np.where(self.cr.eq, np.abs(f), f)
+        v = v[v > 0.0]
+        return float(v.max()) if v.size else 0.0
 
     def objective(self) -> float:
-        return self.fval[0]
+        return float(self.fval[0])
+
+    def block_step(self, lo: int, hi: int):
+        """The first of the block coordinates cr.block_j[lo:hi] whose phase II visit would act.
+
+        Each visit is the scalar one in closed form, with the same
+        operations: coeffs, _equality_root_set, minimize_over_set and the
+        strict-decrease test.  Returns (j, t) to move x_j to t, or (j, None)
+        where that closed form does not hold (|p| < AFFINE_EPS, a double
+        root, an objective flat in x_j, or a value that is not finite) and
+        x_j takes the scalar visit; None when no visit would act.
+        """
+        cr = self.cr
+        J, K = cr.block_j[lo:hi], cr.block_k[lo:hi]
+        x = self.x[J]
+        # x[j] ** 2 of a numpy scalar is libm's pow, which float_power calls
+        # too; x * x rounds differently in about one case in a thousand
+        xx = np.float_power(x, 2.0)
+        with np.errstate(all="ignore"):
+            p = cr.block_a[lo:hi]
+            q = 2.0 * (self.g[K, J] - p * x) + cr.block_b[lo:hi]
+            c = self.fval[K] - p * xx - q * x
+            disc = q * q - 4.0 * p * c
+            # -(q + sq) / 2.0 where q >= 0.0, else -(q - sq) / 2.0: the same bits
+            sq = np.sqrt(disc)
+            big = (q + np.where(q >= 0.0, sq, -sq)) / -2.0
+            r1, r2 = big / p, c / big
+            # min(r1, r2) and max(r1, r2) as Python picks them
+            a, b = np.where(r2 < r1, r2, r1), np.where(r2 > r1, r2, r1)
+            p0 = cr.block_p0[lo:hi]
+            q0 = 2.0 * (self.g[0, J] - p0 * x) + cr.block_q0[lo:hi]
+            c0 = self.fval[0] - p0 * xx - q0 * x
+            va, vb = p0 * a * a + q0 * a + c0, p0 * b * b + q0 * b + c0
+        upper = vb < va  # min() over the candidates keeps the first of equal values
+        t, v = np.where(upper, b, a), np.where(upper, vb, va)
+        f0 = self.fval[0]
+        roots = ~(disc < 0.0)
+        finite = np.isfinite(va) & np.isfinite(vb)  # and so are a and b
+        flat = (np.abs(p0) <= AFFINE_EPS) & (np.abs(q0) <= AFFINE_EPS)
+        scalar = (np.abs(p) < AFFINE_EPS) | roots & ((big == 0.0) | flat | ~finite)
+        act = scalar | roots & (v < f0 - 1e-12 * (1.0 + abs(f0)))
+        i = int(act.argmax())
+        if not act[i]:
+            return None
+        return int(J[i]), None if scalar[i] else float(t[i])
 
 
 def _phase1_set(rows, s: float) -> IntervalSet:
@@ -280,6 +326,52 @@ def _phase2_set(rows) -> IntervalSet:
         if S.is_empty:
             return S
     return S
+
+
+def _phase2_visit(st: _CoordState, j: int) -> bool:
+    """Phase II's step on x_j: the exact minimizer over its rows' solution set, taken if it lowers f strictly."""
+    if st.violated and not st.violated.issubset(st.rows[j]):
+        return False
+    rows = [st.coeffs(k, j) + (st.senses[k],) for k in st.rows[j]]
+    S = _phase2_set(rows)
+    if S.is_empty:
+        return False
+    p0, q0, c0 = st.coeffs(0, j)
+    res = minimize_over_set(p0, q0, c0, S)
+    if res.status is not OneVarStatus.OPTIMAL:
+        return False
+    if res.value < st.fval[0] - 1e-12 * (1.0 + abs(st.fval[0])):
+        st.move(j, res.x)
+        return True
+    return False
+
+
+def _phase2_sweep(st: _CoordState) -> bool:
+    """One phase II sweep over x_0, ..., x_{n-1}; True when some visit improved.
+
+    A run of block coordinates is visited in one numpy pass (block_step) up
+    to the first coordinate that acts, and the pass starts again after it.
+    The state changes only on a move, so this is the sweep of scalar visits.
+    """
+    cr = st.cr
+    improved = False
+    j = 0
+    while j < st.x.size:
+        end = cr.run_end[j]
+        if j < end and not st.violated:
+            step = st.block_step(cr.block_at[j], cr.block_at[end])
+            if step is None:
+                j = end
+                continue
+            j, t = step
+            if t is not None:
+                st.move(j, t)
+                improved = True
+                j += 1
+                continue
+        improved |= _phase2_visit(st, j)
+        j += 1
+    return improved
 
 
 # phase I of cd: the bisection on the restricted violation s stops at this
@@ -325,7 +417,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
             rows = [
                 st.coeffs(k, j) + (st.senses[k],)
                 for k in st.rows[j]
-                if st.P[k][j, j] != 0.0 or st.g[k][j] != 0.0 or st.qv[k][j] != 0.0
+                if st.P[k][j, j] != 0.0 or st.g[k, j] != 0.0 or st.qv[k][j] != 0.0
             ]
             if not rows:
                 continue
@@ -363,23 +455,11 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
         elif v_before - v_after < STALL_TOL:
             # stalled without reaching feasibility
             return _report(problem, x0, st.x, sweeps, trace, False, "cd")
-    st.refresh()
+    if sweeps:
+        # without a phase I sweep no x_j moved: the state is the fresh one
+        st.refresh()
     while sweeps < max_sweeps:
-        improved = False
-        for j in range(n):
-            if st.violated and not st.violated.issubset(st.rows[j]):
-                continue
-            rows = [st.coeffs(k, j) + (st.senses[k],) for k in st.rows[j]]
-            S = _phase2_set(rows)
-            if S.is_empty:
-                continue
-            p0, q0, c0 = st.coeffs(0, j)
-            res = minimize_over_set(p0, q0, c0, S)
-            if res.status is not OneVarStatus.OPTIMAL:
-                continue
-            if res.value < st.fval[0] - 1e-12 * (1.0 + abs(st.fval[0])):
-                st.move(j, res.x)
-                improved = True
+        improved = _phase2_sweep(st)
         sweeps += 1
         trace.append((st.violation(), st.objective()))
         if not improved:

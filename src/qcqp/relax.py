@@ -164,7 +164,10 @@ def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
     C = _homogenize_form(problem.objective).dense_p
     N = A.shape[1]
     # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
-    row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
+    with np.errstate(over="ignore"):
+        row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
+    for i in np.flatnonzero(np.isinf(row_norm)):
+        row_norm[i] = _norm(A[i])
     keep = row_norm > 0.0
     c_norm = _norm(C) or 1.0
     As = A[keep] / row_norm[keep, None, None]

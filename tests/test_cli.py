@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -267,6 +268,18 @@ def test_cli_writes_non_finite_numbers_as_strict_json(tmp_path, capsys):
     assert main(["solve", huge, "--seed", "3"]) == 0
     best = _strict_json(capsys.readouterr().out)["best"]
     assert best["objective"] == best["violation"] == "inf"
+
+
+def test_solve_of_an_overflowing_objective_prints_no_warning(tmp_path, capsys):
+    # f = 1e308 x^2 overflows at |x| > 1; its value becomes inf by design,
+    # so numpy's overflow warning in the evaluation is noise on stderr
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "objective": {"P": [[0, 0, 1e308]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extra in ([], ["--improve", "sign,cd"], ["--suggest", "sdr", "--improve", "admm,cd"]):
+            assert main(["solve", str(path), "--seed", "3", *extra]) == 0, extra
+            _strict_json(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import qcqp.improve
 from qcqp.cli import PipelineConfig, run_pipeline
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
-from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_partitioning
+from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_maxcut, gen_partitioning
 from qcqp.improve import (
     _Rows,
     METHODS,
@@ -287,6 +287,141 @@ def test_cd_phase2_moves_coordinates_outside_a_row_at_a_rounding_residue():
     moved = np.flatnonzero(rep.x != after_phase1.x).tolist()
     assert moved == [1, 5]
     assert rep.assessment.objective < after_phase1.assessment.objective - 1.0
+
+
+def _cd_output(rep):
+    return {
+        "x": [float(v).hex() for v in rep.x],
+        "iterations": rep.iterations,
+        "converged": rep.converged,
+        "phase_trace": [(float(a).hex(), float(b).hex()) for a, b in rep.phase_trace],
+    }
+
+
+def _scan_case(family: str, seed: int) -> QcqpProblem:
+    """A boolean problem whose every x_i^2 = 1 row is its coordinate's only row, n <= 12."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    if family == "boolean_ls":
+        return gen_boolean_ls(n + 3, n, seed=seed)
+    if family == "maxcut":
+        W = np.triu(rng.standard_normal((n, n)), 1)
+        return gen_maxcut(W + W.T)
+    # boolean LS with one LE row on two coordinates: their visits are scalar
+    # and interleave with the scanned visits of the others in each sweep
+    p = gen_boolean_ls(n + 3, n, seed=seed)
+    i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+    extra = Constraint(QuadraticForm.create(n, [(i, j, float(rng.standard_normal()))], None, -0.5), Sense.LE)
+    return QcqpProblem.create(p.objective, [*p.constraints, extra])
+
+
+@pytest.mark.parametrize("start", ["normal", "sign", "admm"])
+@pytest.mark.parametrize("family", ["boolean_ls", "maxcut", "mixed"])
+def test_cd_block_scan_matches_the_scalar_visits(family, start):
+    # each x_i^2 = 1 row listed twice gives x_i two rows, so no coordinate of
+    # the copy is a block coordinate and every phase II visit is scalar; the
+    # two problems have the same solution sets, so cd must agree bit for bit
+    for seed in range(6):
+        problem = _scan_case(family, seed)
+        n = problem.n
+        rows = problem.constraints
+        doubled = QcqpProblem.create(problem.objective, [*rows, *(c for c in rows if c.form.support.size == 1)])
+        blocks = problem._coordinate_rows.block_j.size
+        assert blocks == (n - 2 if family == "mixed" else n)
+        assert doubled._coordinate_rows.block_j.size == 0
+        x0 = np.random.default_rng(100 + seed).standard_normal(n)
+        if start == "sign":
+            x0 = round_sign(x0)
+        elif start == "admm":
+            x0 = improve_admm(problem, x0, max_iter=5).x
+        got = _cd_output(improve_coordinate_descent(problem, x0))
+        assert got == _cd_output(improve_coordinate_descent(doubled, x0)), seed
+
+
+def _sweep_case(rng, off_values, n: int = 10):
+    """A problem with every kind of coordinate phase II meets, and a point that need not be feasible.
+
+    Block rows a x^2 + b x + r = 0 come as x^2 = 1, with random a and b,
+    with |a| < AFFINE_EPS, as x^2 = 0 (a double root) and with a < 0.  Other
+    coordinates have no row, two rows, or share an LE row.  The objective is
+    dense, or diagonal with q = 0 (the roots +-1 tie), with some P_jj and
+    q_j zero or below AFFINE_EPS (an objective flat in x_j).  The point mixes
+    +-1, 0, normal draws, values whose square pow rounds differently from
+    x * x (off_values), a huge value and NaN.
+    """
+    rows = []
+    for j in range(n):
+        kind = int(rng.integers(9))
+        e = np.eye(n)[j]
+        a, b = float(rng.uniform(0.3, 3.0)), float(rng.standard_normal())
+        row = {
+            0: (1.0, 0.0, -1.0),
+            1: (a, b, -1.0),
+            2: (1e-13, b, -0.5),
+            3: (1.0, 0.0, 0.0),
+            4: (-a, b, 1.0),
+        }.get(kind)
+        if row is not None:
+            rows.append(Constraint(QuadraticForm.create(n, [(j, j, row[0])], row[1] * e, row[2]), Sense.EQ))
+        elif kind == 5:  # two rows: scalar visits
+            rows += [Constraint(QuadraticForm.create(n, [(j, j, 1.0)], None, -1.0), Sense.EQ)] * 2
+        elif kind == 6 and j + 1 < n:  # an LE row shared with x_{j+1}
+            rows.append(Constraint(QuadraticForm.create(n, [(j, j + 1, 1.0)], None, -0.5), Sense.LE))
+    if rng.random() < 0.5:
+        A = rng.standard_normal((n, n))
+        P, q = A + A.T, rng.standard_normal(n)
+    else:
+        P, q = np.diag(rng.uniform(-1.0, 2.0, n)), np.zeros(n)
+    for j in rng.choice(n, size=3, replace=False):
+        tiny = float(rng.choice([0.0, 5e-13]))
+        P[j, :] = P[:, j] = 0.0
+        P[j, j], q[j] = tiny, float(rng.choice([0.0, tiny]))
+    problem = QcqpProblem.create(QuadraticForm.from_dense(P, q), rows)
+    pool = [1.0, -1.0, 0.0, float(rng.standard_normal()), *rng.choice(off_values, size=2).tolist()]
+    x = np.array([pool[int(rng.integers(len(pool)))] for _ in range(n)])
+    if rng.random() < 0.1:
+        x[int(rng.integers(n))] = float(rng.choice([1e200, np.nan]))
+    return problem, x
+
+
+def test_phase2_sweep_matches_a_sweep_of_scalar_visits():
+    # block_step's closed form must take the scalar visit's decisions, bit
+    # for bit, at any state: ties, guards, non-finite values, and a violated
+    # row that freezes the coordinates outside it
+    rng = np.random.default_rng(0)
+    off_values = [v for v in rng.standard_normal(20000) if v**2 != v * v]
+    assert len(off_values) > 5
+    scans = 0
+    for _ in range(400):
+        problem, x = _sweep_case(rng, off_values)
+        with np.errstate(all="ignore"):
+            fast, slow = qcqp.improve._CoordState(problem, x), qcqp.improve._CoordState(problem, x)
+            # the point need not be feasible: count no row, or one, as violated
+            fast.violated = {int(rng.integers(1, problem.m + 1))} if rng.random() < 0.3 and problem.m else set()
+            slow.violated = set(fast.violated)
+            scans += fast.cr.block_j.size > 0 and not fast.violated
+            got = qcqp.improve._phase2_sweep(fast)
+            want = False
+            for j in range(problem.n):
+                want |= qcqp.improve._phase2_visit(slow, j)
+        assert got == want
+        for u, v in ((fast.x, slow.x), (fast.fval, slow.fval), (fast.g, slow.g)):
+            assert u.tobytes() == v.tobytes()
+        assert fast.violated == slow.violated
+    assert scans > 200
+
+
+def test_cd_phase2_decides_block_coordinates_without_minimize_over_set():
+    # from a sign-rounded start on boolean LS phase I has nothing to do, and
+    # phase II scans every coordinate in closed form
+    p = gen_boolean_ls(12, 8, seed=1)
+    x0 = round_sign(np.random.default_rng(5).standard_normal(8))
+    spy = mock.Mock(wraps=qcqp.improve.minimize_over_set)
+    with mock.patch.object(qcqp.improve, "minimize_over_set", spy):
+        rep = improve_coordinate_descent(p, x0)
+    assert spy.call_count == 0
+    assert rep.converged and rep.iterations >= 2  # phase II moved some x_j
+    assert not np.array_equal(rep.x, x0)
 
 
 # -- ADMM -------------------------------------------------------------------

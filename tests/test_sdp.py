@@ -259,6 +259,20 @@ def test_sdr_bound_of_a_huge_objective_is_flagged_or_below_the_optimum(s):
     assert not res.valid or res.bound <= 0.0  # False for a NaN bound
 
 
+@pytest.mark.parametrize("s", [1e160, 1e200, 1e308])
+def test_sdr_bound_of_a_huge_row_matches_the_bound_at_scale_one(s):
+    # min x s.t. s x^2 - s <= 0 has optimum -1; above about 1e154 the sum of
+    # squares in a row's norm overflows, which once gave the bound -inf
+    def problem(scale):
+        row = Constraint(QuadraticForm.create(1, [(0, 0, scale)], None, -scale), Sense.LE)
+        return QcqpProblem.create(QuadraticForm.create(1, (), [1.0]), [row])
+
+    ref = sdr_bound(problem(1.0))
+    res = sdr_bound(problem(s))
+    assert ref.valid and res.valid
+    assert res.bound == pytest.approx(ref.bound, rel=1e-6)
+
+
 def test_sdr_bound_and_samples_are_deterministic():
     p = gen_partitioning(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, -0.3], [0.5, -0.3, 0.0]]))
     a = suggest_sdr(p, count=4, rng_seed=11)
