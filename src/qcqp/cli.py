@@ -75,9 +75,9 @@ def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
     _check_numbers([r], where, "r")
     try:
         return QuadraticForm.create(n, P, q, r)
-    # a triplet index that is not an integer in [0, n), q of the wrong length,
-    # a non-finite number, or an integer beyond the float range
-    except (QcqpError, ValueError, OverflowError) as exc:
+    # a triplet index that is not an integer in [0, n), q of the wrong length, a non-finite
+    # number, an integer beyond the float range, or an n x n matrix too large to allocate
+    except (QcqpError, ValueError, OverflowError, MemoryError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -99,6 +99,8 @@ def problem_from_json(data) -> QcqpProblem:
         n = int(n)
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ParseError(f"'n' must be at least 1, got {n}")
     entries = data.get("constraints", [])
     if not isinstance(entries, list):
         raise ParseError("'constraints' must be a list")

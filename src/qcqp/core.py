@@ -5,9 +5,8 @@ symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
 (i, j, v) triplets are the problem-file format only: `create` reads them
 and `triplets` writes them back.  All types are immutable after
 construction; what they add later are caches of values derived from
-their fields (`QuadraticForm.support`, a problem's stacked rows of one
-variable and the rows of each coordinate), which `assess` and the
-improve methods share.
+their fields (`QuadraticForm.support`, a problem's row classes and the
+rows of each coordinate), which `assess` and the improve methods share.
 """
 
 from __future__ import annotations
@@ -153,56 +152,75 @@ class Constraint:
         return abs(v) if self.sense is Sense.EQ else max(v, 0.0)
 
 
-class _OneVariableRows:
-    """The rows a x_i^2 + b x_i + r (= or <=) 0 of a constraint list, a != 0, stacked as arrays.
+def _row_class(form: QuadraticForm, sense: Sense) -> tuple[str, int]:
+    """The class of the row form (sense) 0 in _RowClasses, and its x_i (-1 where it has none)."""
+    nz = np.flatnonzero(form.dense_p)
+    if not nz.size:
+        return "aff", -1
+    if form.support.size == 1:  # then P = a e_i e_i' with a != 0
+        return "one", int(form.support[0])
+    # P is symmetric, so a single nonzero entry lies on its diagonal
+    if sense is Sense.LE and nz.size == 1 and form.dense_p.flat[nz[0]] > 0.0:
+        return "cur", int(nz[0]) // form.n
+    return "gen", -1
 
-    A row whose support is one variable x_i and whose P is nonzero has P =
-    a e_i e_i' and q = b e_i, so _value computes round(round(x_i a x_i) +
-    round(b x_i)) + r: every other term of its dense products is an exact
-    zero.  values() computes the same roundings for every such row at once.
-    The dense products give +0.0 where the row's terms cancel exactly, and so
-    does r + 0.0.  With n > 1 they give NaN at a point with any non-finite
-    coordinate (0 * inf is NaN), and so does values().
+
+def _violations(f: np.ndarray, eq) -> np.ndarray:
+    """Constraint._violation_of of each value of f, bit for bit (max(f, 0.0) keeps f = -0.0)."""
+    v = np.abs(f, out=np.where(f < 0.0, 0.0, f), where=eq)
+    v[~np.isfinite(f)] = math.inf
+    return v
+
+
+class _RowClasses:
+    """Each row of a constraint list in exactly one class, decided by one scan (_row_class).
+
+    one: a x_i^2 + b x_i + r (= or <=) 0 with a != 0, stacked as arrays i,
+    a, b, r and eq.  aff: P = 0.  cur: an LE row a x_i^2 + w'x + r <= 0 with
+    a > 0 and w nonzero off x_i, whose i cur_i holds.  gen: every other row.
+    Each class lists its rows' indices in ascending order, and others holds
+    every row outside the stack, to evaluate one at a time.
+
+    A stacked row has P = a e_i e_i' and q = b e_i, so _value computes
+    round(round(x_i a x_i) + round(b x_i)) + r: every other term of its
+    dense products is an exact zero.  values() computes the same roundings
+    for every such row at once.  The dense products give +0.0 where the
+    row's terms cancel exactly, and so does r + 0.0.  With n > 1 they give
+    NaN at a point with any non-finite coordinate (0 * inf is NaN), and so
+    does values().
     """
 
     def __init__(self, constraints: Sequence[Constraint]):
-        rows, i = [], []
-        for k, c in enumerate(constraints):
-            s = c.form.support
-            if s.size == 1 and c.form.dense_p[s[0], s[0]] != 0.0:
-                rows.append(k)
-                i.append(int(s[0]))
-        self.rows = np.array(rows, dtype=int)  # each row's index in the constraint list
-        self.i = np.array(i, dtype=int)
-        forms = [constraints[k].form for k in rows]
-        self.a = np.array([f.dense_p[j, j] for f, j in zip(forms, i)], dtype=float)
-        self.b = np.array([f.q_vec[j] for f, j in zip(forms, i)], dtype=float)
+        kinds = [_row_class(c.form, c.sense) for c in constraints]
+        self.one, self.aff, self.cur, self.gen = (
+            np.array([k for k, (kind, _) in enumerate(kinds) if kind == name], dtype=int)
+            for name in ("one", "aff", "cur", "gen")
+        )
+        self.i = np.array([kinds[k][1] for k in self.one.tolist()], dtype=int)
+        self.cur_i = np.array([kinds[k][1] for k in self.cur.tolist()], dtype=int)
+        forms = [constraints[k].form for k in self.one.tolist()]
+        self.a = np.array([f.dense_p[j, j] for f, j in zip(forms, self.i.tolist())], dtype=float)
+        self.b = np.array([f.q_vec[j] for f, j in zip(forms, self.i.tolist())], dtype=float)
         self.r = np.array([f.r for f in forms], dtype=float) + 0.0
-        self.eq = np.array([constraints[k].sense is Sense.EQ for k in rows], dtype=bool)
-        held = set(rows)
-        self.others = tuple(c for k, c in enumerate(constraints) if k not in held)  # evaluated per row
+        self.eq = np.array([constraints[k].sense is Sense.EQ for k in self.one.tolist()], dtype=bool)
+        held = set(self.one.tolist())
+        self.others = tuple(c for k, c in enumerate(constraints) if k not in held)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Each row's f(x), equal bit for bit to _value(form, x)."""
+        """Each stacked row's f(x), equal bit for bit to _value(form, x)."""
         xi = x[self.i]
         f = xi * (self.a * xi) + self.b * xi + self.r
         if x.size > 1 and not np.isfinite(x).all():
             f[:] = math.nan
         return f
 
-    def violations(self, x: np.ndarray) -> np.ndarray:
-        """Each row's Constraint._violation_of(f(x)), bit for bit (max(f, 0.0) keeps f = -0.0)."""
-        f = self.values(x)
-        v = np.where(self.eq, np.abs(f), np.where(f < 0.0, 0.0, f))
-        return np.where(np.isfinite(f), v, math.inf)
-
-    def max_violation(self, x: np.ndarray) -> float:
-        """The largest violation over every constraint at x, folded as assess folds it."""
+    def max_violation(self, x: np.ndarray, others) -> float:
+        """The largest violation at x over the rows others and the stack, folded as assess folds it."""
         v = 0.0
-        for c in self.others:
+        for c in others:
             v = max(v, c._violation_of(_value(c.form, x)))
-        if self.rows.size:
-            v = max(v, float(np.max(self.violations(x))))
+        if self.one.size:
+            v = max(v, float(np.max(_violations(self.values(x), self.eq))))
         return v
 
 
@@ -233,17 +251,17 @@ class _CoordinateRows:
         for k in range(1, len(forms)):
             for j in forms[k].support.tolist():
                 self.rows[j].append(k)
-        one = problem._one_variable_rows
-        self.stacked = one.rows + 1
+        rc = problem._row_classes
+        self.stacked = rc.one + 1
         held = set(self.stacked.tolist())
         self.evaluated = [k for k in range(len(forms)) if k not in held]
-        pairs = enumerate(zip(one.i.tolist(), self.stacked.tolist()))
-        b = np.array([b for b, (j, k) in pairs if one.eq[b] and self.rows[j] == [k]], dtype=int)
-        b = b[np.argsort(one.i[b])]  # in coordinate order
-        self.block_j = one.i[b]
+        pairs = enumerate(zip(rc.i.tolist(), self.stacked.tolist()))
+        b = np.array([b for b, (j, k) in pairs if rc.eq[b] and self.rows[j] == [k]], dtype=int)
+        b = b[np.argsort(rc.i[b])]  # in coordinate order
+        self.block_j = rc.i[b]
         self.block_k = self.stacked[b]
-        self.block_a = one.a[b]
-        self.block_b = one.b[b]
+        self.block_a = rc.a[b]
+        self.block_b = rc.b[b]
         self.block_p0 = problem.objective.dense_p[self.block_j, self.block_j]
         self.block_q0 = problem.objective.q_vec[self.block_j]
         is_block = np.zeros(n, dtype=bool)
@@ -298,8 +316,8 @@ class QcqpProblem:
         return len(self.constraints)
 
     @cached_property
-    def _one_variable_rows(self) -> _OneVariableRows:
-        return _OneVariableRows(self.constraints)
+    def _row_classes(self) -> _RowClasses:
+        return _RowClasses(self.constraints)
 
     @cached_property
     def _coordinate_rows(self) -> _CoordinateRows:
@@ -315,7 +333,8 @@ def assess(problem: QcqpProblem, x) -> Assessment:
     of one variable all at once.
     """
     x = _check_vector(x, problem.n)
-    v = problem._one_variable_rows.max_violation(x)
+    rc = problem._row_classes
+    v = rc.max_violation(x, rc.others)
     f = _value(problem.objective, x)
     if not math.isfinite(f):
         v = math.inf

@@ -169,10 +169,10 @@ def _boolean_domains(problem: QcqpProblem):
     of the indices of those rows), or None when some variable carries
     neither marker.
     """
-    block = problem._one_variable_rows
+    block = problem._row_classes
     domains: dict[int, tuple[float, ...]] = {}
     rows: dict[int, int] = {}
-    columns = (block.rows, block.i, block.a, block.b, block.r, block.eq)
+    columns = (block.one, block.i, block.a, block.b, block.r, block.eq)
     for k, i, a, b, r, eq in zip(*(c.tolist() for c in columns)):
         if eq and a == 1.0 and b == 0.0 and r == -1.0:
             domains[i], rows[i] = (-1.0, 1.0), k

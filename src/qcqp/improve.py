@@ -22,9 +22,9 @@ from .core import (
     QcqpProblem,
     QuadraticForm,
     Sense,
-    _OneVariableRows,
     _check_vector,
     _value,
+    _violations,
     assess,
 )
 from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError
@@ -187,7 +187,7 @@ class _CoordState:
 
     def __init__(self, problem: QcqpProblem, x0):
         self.cr = problem._coordinate_rows
-        self.block = problem._one_variable_rows
+        self.block = problem._row_classes
         self.P, self.qv, self.senses, self.rows = self.cr.P, self.cr.q, self.cr.senses, self.cr.rows
         self.x = _check_vector(x0, problem.n).copy()
         self.g = np.empty((len(self.P), problem.n))
@@ -490,10 +490,7 @@ class _AffineRows:
         self.infeasible = self.flat & np.where(self.eq, np.abs(b) > tol, b > tol)
 
     def violations(self, z: np.ndarray) -> np.ndarray:
-        """Each row's violation at one point z; inf where f(z) is not finite."""
-        f = self.A @ z + self.b
-        v = np.where(self.eq, np.abs(f), np.maximum(f, 0.0))
-        return np.where(np.isfinite(f), v, math.inf)
+        return _violations(self.A @ z + self.b, self.eq)
 
     def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
@@ -504,16 +501,6 @@ class _AffineRows:
         s = np.where(self.eq[rows], f, np.maximum(f, 0.0))
         s[self.flat[rows]] = 0.0
         return V - (s / self.norm2[rows])[:, None] * A
-
-
-def _curved_coordinate(c: Constraint) -> int | None:
-    """i when c is an LE row a x_i^2 + w'x + r <= 0 with a > 0 and w nonzero off x_i, else None."""
-    P = c.form.dense_p
-    if c.sense is not Sense.LE or np.count_nonzero(P) != 1:
-        return None
-    # P is symmetric, so its one nonzero entry lies on the diagonal
-    i = int(np.argmax(np.diag(P)))
-    return i if P[i, i] > 0.0 and c.form.support.size > 1 else None
 
 
 class _CurvedRows:
@@ -542,9 +529,7 @@ class _CurvedRows:
         self.omega = np.einsum("ij,ij->i", self.W_off, self.W_off)
 
     def violations(self, z: np.ndarray) -> np.ndarray:
-        """Each row's violation at one point z; inf where f(z) is not finite."""
-        f = self.a * z[self.i] ** 2 + self.W @ z + self.r
-        return np.where(np.isfinite(f), np.maximum(f, 0.0), math.inf)
+        return _violations(self.a * z[self.i] ** 2 + self.W @ z + self.r, False)
 
     def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
@@ -575,43 +560,40 @@ class _CurvedRows:
 
 
 class _Rows:
-    """The rows of an ADMM problem, each classified once into one of three stacked classes.
+    """The rows of an ADMM problem, in the classes of the problem's _RowClasses.
 
-    Affine rows go to _AffineRows, LE rows with one curved coordinate to
-    _CurvedRows, and every other row is a general row with its own
-    ConstraintProjector.  project() is ADMM's x-update and assess() its
-    assessment of a point; both read the classes' arrays.  with_linear()
-    gives the same rows with new linear terms and constants: the step that
-    CCP takes from one convex subproblem to the next.
+    Affine rows project as one _AffineRows block, curved rows as one
+    _CurvedRows block, and every other row (the rows of one variable too) is
+    a general row with its own ConstraintProjector.  project() is ADMM's
+    x-update and assess() its assessment of a point; both read the classes'
+    arrays.  with_linear() gives the same rows with new linear terms and
+    constants: the step that CCP takes from one convex subproblem to the next.
     """
 
-    def __init__(self, constraints, n: int):
-        self.n, self.m = n, len(constraints)
-        coords = [None if c.form.is_affine else _curved_coordinate(c) for c in constraints]
-        self.aff = np.array([k for k, c in enumerate(constraints) if c.form.is_affine], dtype=int)
-        self.cur = np.array([k for k, i in enumerate(coords) if i is not None], dtype=int)
-        Q = np.array([c.form.q_vec for c in constraints]).reshape(self.m, n)
+    def __init__(self, problem: QcqpProblem):
+        constraints, self.classes = problem.constraints, problem._row_classes
+        self.n, self.m = problem.n, problem.m
+        self.aff, self.cur = self.classes.aff, self.classes.cur
+        Q = np.array([c.form.q_vec for c in constraints]).reshape(self.m, self.n)
         R = np.array([c.form.r for c in constraints], dtype=float)
         eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
         self.affine = _AffineRows(eq[self.aff], Q[self.aff], R[self.aff])
-        i = np.array([coords[k] for k in self.cur], dtype=int)
+        i = self.classes.cur_i
         a = np.array([constraints[k].form.dense_p[j, j] for k, j in zip(self.cur, i)], dtype=float)
         self.curved = _CurvedRows(i, a, Q[self.cur], R[self.cur])
-        self.general = {
-            k: (c, ConstraintProjector(c.form))
-            for k, c in enumerate(constraints)
-            if not c.form.is_affine and coords[k] is None
-        }
-        self._general_rows = _OneVariableRows([c for c, _ in self.general.values()])
+        general = sorted(self.classes.one.tolist() + self.classes.gen.tolist())
+        self.general = {k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general}
         # constraint index -> (class, row in that class), to project one row alone
         self._slot = {k: ("affine", j) for j, k in enumerate(self.aff.tolist())}
         self._slot.update({k: ("curved", j) for j, k in enumerate(self.cur.tolist())})
 
     def with_linear(self, Q: np.ndarray, R: np.ndarray) -> "_Rows":
-        """The same rows with linear terms Q[k] and constants R[k].
+        """The same rows with linear terms Q[k] and constants R[k], in the same classes.
 
         A general row keeps its projector when its terms did not move, and
-        otherwise gets a new one.
+        otherwise gets a new one.  No row of one variable may move: assess()
+        reads them from the stack of the rows' _RowClasses.  CCP's subproblem
+        has none, since each of its rows holds its own slack.
         """
         new = copy.copy(self)
         new.affine = _AffineRows(self.affine.eq, Q[self.aff], R[self.aff])
@@ -622,7 +604,6 @@ class _Rows:
                 c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
                 proj = ConstraintProjector(c.form)
             new.general[k] = (c, proj)
-        new._general_rows = _OneVariableRows([c for c, _ in new.general.values()])
         return new
 
     def project(self, V: np.ndarray) -> np.ndarray:
@@ -647,11 +628,11 @@ class _Rows:
     def assess(self, objective: QuadraticForm, x: np.ndarray) -> Assessment:
         """assess() of the problem with these rows, reading each class's violations at once.
 
-        The general rows of one variable (boolean LS's x_i^2 = 1) are one
-        stacked block too, for evaluation only: they still project one row at
-        a time through their ConstraintProjector.
+        The rows of one variable (boolean LS's x_i^2 = 1) are evaluated as
+        the stack of _RowClasses, but still project one row at a time
+        through their ConstraintProjector.
         """
-        v = self._general_rows.max_violation(x)
+        v = self.classes.max_violation(x, [self.general[k][0] for k in self.classes.gen.tolist()])
         for rows, block in ((self.aff, self.affine), (self.cur, self.curved)):
             if rows.size:
                 v = max(v, float(np.max(block.violations(x))))
@@ -687,11 +668,12 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     by assess() and never worse than x0.
 
     Options (keywords of _admm): max_iter=500, two_phase=True,
-    init_z/init_x/init_u (a warm start), record_iterates=False and
-    resid_tol=1e-6.  Any other keyword raises TypeError.
+    init_x/init_u (a warm start of the copies and the duals),
+    record_iterates=False and resid_tol=1e-6.  Any other keyword raises
+    TypeError.
     """
     rho = default_rho(problem) if rho is None else rho
-    rep = _admm(problem.objective, _Rows(problem.constraints, problem.n), x0, rho, **opts)
+    rep = _admm(problem.objective, _Rows(problem), x0, rho, **opts)
     return _reassessed(problem, x0, rep)
 
 
@@ -702,7 +684,6 @@ def _admm(
     rho: float,
     max_iter: int = 500,
     two_phase: bool = True,
-    init_z=None,
     init_x=None,
     init_u=None,
     record_iterates: bool = False,
@@ -712,7 +693,7 @@ def _admm(
     x0 = np.asarray(x0, dtype=float)
     n, m = rows.n, rows.m
 
-    z = np.asarray(init_z, dtype=float).copy() if init_z is not None else x0.copy()
+    z = x0.copy()
     X = (
         np.array([np.asarray(v, dtype=float) for v in init_x])
         if init_x is not None
@@ -749,13 +730,10 @@ def _admm(
     converged = False
     it = 0
     z_prev = z.copy()
-    az = a0 if init_z is None else None  # assessment of the current z, once known
+    az = a0  # assessment of the current z
     for it in range(1, max_iter + 1):
-        if phase1:
-            if az is None:
-                az = assess_z(z)
-            if az.violation <= EPS_FEAS:
-                phase1 = False
+        if phase1 and az.violation <= EPS_FEAS:
+            phase1 = False
         if phase1:
             z = np.mean(X - U, axis=0)
         else:
@@ -832,7 +810,7 @@ _CONVEX_OPTS = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
 
 def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts) -> ImproveReport:
     """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
-    rows = _Rows(problem.constraints, problem.n)
+    rows = _Rows(problem)
     _check_convex(problem.objective, rows)
     rho = default_rho(problem) if rho is None else rho
     rep = _admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts})
@@ -921,9 +899,8 @@ def improve_ccp(
     Pq = np.zeros((dim, dim))
     Pq[:n, :n] = sp0.plus
     sub_objective = QuadraticForm.from_dense(Pq)
-    sub_rows = _Rows(sub_constraints, dim)
+    sub_rows = _Rows(QcqpProblem.create(sub_objective, sub_constraints))
     _check_convex(sub_objective, sub_rows)
-    del sub_constraints  # the dense forms of affine and curved rows are not needed again
     sub_opts = {"max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
     if set(sub_opts) != {"max_iter", "resid_tol"}:
         raise TypeError(f"subsolver_opts takes only max_iter and resid_tol, got {sorted(subsolver_opts)}")

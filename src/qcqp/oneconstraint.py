@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QuadraticForm, evaluate
+from .core import QuadraticForm, Sense, _row_class, evaluate
 from .errors import InfeasibleConstraintError, NumericalFailureError
 from .linalg import inv_chol, sym_eigen
 from .onevar import _stable_roots
@@ -96,9 +96,9 @@ class ConstraintProjector:
     def __init__(self, form: QuadraticForm):
         P, s = form.dense_p, form.support
         self._support = s if s.size < form.n else None  # None: the support is all of x
-        self._i = None  # the variable of a one-variable support
-        if s.size == 1 and P[s[0], s[0]] != 0.0:
-            self._i = int(s[0])
+        kind, i = _row_class(form, Sense.EQ)  # the sense decides the curved class alone
+        self._i = i if kind == "one" else None  # the variable of a one-variable support
+        if self._i is not None:
             self.lam = np.array([P[self._i, self._i]])
             self.Q, self._perm, self._affine_q = None, _FIRST, None
             self.qhat = form.q_vec[self._i : self._i + 1]
@@ -112,7 +112,7 @@ class ConstraintProjector:
                 eig = sym_eigen(self._p)
                 self.lam, self.Q, self._perm = eig.values, eig.vectors, None
             q = form.q_vec if self._support is None else form.q_vec[self._support]
-            self._affine_q = q if form.is_affine else None
+            self._affine_q = q if kind == "aff" else None
             self.qhat = self._rotate(q)
         self.form = form
         self.r = form.r

@@ -54,7 +54,7 @@ def suggest_spectral(problem: QcqpProblem) -> SuggestOutcome:
     """The minimizer of the aggregated one-constraint relaxation (lam = 1), with its bound."""
     res = spectral_bound(problem)
     if res.candidate is None:
-        raise NumericalFailureError("spectral relaxation produced no candidate (unbounded dual)")
+        raise NumericalFailureError(f"the spectral relaxation has no minimizer (bound {res.bound})")
     return SuggestOutcome(candidates=(res.candidate,), bound=res)
 
 

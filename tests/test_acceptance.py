@@ -277,7 +277,7 @@ def test_acceptance_06_admm_cycle():
         ui[i] = 2.0 / 3.0
         u0.append(ui)
     rep = improve_admm(
-        p, z0, max_iter=10, two_phase=True, init_z=z0, init_x=x0, init_u=u0,
+        p, z0, max_iter=10, two_phase=True, init_x=x0, init_u=u0,
         record_iterates=True,
     )
     zs = [z0] + [it[0] for it in rep.iterates]

@@ -232,6 +232,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [0, 10**9])
+def test_cli_rejects_a_dimension_below_one_or_too_large_to_allocate(tmp_path, capsys, n):
+    # n = 0 reached the methods and failed there with an IndexError; for
+    # n = 10**9 the n x n matrix cannot be allocated, which numpy reports at
+    # once without touching memory
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": n, "objective": {}}))
+    for args in (
+        ["solve", str(path), "--improve", "admm"],
+        ["solve", str(path), "--improve", "ccp"],
+        ["solve", str(path), "--suggest", "spectral"],
+        ["bound", str(path)],
+        ["brute", str(path)],
+    ):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def _strict_json(text: str):
     """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
 

@@ -17,6 +17,7 @@ from qcqp.core import (
     to_epigraph,
     to_homogeneous,
     _value,
+    _violations,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
 
@@ -240,14 +241,14 @@ def same(a, b) -> bool:
 @given(one_variable_rows_and_points())
 def test_one_variable_block_matches_each_row_bit_for_bit(case):
     problem, x = case
-    block = problem._one_variable_rows
-    values, violations = block.values(x), block.violations(x)
-    for j, k in enumerate(block.rows.tolist()):
+    block = problem._row_classes
+    values, violations = block.values(x), _violations(block.values(x), block.eq)
+    for j, k in enumerate(block.one.tolist()):
         c = problem.constraints[k]
         assert c.form.support.size == 1
         assert same(values[j], _value(c.form, x))
         assert same(violations[j], c._violation_of(_value(c.form, x)))
-    held = set(block.rows.tolist())
+    held = set(block.one.tolist())
     assert list(block.others) == [c for k, c in enumerate(problem.constraints) if k not in held]
     # assess folds the block in with the other rows as the per-row loop does
     v = 0.0
@@ -263,7 +264,7 @@ def test_one_variable_block_gives_plus_zero_where_the_dense_products_do(a, b, xi
     form = QuadraticForm.create(3, [(1, 1, a)], [0.0, b, 0.0], -0.0)
     problem = QcqpProblem.create(QuadraticForm.create(3), [Constraint(form, Sense.LE)])
     x = np.array([2.0, xi, 1.0])
-    assert same(problem._one_variable_rows.values(x)[0], _value(form, x))
+    assert same(problem._row_classes.values(x)[0], _value(form, x))
 
 
 @given(one_variable_rows_and_points(), st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(0, 4))
@@ -271,8 +272,74 @@ def test_assess_gives_violation_inf_at_a_nonfinite_point(case, bad, at):
     problem, x = case
     x[at % problem.n] = bad
     assert assess(problem, x).violation == math.inf
-    block = problem._one_variable_rows
-    assert np.all(block.violations(x) == math.inf)
-    for j, k in enumerate(block.rows.tolist()):
+    block = problem._row_classes
+    assert np.all(_violations(block.values(x), block.eq) == math.inf)
+    for j, k in enumerate(block.one.tolist()):
         # n = 1 leaves no zero term to turn an infinite value into NaN
         assert same(block.values(x)[j], _value(problem.constraints[k].form, x))
+
+
+# -- the row classes ------------------------------------------------------------
+
+
+def edge_rows(n: int) -> list[Constraint]:
+    """Rows in x_0, x_1 (of n variables) on the edges of the curved class."""
+
+    def row(P, q, sense=Sense.LE):
+        Pn = np.zeros((n, n))
+        Pn[:2, :2] = P
+        return Constraint(QuadraticForm.from_dense(Pn, q + [0.0] * (n - 2), -1.0), sense)
+
+    return [
+        row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0]),  # curved
+        row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0], Sense.EQ),  # equality
+        row([[-2.0, 0.0], [0.0, 0.0]], [0.0, -1.0]),  # concave
+        row([[2.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),  # one variable
+        row([[2.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),  # two curved coordinates
+        row([[0.0, 1.0], [1.0, 0.0]], [0.0, -1.0]),  # off-diagonal curvature
+        row([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),  # affine
+    ]
+
+
+@st.composite
+def rows_of_every_class(draw):
+    """The edge rows and rows whose P and q entries are mostly zero, on 2-4 variables."""
+    n = draw(st.integers(2, 4))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 1.5, -2.0])
+    rows = edge_rows(n)
+    for _ in range(draw(st.integers(0, 8))):
+        U = np.triu(np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n))
+        form = QuadraticForm.from_dense(U + np.triu(U, 1).T, draw(st.lists(entry, min_size=n, max_size=n)), -1.0)
+        rows.append(Constraint(form, draw(st.sampled_from([Sense.EQ, Sense.LE]))))
+    return QcqpProblem.create(QuadraticForm.create(n), rows)
+
+
+@given(rows_of_every_class())
+def test_each_row_lands_in_the_one_class_its_definition_gives(problem):
+    rc = problem._row_classes
+    classes = {"one": rc.one, "aff": rc.aff, "cur": rc.cur, "gen": rc.gen}
+    assert sorted(np.concatenate(list(classes.values())).tolist()) == list(range(problem.m))
+    for name, rows in classes.items():
+        assert rows.tolist() == sorted(rows.tolist())
+        for k in rows.tolist():
+            c = problem.constraints[k]
+            P, q = c.form.dense_p, c.form.q_vec
+            entries = np.argwhere(P != 0.0)  # the nonzero (i, j) of all of P
+            support = set(entries.ravel().tolist()) | set(np.flatnonzero(q).tolist())
+            if not entries.size:
+                want = "aff"
+            elif len(support) == 1:
+                want = "one"
+            elif c.sense is Sense.LE and len(entries) == 1 and P[tuple(entries[0])] > 0.0:
+                want = "cur"
+            else:
+                want = "gen"
+            assert name == want, (k, name, want)
+    assert [row for row in rc.one.tolist() if row < 7] == [3]
+    assert [row for row in rc.cur.tolist() if row < 7] == [0] and rc.cur_i[0] == 0
+    for j, k in enumerate(rc.one.tolist()):
+        c, i = problem.constraints[k], rc.i[j]
+        assert (rc.a[j], rc.b[j], rc.r[j]) == (c.form.dense_p[i, i], c.form.q_vec[i], c.form.r)
+        assert rc.eq[j] == (c.sense is Sense.EQ)
+    for j, k in enumerate(rc.cur.tolist()):
+        assert problem.constraints[k].form.dense_p[rc.cur_i[j], rc.cur_i[j]] > 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qcqp.improve
 from qcqp.cli import PipelineConfig, run_pipeline
-from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess, evaluate
+from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, _RowClasses, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_maxcut, gen_partitioning
 from qcqp.improve import (
@@ -452,7 +452,6 @@ def test_admm_period_two_cycle():
         z0,
         max_iter=10,
         two_phase=True,
-        init_z=z0,
         init_x=x0,
         init_u=u0,
         record_iterates=True,
@@ -623,7 +622,7 @@ def affine_rows_and_points(draw):
 @given(affine_rows_and_points())
 def test_affine_block_matches_per_row_projection(case):
     problem, V = case
-    block = _Rows(problem.constraints, problem.n).affine
+    block = _Rows(problem).affine
     X = block.project(V)
     tol = 1e-12 * (1.0 + np.linalg.norm(V, axis=1))
     assert np.all(np.max(np.abs(X - per_row_projections(problem, V)), axis=1) <= tol)
@@ -647,7 +646,7 @@ def test_affine_block_zero_gradient_row_follows_constraint_projector(sense, r, r
     other = Constraint(QuadraticForm.create(3, (), [1.0, 0.0, -1.0], 0.5), Sense.EQ)
     V = np.array([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]])
     proj = ConstraintProjector(zero.form)
-    block = _Rows([zero, other], 3).affine
+    block = _Rows(QcqpProblem.create(QuadraticForm.create(3), [zero, other])).affine
     with np.errstate(all="raise"):
         if raises:
             with pytest.raises(InfeasibleConstraintError):
@@ -806,6 +805,29 @@ def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
     assert eigs.call_count == 1
 
 
+def test_rows_are_classified_once_per_problem_and_once_per_ccp_call():
+    # improve_admm and cd read the problem's cached classes, so a second
+    # call scans no row; CCP classifies its subproblem once, and with_linear
+    # keeps those classes for every later subproblem
+    p = gen_beamforming(4, 6, 2, seed=3)
+    x0 = np.random.default_rng(4).standard_normal(8)
+    init, admm = _RowClasses.__init__, qcqp.improve._admm
+    with (
+        mock.patch.object(_RowClasses, "__init__", autospec=True, side_effect=init) as scans,
+        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
+    ):
+        improve_admm(p, x0, max_iter=20)
+        assert scans.call_count == 1
+        improve_admm(p, -x0, max_iter=20)
+        improve_coordinate_descent(p, x0)
+        assert scans.call_count == 1
+        subsolves.reset_mock()
+        rep = improve_ccp(p, x0, max_iter=3, subsolver_opts={"max_iter": 20})
+    assert subsolves.call_count == rep.iterations >= 2
+    assert scans.call_count == 2
+    assert len({id(call.args[1].classes) for call in subsolves.call_args_list}) == 1
+
+
 def test_ccp_keeps_the_projectors_of_unmoved_general_rows_and_rebuilds_moved_ones():
     # CCP moves only the linear terms of its subproblem's rows.  A general
     # row whose terms did not move keeps its projector object, and a moved
@@ -880,7 +902,7 @@ def test_admm_on_ccp_subproblem_matches_per_row_reference_without_secular_solves
     p = gen_boolean_ls(8, 5, seed=0)
     xk = np.random.default_rng(1).standard_normal(5)
     sub = ccp_subproblem(p, xk, tau=4.0)
-    rows = _Rows(sub.constraints, sub.n)
+    rows = _Rows(sub)
     assert rows.cur.tolist() == [0, 4, 8, 12, 16] and not rows.general
     z0 = np.concatenate([xk, np.full(10, 0.5)])
     secular = ConstraintProjector._solve_secular
@@ -914,8 +936,8 @@ def test_rows_with_linear_match_rows_set_up_at_the_new_point(splitter):
     sub_a, sub_b = ccp_subproblem(p, xa, 1.0, splitter), ccp_subproblem(p, xb, 1.0, splitter)
     Q = np.array([c.form.q_vec for c in sub_b.constraints])
     R = np.array([c.form.r for c in sub_b.constraints])
-    moved = _Rows(sub_a.constraints, sub_a.n).with_linear(Q, R)
-    fresh = _Rows(sub_b.constraints, sub_b.n)
+    moved = _Rows(sub_a).with_linear(Q, R)
+    fresh = _Rows(sub_b)
     assert moved.aff.size and moved.cur.size and moved.general
     assert moved.cur.tolist() == fresh.cur.tolist() and list(moved.general) == list(fresh.general)
     assert any(not np.array_equal(Q[k], sub_a.constraints[k].form.q_vec) for k in fresh.general)
@@ -951,7 +973,7 @@ def curved_rows_and_points(draw):
 @given(curved_rows_and_points())
 def test_curved_block_matches_per_row_projection(case):
     problem, V = case
-    rows = _Rows(problem.constraints, problem.n)
+    rows = _Rows(problem)
     assert rows.cur.size == problem.m
     block = rows.curved
     X = block.project(V)
@@ -960,8 +982,12 @@ def test_curved_block_matches_per_row_projection(case):
     for k, c in enumerate(problem.constraints):
         assert evaluate(c.form, X[k]) <= FEAS_TOL * ConstraintProjector(c.form).scale
         assert np.array_equal(block.project(V[k : k + 1], [k])[0], X[k])
-    want = [c.violation(V[0]) for c in problem.constraints]
-    assert np.allclose(block.violations(V[0]), want, rtol=1e-12, atol=1e-12)
+    v = V[0]
+    want = [c.violation(v) for c in problem.constraints]
+    # both sides add the same n + 2 <= 7 terms in different orders, each sum
+    # within (n + 2) eps / 2 of the sum of the terms' magnitudes
+    terms = np.abs(block.a * v[block.i] ** 2) + np.abs(block.W) @ np.abs(v) + np.abs(block.r)
+    assert np.allclose(block.violations(v), want, rtol=1e-12, atol=8 * np.finfo(float).eps * terms)
 
 
 def test_curved_class_takes_only_le_rows_with_one_positive_curvature_and_a_flat_term():
@@ -976,7 +1002,7 @@ def test_curved_class_takes_only_le_rows_with_one_positive_curvature_and_a_flat_
         row([[2.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),  # two curved coordinates
         row([[0.0, 1.0], [1.0, 0.0]], [0.0, -1.0]),  # off-diagonal curvature
     ]
-    rows = _Rows([curved] + others, 2)
+    rows = _Rows(QcqpProblem.create(QuadraticForm.create(2), [curved] + others))
     assert rows.cur.tolist() == [0] and list(rows.general) == [1, 2, 3, 4, 5]
 
 

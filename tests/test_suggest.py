@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense
+from qcqp.errors import NumericalFailureError
 from qcqp.generators import gen_partitioning
 from qcqp.suggest import sub_seed, suggest_random, suggest_sdr, suggest_spectral
 
@@ -41,6 +43,20 @@ def test_suggest_spectral_carries_bound():
     assert np.linalg.norm(out.candidates[0]) == pytest.approx(np.sqrt(3.0), rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "curvature, row, sense, bound",
+    [
+        (1.0, QuadraticForm.create(1, [(0, 0, 1.0)], None, 1.0), Sense.EQ, "inf"),  # x^2 + 1 = 0: no feasible point
+        (-1.0, QuadraticForm.create(1, (), [1.0], -1.0), Sense.LE, "-inf"),  # min -x^2 over x <= 1: unbounded
+    ],
+    ids=["infeasible", "unbounded"],
+)
+def test_suggest_spectral_without_a_minimizer_names_its_bound(curvature, row, sense, bound):
+    p = QcqpProblem.create(QuadraticForm.create(1, [(0, 0, curvature)]), [Constraint(row, sense)])
+    with pytest.raises(NumericalFailureError, match=rf"\(bound {bound}\)"):
+        suggest_spectral(p)
+
+
 def test_suggest_sdr_samples_and_bound():
     p = small_problem()
     out = suggest_sdr(p, count=5, rng_seed=3)
@@ -55,8 +71,6 @@ def test_suggest_sdr_samples_and_bound():
 def test_suggest_sdr_rank_one_short_circuit():
     # convex problem: minimize ||x - (1, 0)||^2 over the whole space; the
     # relaxation is tight, so every candidate is the relaxation solution
-    from qcqp.core import QcqpProblem, QuadraticForm
-
     obj = QuadraticForm.from_dense(np.eye(2), [-2.0, 0.0], 1.0)
     p = QcqpProblem.create(obj)
     out = suggest_sdr(p, count=3, rng_seed=0)
