@@ -68,6 +68,9 @@ class QuadraticForm:
             raise DimensionMismatchError(f"triplet index ({ij[k, 0]:g},{ij[k, 1]:g}) is not an integer in [0, {n})")
         i, j = ij.T.astype(int)
         U = np.zeros((n, n))
+        if t.shape[0] == 1 and i[0] == j[0]:  # one diagonal entry: nothing to sum or mirror
+            U[i[0], i[0]] = t[0, 2]
+            return cls._of_symmetric(U, q, r)
         np.add.at(U, (np.minimum(i, j), np.maximum(i, j)), t[:, 2])  # in input order
         return cls._of_symmetric(U + np.triu(U, 1).T, q, r)
 
@@ -220,7 +223,7 @@ class _RowClasses:
         for c in others:
             v = max(v, c._violation_of(_value(c.form, x)))
         if self.one.size:
-            v = max(v, float(np.max(_violations(self.values(x), self.eq))))
+            v = max(v, float(_violations(self.values(x), self.eq).max()))
         return v
 
 

@@ -183,6 +183,14 @@ class _CoordState:
     satisfy in phase II (|f| > EQ_TOL for EQ, f > EQ_TOL for LE): it is
     rebuilt by refresh(), which evaluates every row exactly (the rows of one
     variable as the problem's stacked block), and updated by move().
+
+    A row of one variable a x_i^2 + b x_i + r is read only at x_i, so
+    refresh() writes just g[k, i] = a x_i + 0.0 there: the dense product's
+    one nonzero term, with -0.0 made 0.0 as the product's sum of zeros makes
+    it.  That is the dense product bit for bit except for the sign of a zero
+    where a x_i underflows, which the BLAS kernel's order of summation sets
+    and which g[k, i] - a x_i does not see.  Where x has a non-finite entry
+    every row takes the dense product: 0 * inf is NaN there.
     """
 
     def __init__(self, problem: QcqpProblem, x0):
@@ -190,13 +198,18 @@ class _CoordState:
         self.block = problem._row_classes
         self.P, self.qv, self.senses, self.rows = self.cr.P, self.cr.q, self.cr.senses, self.cr.rows
         self.x = _check_vector(x0, problem.n).copy()
-        self.g = np.empty((len(self.P), problem.n))
+        self.g = np.zeros((len(self.P), problem.n))
         self.fval = np.empty(len(self.P))
         self.refresh()
 
     def refresh(self):
-        for k, P in enumerate(self.P):
-            self.g[k] = P @ self.x
+        x, dense = self.x, range(len(self.P))
+        if np.isfinite(x).all():
+            i = self.block.i
+            self.g[self.cr.stacked, i] = self.block.a * x[i] + 0.0
+            dense = self.cr.evaluated
+        for k in dense:
+            self.g[k] = self.P[k] @ x
         self.fval[self.cr.stacked] = self.block.values(self.x)
         for k in self.cr.evaluated:
             self.fval[k] = _value(self.cr.forms[k], self.x)
@@ -285,6 +298,36 @@ class _CoordState:
             return None
         return int(J[i]), None if scalar[i] else float(t[i])
 
+    def block_root(self, j: int) -> float | None:
+        """Phase I's choice for the block coordinate x_j, or None where the scalar visit must decide.
+
+        The scalar visit intersects {f <= 0} and {-f <= 0} for x_j's row f =
+        p t^2 + q t + c (coeffs) and minimizes the objective over that set.
+        Where both sides have the same real roots the set is that pair, its
+        lower root as the side with the positive leading term computes it
+        and its upper root as the other side does.  The lower root wins
+        unless the upper one has a strictly lower objective value, as min()
+        over minimize_over_set's candidates decides.  None where this does
+        not hold: |p| < AFFINE_EPS, no real root, sides that round apart
+        (possible when q == 0), an objective flat in x_j, or a value that is
+        not finite.
+        """
+        p, q, c = (float(v) for v in self.coeffs(int(self.cr.block_k[self.cr.block_at[j]]), j))
+        if abs(p) < AFFINE_EPS:
+            return None
+        roots, flipped = _stable_roots(p, q, c), _stable_roots(-p, -q, -c)
+        if roots is None or roots != flipped:
+            return None
+        pos, neg = (roots, flipped) if p > 0.0 else (flipped, roots)
+        lo, hi = pos[0], neg[1]
+        p0, q0, c0 = (float(v) for v in self.coeffs(0, j))
+        if abs(p0) <= AFFINE_EPS and abs(q0) <= AFFINE_EPS:
+            return None
+        v_lo, v_hi = p0 * lo * lo + q0 * lo + c0, p0 * hi * hi + q0 * hi + c0
+        if not (math.isfinite(v_lo) and math.isfinite(v_hi)):  # then lo and hi are finite too
+            return None
+        return hi if v_hi < v_lo else lo
+
 
 def _phase1_set(rows, s: float) -> IntervalSet:
     """Feasible x_j values for max restricted violation <= s."""
@@ -298,6 +341,52 @@ def _phase1_set(rows, s: float) -> IntervalSet:
             if S.is_empty:
                 return S
     return S
+
+
+def _phase1_visit(st: _CoordState, j: int) -> None:
+    """Phase I's step on x_j: the least worst violation of its rows, ties broken by the objective.
+
+    A block coordinate takes its root pair in closed form (block_root)
+    where that holds, which is the step below, bit for bit.
+    """
+    if st.cr.run_end[j] > j and (t := st.block_root(j)) is not None:
+        st.move(j, t)
+        return
+    # rows not involving x_j are constants the coordinate cannot fix;
+    # minimize the worst violation among the rows it can influence
+    rows = [
+        st.coeffs(k, j) + (st.senses[k],)
+        for k in st.rows[j]
+        if st.P[k][j, j] != 0.0 or st.g[k, j] != 0.0 or st.qv[k][j] != 0.0
+    ]
+    if not rows:
+        return
+    S0 = _phase1_set(rows, 0.0)
+    if not S0.is_empty:
+        S = S0
+    else:
+        t = st.x[j]
+        hi = 0.0
+        for p, q, c, sense in rows:
+            f = p * t * t + q * t + c
+            hi = max(hi, abs(f) if sense is Sense.EQ else max(f, 0.0))
+        lo = 0.0
+        S = _phase1_set(rows, hi)
+        if S.is_empty:
+            return  # numerical guard; current x_j attains hi
+        while hi - lo > BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            Sm = _phase1_set(rows, mid)
+            if Sm.is_empty:
+                lo = mid
+            else:
+                hi, S = mid, Sm
+    p0, q0, c0 = st.coeffs(0, j)
+    res = minimize_over_set(p0, q0, c0, S)
+    if res.status is OneVarStatus.OPTIMAL:
+        st.move(j, res.x)
+    else:
+        st.move(j, S.closest_point(st.x[j]))
 
 
 def _equality_root_set(p: float, q: float, c: float) -> IntervalSet:
@@ -412,41 +501,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
         if v_before <= 0.0:
             break
         for j in range(n):
-            # rows not involving x_j are constants the coordinate cannot fix;
-            # minimize the worst violation among the rows it can influence
-            rows = [
-                st.coeffs(k, j) + (st.senses[k],)
-                for k in st.rows[j]
-                if st.P[k][j, j] != 0.0 or st.g[k, j] != 0.0 or st.qv[k][j] != 0.0
-            ]
-            if not rows:
-                continue
-            S0 = _phase1_set(rows, 0.0)
-            if not S0.is_empty:
-                S = S0
-            else:
-                t = st.x[j]
-                hi = 0.0
-                for p, q, c, sense in rows:
-                    f = p * t * t + q * t + c
-                    hi = max(hi, abs(f) if sense is Sense.EQ else max(f, 0.0))
-                lo = 0.0
-                S = _phase1_set(rows, hi)
-                if S.is_empty:
-                    continue  # numerical guard; current x_j attains hi
-                while hi - lo > BISECTION_TOL:
-                    mid = 0.5 * (lo + hi)
-                    Sm = _phase1_set(rows, mid)
-                    if Sm.is_empty:
-                        lo = mid
-                    else:
-                        hi, S = mid, Sm
-            p0, q0, c0 = st.coeffs(0, j)
-            res = minimize_over_set(p0, q0, c0, S)
-            if res.status is OneVarStatus.OPTIMAL:
-                st.move(j, res.x)
-            else:
-                st.move(j, S.closest_point(st.x[j]))
+            _phase1_visit(st, j)
         sweeps += 1
         v_after = st.violation()
         trace.append((v_after, st.objective()))
@@ -582,10 +637,16 @@ class _Rows:
         a = np.array([constraints[k].form.dense_p[j, j] for k, j in zip(self.cur, i)], dtype=float)
         self.curved = _CurvedRows(i, a, Q[self.cur], R[self.cur])
         general = sorted(self.classes.one.tolist() + self.classes.gen.tolist())
-        self.general = {k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general}
+        self._set_general({k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general})
         # constraint index -> (class, row in that class), to project one row alone
         self._slot = {k: ("affine", j) for j, k in enumerate(self.aff.tolist())}
         self._slot.update({k: ("curved", j) for j, k in enumerate(self.cur.tolist())})
+
+    def _set_general(self, general: dict) -> None:
+        """Keep general, and the lists that project() and assess() read of it on every call."""
+        self.general = general
+        self._projected = [(k, proj, c.sense is Sense.EQ) for k, (c, proj) in general.items()]
+        self._gen_rows = [general[k][0] for k in self.classes.gen.tolist()]
 
     def with_linear(self, Q: np.ndarray, R: np.ndarray) -> "_Rows":
         """The same rows with linear terms Q[k] and constants R[k], in the same classes.
@@ -598,12 +659,13 @@ class _Rows:
         new = copy.copy(self)
         new.affine = _AffineRows(self.affine.eq, Q[self.aff], R[self.aff])
         new.curved = _CurvedRows(self.curved.i, self.curved.a, Q[self.cur], R[self.cur])
-        new.general = {}
+        general = {}
         for k, (c, proj) in self.general.items():
             if R[k] != c.form.r or not np.array_equal(Q[k], c.form.q_vec):
                 c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
                 proj = ConstraintProjector(c.form)
-            new.general[k] = (c, proj)
+            general[k] = (c, proj)
+        new._set_general(general)
         return new
 
     def project(self, V: np.ndarray) -> np.ndarray:
@@ -613,8 +675,8 @@ class _Rows:
             X[self.aff] = self.affine.project(V[self.aff])
         if self.cur.size:
             X[self.cur] = self.curved.project(V[self.cur])
-        for k, (c, proj) in self.general.items():
-            X[k] = proj.project(V[k], equality=c.sense is Sense.EQ).x
+        for k, proj, eq in self._projected:
+            X[k] = proj.project(V[k], eq).x
         return X
 
     def project_row(self, k: int, x: np.ndarray) -> np.ndarray:
@@ -632,10 +694,10 @@ class _Rows:
         the stack of _RowClasses, but still project one row at a time
         through their ConstraintProjector.
         """
-        v = self.classes.max_violation(x, [self.general[k][0] for k in self.classes.gen.tolist()])
+        v = self.classes.max_violation(x, self._gen_rows)
         for rows, block in ((self.aff, self.affine), (self.cur, self.curved)):
             if rows.size:
-                v = max(v, float(np.max(block.violations(x))))
+                v = max(v, float(block.violations(x).max()))
         f = _value(objective, x)
         return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
 
@@ -735,10 +797,10 @@ def _admm(
         if phase1 and az.violation <= EPS_FEAS:
             phase1 = False
         if phase1:
-            z = np.mean(X - U, axis=0)
+            z = np.add.reduce(X - U, axis=0) / m  # np.mean's sum and division
         else:
             # minimize z'Az + (q0 - 2 rho t)'z, t the sum of x_i - u_i
-            b = rho * (np.sum(X - U, axis=0) if m > 0 else np.zeros(n)) - 0.5 * q0
+            b = rho * (np.add.reduce(X - U, axis=0) if m > 0 else np.zeros(n)) - 0.5 * q0
             z = A_inv @ b if A_inv is not None else np.linalg.lstsq(A, b, rcond=None)[0]
         X = rows.project(z + U)
         gap = z - X
@@ -749,11 +811,13 @@ def _admm(
             best_a, best_x = az, z.copy()
         if record_iterates:
             iterates.append((z.copy(), X.copy(), U.copy()))
-        resid = float(np.max(np.linalg.norm(gap, axis=1))) if m > 0 else 0.0
+        # the norms as np.linalg.norm computes them: a sum of squares, then its root
+        resid = float(np.sqrt(np.add.reduce(gap * gap, axis=1)).max()) if m > 0 else 0.0
         # both residuals: consensus mismatch and movement of z itself
-        dual_resid = float(np.linalg.norm(z - z_prev))
+        dz = z - z_prev
+        dual_resid = math.sqrt(float(dz @ dz))
         z_prev = z.copy()
-        scale_z = 1.0 + float(np.linalg.norm(z))
+        scale_z = 1.0 + math.sqrt(float(z @ z))
         if not phase1 and max(resid, dual_resid) <= resid_tol * scale_z:
             converged = True
             break

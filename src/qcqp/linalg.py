@@ -35,8 +35,8 @@ def sym_eigen(P) -> EigenDecomposition:
 
 
 def min_eig_bound(P) -> float:
-    """Smallest eigenvalue of symmetric P."""
-    return float(np.linalg.eigvalsh(_check_symmetric_input(P))[0])
+    """Smallest eigenvalue of symmetric P; +inf for a 0 x 0 matrix, which has none."""
+    return float(np.min(np.linalg.eigvalsh(_check_symmetric_input(P)), initial=np.inf))
 
 
 def inv_chol(V: np.ndarray) -> np.ndarray:

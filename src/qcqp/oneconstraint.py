@@ -90,7 +90,8 @@ class ConstraintProjector:
     copy of z.  A support of one variable x_i with P_ii != 0 first takes the
     root of P_ii x_i^2 + q_i x_i + r nearest z_i in closed form
     (_nearest_root), and the general path only where that is not the KKT
-    point.
+    point.  Its two roots and the gradient 2 P_ii x_i + q_i at each are
+    computed once, here.
     """
 
     def __init__(self, form: QuadraticForm):
@@ -99,9 +100,14 @@ class ConstraintProjector:
         kind, i = _row_class(form, Sense.EQ)  # the sense decides the curved class alone
         self._i = i if kind == "one" else None  # the variable of a one-variable support
         if self._i is not None:
-            self.lam = np.array([P[self._i, self._i]])
+            lam, qh = float(P[i, i]), float(form.q_vec[i])
+            self.lam = np.array([lam])
             self.Q, self._perm, self._affine_q = None, _FIRST, None
-            self.qhat = form.q_vec[self._i : self._i + 1]
+            self.qhat = form.q_vec[i : i + 1]
+            roots = _stable_roots(lam, qh, form.r)
+            # ((root, gradient there) for the lower and the upper root), or None
+            self._roots = None if roots is None else tuple((x, 2.0 * lam * x + qh) for x in roots)
+            self._lam_i = lam
         else:
             self._p = P if self._support is None else P[np.ix_(s, s)]  # P on the support
             if np.count_nonzero(self._p - np.diag(np.diag(self._p))) == 0:
@@ -117,7 +123,8 @@ class ConstraintProjector:
         self.form = form
         self.r = form.r
         self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(self.r) + 1.0)
-        self.feas_range = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
+        self.feas_range = lo_r, hi_r = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
+        self._empty = not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale)  # {f = 0}
 
     def _rotate(self, v: np.ndarray) -> np.ndarray:
         return v[self._perm] if self.Q is None else self.Q.T @ v
@@ -232,17 +239,14 @@ class ConstraintProjector:
         The lower root wins a tie.  None where the closed form does not give
         the KKT point (no real root, zero gradient, or 1 + nu*lam <= 0).
         """
-        lam, qh = float(self.lam[0]), float(self.qhat[0])
-        roots = _stable_roots(lam, qh, self.r)
-        if roots is None:
+        if self._roots is None:
             return None
-        lo, hi = roots
-        x = hi if abs(hi - zi) < abs(lo - zi) else lo
-        grad = 2.0 * lam * x + qh
+        lo, hi = self._roots
+        x, grad = hi if abs(hi[0] - zi) < abs(lo[0] - zi) else lo
         if grad == 0.0:
             return None
         nu = -2.0 * (x - zi) / grad
-        if 1.0 + nu * lam <= 0.0:
+        if 1.0 + nu * self._lam_i <= 0.0:
             return None
         return x, nu
 
@@ -300,8 +304,7 @@ class ConstraintProjector:
     def project_eq(self, z) -> ProjectionResult:
         """Global minimizer of ||x - z||^2 subject to f(x) = 0."""
         z = np.asarray(z, dtype=float)
-        lo_r, hi_r = self.feas_range
-        if not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale):
+        if self._empty:
             raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
         i = self._i
         if i is not None and (closed := self._nearest_root(float(z[i]))) is not None:
@@ -394,7 +397,7 @@ def _boundary_minimizer(objective: QuadraticForm, form: QuadraticForm, eta: floa
     w, V = eig.values, eig.vectors
     b = V.T @ (-0.5 * (objective.q_vec + eta * form.q_vec))
     null = np.abs(w) <= 10.0 * tol
-    if w[0] < -tol or np.max(np.abs(b[null]), initial=0.0) > 1e-7 * (1.0 + np.linalg.norm(b)):
+    if np.min(w, initial=0.0) < -tol or np.max(np.abs(b[null]), initial=0.0) > 1e-7 * (1.0 + np.linalg.norm(b)):
         return None
     x = V[:, ~null] @ (b[~null] / w[~null])
     f1 = evaluate(form, x)

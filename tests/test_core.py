@@ -66,6 +66,21 @@ def test_triplets_merge_and_fold_to_upper_triangle():
     assert not f.is_affine
 
 
+def test_one_diagonal_triplet_builds_the_form_that_summing_builds():
+    # create() writes a lone diagonal triplet straight into P; adding an
+    # explicit zero triplet sends the same entry through the summed and
+    # mirrored path, which must give the same matrix bit for bit
+    for v in (1.0, -2.5, 0.0, -0.0, 5e-324, -1e300, 0.1):
+        for n, i in ((1, 0), (4, 0), (4, 3), (7, 2)):
+            lone = QuadraticForm.create(n, [(i, i, v)], np.arange(n, dtype=float), -1.0)
+            summed = QuadraticForm.create(n, [(i, i, v), (0, 0, 0.0)], np.arange(n, dtype=float), -1.0)
+            assert lone.dense_p.tobytes() == summed.dense_p.tobytes()
+            assert lone.triplets == summed.triplets
+            assert not lone.dense_p.flags.writeable
+    with pytest.raises(ValueError):
+        QuadraticForm.create(2, [(1, 1, math.inf)])
+
+
 def test_from_dense_symmetrizes():
     f = QuadraticForm.from_dense([[1.0, 4.0], [0.0, 2.0]])
     assert np.allclose(f.dense_p, [[1.0, 2.0], [2.0, 2.0]])

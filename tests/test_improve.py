@@ -299,14 +299,23 @@ def _cd_output(rep):
 
 
 def _scan_case(family: str, seed: int) -> QcqpProblem:
-    """A boolean problem whose every x_i^2 = 1 row is its coordinate's only row, n <= 12."""
+    """A boolean problem whose every x_i^2 = 1 row is its coordinate's only row, n <= 12.
+
+    diagonal has a diagonal objective with q = 0, so the roots +-1 tie,
+    except on coordinates where P_jj and q_j are nonzero but below
+    AFFINE_EPS: an objective flat in x_j that still favours x_j = 1.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 13))
     if family == "boolean_ls":
         return gen_boolean_ls(n + 3, n, seed=seed)
-    if family == "maxcut":
+    if family in ("maxcut", "partitioning"):
         W = np.triu(rng.standard_normal((n, n)), 1)
-        return gen_maxcut(W + W.T)
+        return (gen_maxcut if family == "maxcut" else gen_partitioning)(W + W.T)
+    if family == "diagonal":
+        d = rng.choice([5e-13, 1.5, -0.5], n)
+        objective = QuadraticForm.from_dense(np.diag(d), np.where(d == 5e-13, -5e-13, 0.0), 1.0)
+        return QcqpProblem.create(objective, gen_maxcut(np.zeros((n, n))).constraints)
     # boolean LS with one LE row on two coordinates: their visits are scalar
     # and interleave with the scanned visits of the others in each sweep
     p = gen_boolean_ls(n + 3, n, seed=seed)
@@ -316,11 +325,12 @@ def _scan_case(family: str, seed: int) -> QcqpProblem:
 
 
 @pytest.mark.parametrize("start", ["normal", "sign", "admm"])
-@pytest.mark.parametrize("family", ["boolean_ls", "maxcut", "mixed"])
+@pytest.mark.parametrize("family", ["boolean_ls", "maxcut", "mixed", "partitioning", "diagonal"])
 def test_cd_block_scan_matches_the_scalar_visits(family, start):
     # each x_i^2 = 1 row listed twice gives x_i two rows, so no coordinate of
-    # the copy is a block coordinate and every phase II visit is scalar; the
-    # two problems have the same solution sets, so cd must agree bit for bit
+    # the copy is a block coordinate and every phase I and phase II visit is
+    # scalar; the two problems have the same solution sets, so cd must agree
+    # bit for bit
     for seed in range(6):
         problem = _scan_case(family, seed)
         n = problem.n
@@ -424,6 +434,68 @@ def test_cd_phase2_decides_block_coordinates_without_minimize_over_set():
     assert not np.array_equal(rep.x, x0)
 
 
+@pytest.mark.parametrize("family", ["boolean_ls", "partitioning", "maxcut", "diagonal", "mixed"])
+def test_phase1_visit_matches_the_scalar_visit_after_drifting_moves(family):
+    # moves leave g[k, j] off a x_j by rounding, so the row's linear term q is
+    # a residue rather than 0; at every such state the closed form must take
+    # the scalar visit's step (block_root declining gives it), bit for bit
+    rng = np.random.default_rng(1)
+    drifted = decided = 0
+    for seed in range(12):
+        problem = _scan_case(family, seed)
+        cr = problem._coordinate_rows
+        x0 = rng.standard_normal(problem.n)
+        if seed % 2:
+            x0 = improve_admm(problem, x0, max_iter=3).x
+        fast, slow = qcqp.improve._CoordState(problem, x0), qcqp.improve._CoordState(problem, x0)
+        for _ in range(3 * problem.n):
+            j, t = int(rng.integers(problem.n)), float(rng.standard_normal())
+            fast.move(j, t)
+            slow.move(j, t)
+        drifted += int(np.count_nonzero(fast.g[cr.block_k, cr.block_j] != cr.block_a * fast.x[cr.block_j]))
+        for j in range(problem.n):
+            decided += cr.run_end[j] > j and fast.block_root(j) is not None  # a block coordinate's closed form
+            qcqp.improve._phase1_visit(fast, j)
+            with mock.patch.object(qcqp.improve._CoordState, "block_root", return_value=None):
+                qcqp.improve._phase1_visit(slow, j)
+            for u, v in ((fast.x, slow.x), (fast.fval, slow.fval), (fast.g, slow.g)):
+                assert u.tobytes() == v.tobytes()
+    assert drifted > 10 and decided > 50
+
+
+def test_refresh_writes_the_dense_products():
+    # refresh() writes a x_i for a row of one variable, read only at x_i, and
+    # the dense product for every other row; a point with a non-finite entry
+    # takes the dense product everywhere
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        rows = []
+        for j in range(n):
+            e = np.eye(n)[j]
+            a, b = float(rng.choice([1.0, -2.5, rng.standard_normal()])), float(rng.choice([0.0, 0.7]))
+            sense = Sense.EQ if rng.random() < 0.7 else Sense.LE
+            rows.append(Constraint(QuadraticForm.create(n, [(j, j, a)], b * e, -1.0), sense))
+        if n > 1:
+            rows.append(Constraint(QuadraticForm.create(n, [(0, n - 1, 1.0)], None, -0.5), Sense.LE))
+        A = rng.standard_normal((n, n))
+        problem = QcqpProblem.create(QuadraticForm.from_dense(A + A.T, rng.standard_normal(n)), rows)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        x[rng.random(n) < 0.3] = float(rng.choice([0.0, -0.0, 1.0, -1.0]))
+        if trial % 6 == 0:
+            x[int(rng.integers(n))] = float(rng.choice([np.inf, np.nan]))
+        with np.errstate(all="ignore"):
+            st_ = qcqp.improve._CoordState(problem, x)
+            dense = [P @ x for P in st_.P]
+        rc = problem._row_classes
+        for k, g in enumerate(dense):
+            if k - 1 in rc.one.tolist() and np.isfinite(x).all():
+                i = rc.i[rc.one.tolist().index(k - 1)]
+                assert st_.g[k, i].tobytes() == g[i].tobytes()
+            else:
+                assert st_.g[k].tobytes() == g.tobytes()
+
+
 # -- ADMM -------------------------------------------------------------------
 
 
@@ -507,6 +579,20 @@ def test_admm_projects_each_boolean_row_through_its_projector_once_per_iteration
         rep = improve_admm(p, x0, max_iter=20)
     assert rep.iterations == 20
     assert calls.call_count == p.m * rep.iterations
+
+
+@pytest.mark.parametrize(
+    "improve",
+    [improve_admm, improve_ccp, partial(improve_sequence, methods=["sign", "cd", "admm"])],
+    ids=["admm", "ccp", "sequence"],
+)
+def test_improve_returns_on_a_problem_of_no_variables(improve):
+    # a 0 x 0 objective has no smallest eigenvalue to read (min_eig_bound
+    # takes +inf); improving the empty point returns it
+    problem = QcqpProblem.create(QuadraticForm.create(0, (), None, 2.0))
+    rep = improve(problem, np.zeros(0))
+    assert rep.x.shape == (0,)
+    assert rep.assessment.as_tuple() == (0.0, 2.0)
 
 
 def test_admm_indefinite_z_update_falls_back_to_least_squares(monkeypatch):

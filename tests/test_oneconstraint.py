@@ -428,6 +428,61 @@ def test_one_variable_support_falls_back_to_its_restriction(p, q, r, z):
         assert same_float(got.kkt_residual, want.kkt_residual)
 
 
+def nearest_root_reference(proj: ConstraintProjector, zi: float) -> tuple[float, float] | None:
+    """The one-variable closed form worked through in full on every call: roots, then the nearer one's nu."""
+    lam, qh = float(proj.lam[0]), float(proj.qhat[0])
+    roots = _stable_roots(lam, qh, proj.r)
+    if roots is None:
+        return None
+    lo, hi = roots
+    x = hi if abs(hi - zi) < abs(lo - zi) else lo
+    grad = 2.0 * lam * x + qh
+    if grad == 0.0:
+        return None
+    nu = -2.0 * (x - zi) / grad
+    if 1.0 + nu * lam <= 0.0:
+        return None
+    return x, nu
+
+
+def test_one_variable_projection_matches_the_closed_form_bit_for_bit():
+    # the projector computes its roots and their gradients once; x and nu
+    # must be those of the formula worked through on each call: a of both
+    # signs, b = 0 and b != 0, two, one or no real roots, and z_i at the
+    # midpoint of the roots, at a root and at random
+    rng = np.random.default_rng(20)
+    cases = closed = 0
+    for _ in range(400):
+        a = float(rng.choice([1.0, -1.0, 2.5, -0.3])) * float(rng.choice([1.0, rng.uniform(0.5, 2.0)]))
+        b = float(rng.choice([0.0, rng.standard_normal()]))
+        centre = b * b / (4.0 * a)  # a t^2 + b t + centre has the double root -b / (2a)
+        r = centre + float(rng.choice([-1.0, 0.0, 1.0])) * a * float(rng.uniform(0.1, 4.0))
+        at, n = (0, 1) if rng.random() < 0.5 else (1, 3)
+        proj = ConstraintProjector(one_variable(a, b, r, at=at, n=n))
+        roots = _stable_roots(a, b, r)
+        picks = [float(rng.standard_normal())] + ([0.5 * (roots[0] + roots[1]), roots[1]] if roots else [])
+        for zi in picks:
+            z = rng.standard_normal(n)
+            z[at] = zi
+            got = project_or_error(proj, z)
+            if isinstance(got, type):
+                assert roots is None and got is InfeasibleConstraintError
+                continue
+            cases += 1
+            want = nearest_root_reference(proj, zi)
+            if want is None:  # the general path answers, as it did
+                with mock.patch.object(ConstraintProjector, "_nearest_root", return_value=None):
+                    general = proj.project_eq(z)
+                assert got.x.tobytes() == general.x.tobytes() and same_float(got.nu, general.nu)
+                continue
+            closed += 1
+            x = z.copy()
+            x[at] = want[0]
+            assert got.x.tobytes() == x.tobytes()
+            assert same_float(got.nu, want[1])
+    assert closed > 300 and cases > closed
+
+
 @given(curvature, coefficient, st.floats(0.1, 10.0), coefficient)
 def test_one_variable_support_without_real_root_is_infeasible(p, q, gap, z):
     # p x^2 + q x + r keeps the sign of p by at least gap: {f = 0} is empty

@@ -61,6 +61,14 @@ def test_spectral_unbounded_gives_vacuous_bound():
     assert res.bound == -math.inf
 
 
+@pytest.mark.parametrize("r, bound", [(-1.0, 2.0), (1.0, math.inf)])
+def test_spectral_bound_on_a_problem_of_no_variables(r, bound):
+    # the objective is its constant 2; a constant row r <= 0 holds or leaves nothing feasible
+    p = QcqpProblem.create(QuadraticForm.create(0, (), None, 2.0), [Constraint(QuadraticForm.create(0, (), None, r))])
+    assert spectral_bound(p).bound == bound
+    assert spectral_bound(QcqpProblem.create(QuadraticForm.create(0))).bound == 0.0
+
+
 def test_cutting_plane_bound_sandwich_small():
     rng = np.random.default_rng(0)
     for _ in range(4):
