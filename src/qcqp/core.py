@@ -5,8 +5,9 @@ symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
 (i, j, v) triplets are the problem-file format only: `create` reads them
 and `triplets` writes them back.  All types are immutable after
 construction; what they add later are caches of values derived from
-their fields (`QuadraticForm.support`, a problem's row classes and the
-rows of each coordinate), which `assess` and the improve methods share.
+their fields (`QuadraticForm.support`, a problem's row classes, the rows
+of each coordinate and ADMM's rows), which `assess` and the improve
+methods share.
 """
 
 from __future__ import annotations
@@ -155,16 +156,12 @@ class Constraint:
         return abs(v) if self.sense is Sense.EQ else max(v, 0.0)
 
 
-def _row_class(form: QuadraticForm, sense: Sense) -> tuple[str, int]:
-    """The class of the row form (sense) 0 in _RowClasses, and its x_i (-1 where it has none)."""
-    nz = np.flatnonzero(form.dense_p)
-    if not nz.size:
+def _row_class(form: QuadraticForm) -> tuple[str, int]:
+    """The class in _RowClasses of a row with this form, and its x_i (-1 where it has none)."""
+    if not form.dense_p.any():
         return "aff", -1
     if form.support.size == 1:  # then P = a e_i e_i' with a != 0
         return "one", int(form.support[0])
-    # P is symmetric, so a single nonzero entry lies on its diagonal
-    if sense is Sense.LE and nz.size == 1 and form.dense_p.flat[nz[0]] > 0.0:
-        return "cur", int(nz[0]) // form.n
     return "gen", -1
 
 
@@ -179,10 +176,9 @@ class _RowClasses:
     """Each row of a constraint list in exactly one class, decided by one scan (_row_class).
 
     one: a x_i^2 + b x_i + r (= or <=) 0 with a != 0, stacked as arrays i,
-    a, b, r and eq.  aff: P = 0.  cur: an LE row a x_i^2 + w'x + r <= 0 with
-    a > 0 and w nonzero off x_i, whose i cur_i holds.  gen: every other row.
-    Each class lists its rows' indices in ascending order, and others holds
-    every row outside the stack, to evaluate one at a time.
+    a, b, r and eq.  aff: P = 0.  gen: every other row.  Each class lists
+    its rows' indices in ascending order, and others holds every row
+    outside the stack, to evaluate one at a time.
 
     A stacked row has P = a e_i e_i' and q = b e_i, so _value computes
     round(round(x_i a x_i) + round(b x_i)) + r: every other term of its
@@ -190,17 +186,16 @@ class _RowClasses:
     for every such row at once.  The dense products give +0.0 where the
     row's terms cancel exactly, and so does r + 0.0.  With n > 1 they give
     NaN at a point with any non-finite coordinate (0 * inf is NaN), and so
-    does values().
+    does values(), without numpy's warnings about invalid values.
     """
 
     def __init__(self, constraints: Sequence[Constraint]):
-        kinds = [_row_class(c.form, c.sense) for c in constraints]
-        self.one, self.aff, self.cur, self.gen = (
+        kinds = [_row_class(c.form) for c in constraints]
+        self.one, self.aff, self.gen = (
             np.array([k for k, (kind, _) in enumerate(kinds) if kind == name], dtype=int)
-            for name in ("one", "aff", "cur", "gen")
+            for name in ("one", "aff", "gen")
         )
         self.i = np.array([kinds[k][1] for k in self.one.tolist()], dtype=int)
-        self.cur_i = np.array([kinds[k][1] for k in self.cur.tolist()], dtype=int)
         forms = [constraints[k].form for k in self.one.tolist()]
         self.a = np.array([f.dense_p[j, j] for f, j in zip(forms, self.i.tolist())], dtype=float)
         self.b = np.array([f.q_vec[j] for f, j in zip(forms, self.i.tolist())], dtype=float)
@@ -211,19 +206,28 @@ class _RowClasses:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Each stacked row's f(x), equal bit for bit to _value(form, x)."""
-        xi = x[self.i]
-        f = xi * (self.a * xi) + self.b * xi + self.r
-        if x.size > 1 and not np.isfinite(x).all():
+        if np.isfinite(x).all():
+            return self._finite_values(x)
+        with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf are NaN, as in _value
+            f = self._finite_values(x)
+        if x.size > 1:
             f[:] = math.nan
         return f
 
+    def _finite_values(self, x: np.ndarray) -> np.ndarray:
+        xi = x[self.i]
+        return xi * (self.a * xi) + self.b * xi + self.r
+
     def max_violation(self, x: np.ndarray, others) -> float:
-        """The largest violation at x over the rows others and the stack, folded as assess folds it."""
+        """The largest violation at x over the rows others and the stack, folded as assess folds it.
+
+        The stack is evaluated as at a finite x: elsewhere the objective is not finite, so assess gives inf.
+        """
         v = 0.0
         for c in others:
             v = max(v, c._violation_of(_value(c.form, x)))
         if self.one.size:
-            v = max(v, float(_violations(self.values(x), self.eq).max()))
+            v = max(v, float(_violations(self._finite_values(x), self.eq).max()))
         return v
 
 
@@ -326,6 +330,13 @@ class QcqpProblem:
     def _coordinate_rows(self) -> _CoordinateRows:
         return _CoordinateRows(self)
 
+    @cached_property
+    def _admm_rows(self):
+        """improve._Rows of this problem, which every ADMM call on it projects through."""
+        from .improve import _Rows  # improve imports this module
+
+        return _Rows.of(self)
+
 
 def assess(problem: QcqpProblem, x) -> Assessment:
     """Maximum constraint violation and objective value at x.
@@ -333,9 +344,13 @@ def assess(problem: QcqpProblem, x) -> Assessment:
     A non-finite objective counts as violation inf, like a non-finite
     constraint value, so such a point never beats a finite one.  x is
     checked once; every row is then evaluated as `evaluate` would, the rows
-    of one variable all at once.
+    of one variable all at once.  At a non-finite point the objective is
+    not finite either (0 * inf is NaN), so it alone is evaluated, quietly.
     """
     x = _check_vector(x, problem.n)
+    if not np.isfinite(x).all():
+        with np.errstate(invalid="ignore"):
+            return Assessment(violation=math.inf, objective=_value(problem.objective, x))
     rc = problem._row_classes
     v = rc.max_violation(x, rc.others)
     f = _value(problem.objective, x)

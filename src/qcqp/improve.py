@@ -10,7 +10,6 @@ something worse, so composition is always safe.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -18,7 +17,6 @@ import numpy as np
 
 from .core import (
     Assessment,
-    Constraint,
     QcqpProblem,
     QuadraticForm,
     Sense,
@@ -558,123 +556,117 @@ class _AffineRows:
         return V - (s / self.norm2[rows])[:, None] * A
 
 
-class _CurvedRows:
-    """LE rows a x_i^2 + w'x + r <= 0, a > 0, w nonzero off x_i, stacked to project as one block.
+class _ConvexRows:
+    """LE rows x'U diag(d) U'x + w'x + r <= 0, stacked to project as one block.
 
-    Row k has i[k], a[k], w = W[k] and r[k].  The projection of v onto a
-    row's set is x(nu) with x_i = (v_i - nu w_i) / (1 + 2 a nu) and x_j = v_j
-    - nu w_j elsewhere, at the root nu >= 0 of phi(nu) = f(x(nu)) (Parikh &
-    Boyd 2014, "Proximal Algorithms", section 6).
-    phi is convex and decreases with slope at most -omega, omega the sum of
-    w_j^2 over j != i, and its root lies in a bracket known in closed form,
+    Row k has U[k], orthonormal columns over the first U.shape[1]
+    coordinates (zero columns with d = 1 pad a row of lower rank), d[k] >
+    0, w = W[k] with a part w_perp = w - UU'w off span(U) (every CCP row has
+    its slack) and r[k].  The projection of v onto a row's set is x(nu) =
+    (y - UU'y) + U c, y = v - nu w and c = U'y / (1 + 2 d nu), at the root
+    nu >= 0 of phi(nu) = f(x(nu)) (Parikh & Boyd 2014, "Proximal
+    Algorithms", section 6).  phi is convex and decreases with slope at
+    most -||w_perp||^2, and its root lies in a bracket known in closed form,
     so safeguarded Newton steps (clipped to the bracket) from its lower end
     approach the root from below (Moré & Sorensen 1983).  All rows step at
     once, each until its own step is below 1e-13 (1 + nu), so a row's result
-    does not depend on the other rows in the block.  A row feasible at v
-    leaves v unchanged, as ConstraintProjector.project_ineq does.
+    does not depend on the other rows.  A row feasible at v leaves v
+    unchanged, as ConstraintProjector.project_ineq does.  With U = +-e_i
+    every sum over U's columns has one term: a x_i^2 + w'x + r takes the
+    closed form in x_i, bit for bit up to the sign of a zero.
     """
 
-    def __init__(self, i: np.ndarray, a: np.ndarray, W: np.ndarray, r: np.ndarray):
-        self.i, self.a, self.W, self.r = i, a, W, r
-        k = np.arange(r.size)
-        self.wi = W[k, i]
-        self.W_off = W.copy()  # w with its curved coordinate zeroed
-        self.W_off[k, i] = 0.0
-        # > 0 as long as every row keeps a term off x_i, which with_linear's callers ensure
-        self.omega = np.einsum("ij,ij->i", self.W_off, self.W_off)
+    def __init__(self, U: np.ndarray, d: np.ndarray, W: np.ndarray, r: np.ndarray):
+        self.U, self.d, self.W, self.r = U, d, W, r
+        nc = U.shape[1]
+        self.b = np.einsum("kip,ki->kp", U, W[:, :nc])
+        self.W_perp = W.copy()
+        self.W_perp[:, :nc] -= np.einsum("kip,kp->ki", U, self.b)
+        self.omega = np.einsum("ij,ij->i", self.W_perp, self.W_perp)
 
     def violations(self, z: np.ndarray) -> np.ndarray:
-        return _violations(self.a * z[self.i] ** 2 + self.W @ z + self.r, False)
+        uz = np.einsum("kip,i->kp", self.U, z[: self.U.shape[1]])
+        return _violations((self.d * uz**2).sum(axis=1) + self.W @ z + self.r, False)
 
     def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
-        i, a, wi, omega = self.i[rows], self.a[rows], self.wi[rows], self.omega[rows]
-        k = np.arange(V.shape[0])
-        vi = V[k, i]
-        rest = np.einsum("ij,ij->i", V, self.W_off[rows]) + self.r[rows]  # f(v) - a v_i^2 - w_i v_i
-        f0 = (a * vi + wi) * vi + rest
-        # phi(nu) = s2 / (4a t^2) + kappa - omega nu with t = 1 + 2 a nu, so
-        # max(kappa, 0) / omega <= root <= f0 / omega
-        s2 = (2.0 * a * vi + wi) ** 2
-        kappa = rest - wi * wi / (4.0 * a)
-        hi = np.maximum(f0, 0.0) / omega  # 0 on rows feasible at v, which keep nu = 0
+        U, d, b, omega = self.U[rows], self.d[rows], self.b[rows], self.omega[rows]
+        nc = U.shape[1]
+        a = np.einsum("kip,ki->kp", U, V[:, :nc])  # U'v, as b is U'w
+        rest = np.einsum("ij,ij->i", V, self.W_perp[rows]) + self.r[rows]  # w_perp'v + r
+        f0 = ((d * a + b) * a).sum(axis=1) + rest
+        moved = f0 > 0.0  # a row feasible at v keeps v
+        if not moved.any():
+            return V.copy()
+        # phi(nu) = sum_j s2_j / (4 d_j t_j^2) + kappa - omega nu with t = 1 +
+        # 2 d nu, so max(kappa, 0) / omega <= root <= f0 / omega
+        s2 = (2.0 * d * a + b) ** 2
+        kappa = rest - (b * b / (4.0 * d)).sum(axis=1)
+        hi = np.maximum(f0, 0.0) / omega
         nu = np.clip(kappa / omega, 0.0, hi)
-        active = f0 > 0.0
+        active = moved.copy()
         for _ in range(SECULAR_STEP_MAX):
             if not active.any():
                 break
-            t = 1.0 + 2.0 * a * nu
-            xi = (vi - nu * wi) / t
-            phi = (a * xi + wi) * xi + rest - nu * omega
-            new = np.clip(nu + phi / (s2 / t**3 + omega), 0.0, hi)
+            t = 1.0 + 2.0 * d * nu[:, None]
+            c = (a - nu[:, None] * b) / t
+            phi = ((d * c + b) * c).sum(axis=1) + rest - nu * omega
+            new = np.clip(nu + phi / ((s2 / t**3).sum(axis=1) + omega), 0.0, hi)
             active &= np.abs(new - nu) > 1e-13 * (1.0 + nu)
             nu = np.where(active, new, nu)
         X = V - nu[:, None] * self.W[rows]
-        X[k, i] = (vi - nu * wi) / (1.0 + 2.0 * a * nu)
-        return X
+        Y = X[:, :nc]
+        uy = np.einsum("kip,ki->kp", U, Y)
+        c = uy / (1.0 + 2.0 * d * nu[:, None])
+        X[:, :nc] = (Y - np.einsum("kip,kp->ki", U, uy)) + np.einsum("kip,kp->ki", U, c)
+        return np.where(moved[:, None], X, V)
 
 
 class _Rows:
-    """The rows of an ADMM problem, in the classes of the problem's _RowClasses.
+    """The rows of an ADMM problem: stacked blocks, and general rows that project one at a time.
 
-    Affine rows project as one _AffineRows block, curved rows as one
-    _CurvedRows block, and every other row (the rows of one variable too) is
-    a general row with its own ConstraintProjector.  project() is ADMM's
-    x-update and assess() its assessment of a point; both read the classes'
-    arrays.  with_linear() gives the same rows with new linear terms and
-    constants: the step that CCP takes from one convex subproblem to the next.
+    blocks holds (rows, block) pairs, rows the ascending indices of the
+    block's rows, which the block (_AffineRows or _ConvexRows) projects and
+    measures all at once.  general maps every other row k to (constraint,
+    its ConstraintProjector), and classes, when given, are the rows'
+    _RowClasses, which assess() reads the general rows' values from.
+    project() is ADMM's x-update and assess() its assessment of a point.
+    ADMM's rows of a problem are of(problem); improve_ccp builds the rows of
+    its subproblem from two blocks.
     """
 
-    def __init__(self, problem: QcqpProblem):
-        constraints, self.classes = problem.constraints, problem._row_classes
-        self.n, self.m = problem.n, problem.m
-        self.aff, self.cur = self.classes.aff, self.classes.cur
-        Q = np.array([c.form.q_vec for c in constraints]).reshape(self.m, self.n)
-        R = np.array([c.form.r for c in constraints], dtype=float)
-        eq = np.array([c.sense is Sense.EQ for c in constraints], dtype=bool)
-        self.affine = _AffineRows(eq[self.aff], Q[self.aff], R[self.aff])
-        i = self.classes.cur_i
-        a = np.array([constraints[k].form.dense_p[j, j] for k, j in zip(self.cur, i)], dtype=float)
-        self.curved = _CurvedRows(i, a, Q[self.cur], R[self.cur])
-        general = sorted(self.classes.one.tolist() + self.classes.gen.tolist())
-        self._set_general({k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general})
-        # constraint index -> (class, row in that class), to project one row alone
-        self._slot = {k: ("affine", j) for j, k in enumerate(self.aff.tolist())}
-        self._slot.update({k: ("curved", j) for j, k in enumerate(self.cur.tolist())})
+    def __init__(self, n: int, m: int, blocks, general: dict | None = None, classes=None):
+        self.n, self.m = n, m
+        self.blocks = tuple((rows, block) for rows, block in blocks if rows.size)
+        self.general = {} if general is None else general
+        self.classes = classes
+        self._projected = [(k, proj, c.sense is Sense.EQ) for k, (c, proj) in self.general.items()]
+        self._gen_rows = [] if classes is None else [self.general[k][0] for k in classes.gen.tolist()]
+        # row index -> (block, row in that block), to project one row alone
+        self._slot = {k: (block, j) for rows, block in self.blocks for j, k in enumerate(rows.tolist())}
 
-    def _set_general(self, general: dict) -> None:
-        """Keep general, and the lists that project() and assess() read of it on every call."""
-        self.general = general
-        self._projected = [(k, proj, c.sense is Sense.EQ) for k, (c, proj) in general.items()]
-        self._gen_rows = [general[k][0] for k in self.classes.gen.tolist()]
+    @classmethod
+    def of(cls, problem: QcqpProblem) -> "_Rows":
+        """ADMM's rows of problem: the affine rows as one block, every other row with its projector.
 
-    def with_linear(self, Q: np.ndarray, R: np.ndarray) -> "_Rows":
-        """The same rows with linear terms Q[k] and constants R[k], in the same classes.
-
-        A general row keeps its projector when its terms did not move, and
-        otherwise gets a new one.  No row of one variable may move: assess()
-        reads them from the stack of the rows' _RowClasses.  CCP's subproblem
-        has none, since each of its rows holds its own slack.
+        The rows of one variable (boolean LS's x_i^2 = 1) are evaluated as
+        the stack of the problem's _RowClasses, but still project one row at
+        a time through their ConstraintProjector.
         """
-        new = copy.copy(self)
-        new.affine = _AffineRows(self.affine.eq, Q[self.aff], R[self.aff])
-        new.curved = _CurvedRows(self.curved.i, self.curved.a, Q[self.cur], R[self.cur])
-        general = {}
-        for k, (c, proj) in self.general.items():
-            if R[k] != c.form.r or not np.array_equal(Q[k], c.form.q_vec):
-                c = Constraint(QuadraticForm._of_symmetric(c.form.dense_p, Q[k], R[k]), c.sense)
-                proj = ConstraintProjector(c.form)
-            general[k] = (c, proj)
-        new._set_general(general)
-        return new
+        constraints, classes = problem.constraints, problem._row_classes
+        aff = [constraints[k] for k in classes.aff.tolist()]
+        A = np.array([c.form.q_vec for c in aff]).reshape(len(aff), problem.n)
+        b = np.array([c.form.r for c in aff], dtype=float)
+        eq = np.array([c.sense is Sense.EQ for c in aff], dtype=bool)
+        general = sorted(classes.one.tolist() + classes.gen.tolist())
+        general = {k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general}
+        return cls(problem.n, problem.m, [(classes.aff, _AffineRows(eq, A, b))], general, classes)
 
     def project(self, V: np.ndarray) -> np.ndarray:
         """Row k of V projected onto row k's set, for every row."""
         X = np.empty_like(V)
-        if self.aff.size:
-            X[self.aff] = self.affine.project(V[self.aff])
-        if self.cur.size:
-            X[self.cur] = self.curved.project(V[self.cur])
+        for rows, block in self.blocks:
+            X[rows] = block.project(V[rows])
         for k, proj, eq in self._projected:
             X[k] = proj.project(V[k], eq).x
         return X
@@ -684,20 +676,14 @@ class _Rows:
         if k in self.general:
             c, proj = self.general[k]
             return proj.project(x, equality=c.sense is Sense.EQ).x
-        name, j = self._slot[k]
-        return getattr(self, name).project(x[None, :], [j])[0]
+        block, j = self._slot[k]
+        return block.project(x[None, :], [j])[0]
 
     def assess(self, objective: QuadraticForm, x: np.ndarray) -> Assessment:
-        """assess() of the problem with these rows, reading each class's violations at once.
-
-        The rows of one variable (boolean LS's x_i^2 = 1) are evaluated as
-        the stack of _RowClasses, but still project one row at a time
-        through their ConstraintProjector.
-        """
-        v = self.classes.max_violation(x, self._gen_rows)
-        for rows, block in ((self.aff, self.affine), (self.cur, self.curved)):
-            if rows.size:
-                v = max(v, float(block.violations(x).max()))
+        """assess() of the problem with these rows, reading each block's violations at once."""
+        v = 0.0 if self.classes is None else self.classes.max_violation(x, self._gen_rows)
+        for _, block in self.blocks:
+            v = max(v, float(block.violations(x).max()))
         f = _value(objective, x)
         return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
 
@@ -722,10 +708,10 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     squares when that matrix is not positive definite.  Constraints enter
     only through the copies, so a box or a ball is posed as constraint
     rows.  Each x_i is projected onto its constraint.  The rows are set
-    up once (_Rows): the affine rows and the LE rows with one curved
-    coordinate each project as one stacked block, every other row through
-    its ConstraintProjector, and the per-iteration assessment reads the same
-    classes.  Iterates can cycle on nonconvex problems, so the report returns
+    up once per problem (_Rows.of, kept with the problem for every later
+    call): the affine rows project as one stacked block, every other row
+    through its ConstraintProjector, and the per-iteration assessment reads
+    the same classes.  Iterates can cycle on nonconvex problems, so the report returns
     the best iterate ever seen under the lexicographic order, assessed again
     by assess() and never worse than x0.
 
@@ -735,7 +721,7 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     TypeError.
     """
     rho = default_rho(problem) if rho is None else rho
-    rep = _admm(problem.objective, _Rows(problem), x0, rho, **opts)
+    rep = _admm(problem.objective, problem._admm_rows, x0, rho, **opts)
     return _reassessed(problem, x0, rep)
 
 
@@ -854,10 +840,9 @@ def _admm(
 def _check_convex(objective: QuadraticForm, rows: _Rows) -> None:
     """Raise NotConvexError unless the objective and every row are convex.
 
-    Affine rows and rows with one curved coordinate (a > 0) are convex by
-    their class, so only the general rows are checked: an EQ row is not
-    convex, and an LE row is when the smallest eigenvalue its projector
-    already holds (lam ascends) is not negative.
+    Affine rows are convex by their class, so only the general rows are
+    checked: an EQ row is not convex, and an LE row is when the smallest
+    eigenvalue its projector already holds (lam ascends) is not negative.
     """
     scale = 1.0 + np.linalg.norm(objective.dense_p)
     if min_eig_bound(objective.dense_p) < -1e-9 * scale:
@@ -874,7 +859,7 @@ _CONVEX_OPTS = {"max_iter": 2000, "two_phase": False, "resid_tol": 1e-8}
 
 def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts) -> ImproveReport:
     """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
-    rows = _Rows(problem)
+    rows = problem._admm_rows
     _check_convex(problem.objective, rows)
     rho = default_rho(problem) if rho is None else rho
     rep = _admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts})
@@ -916,22 +901,28 @@ def improve_ccp(
     TypeError.
 
     Only the linear terms and constants of the subproblem move with the
-    current point, so it is set up once per call: the fixed curvature, the
-    slack rows s_k >= 0, the row classes of _Rows with the projectors of
-    the rows that have no concave part, and the convexity check.  Each
-    iteration then updates the linear terms and constants, tau, and the
-    ADMM step size rho with the Cholesky factor of P0 + m rho I.
+    current point.  Its row 2k is convexified row k with -s_k and row 2k+1
+    is s_k >= 0: the slack rows and the rows with plus_k = 0 form one
+    affine block, and every other row one convex block with U diag(d) U' =
+    plus_k from split_eigen's eigenpairs, all set up once per call.  Each
+    iteration rebuilds the two blocks from the new linear terms and
+    constants, and updates tau and the ADMM step size rho with the
+    Cholesky factor of P0 + m rho I.
     """
     splitter = _SPLITTERS["eigen"]
     x0 = np.asarray(x0, dtype=float)
     n = problem.n
     sp0 = splitter(problem.objective.dense_p)
     rows = []  # (plus, minus, q, r) meaning x'(plus - minus)x + q'x + r <= 0
+    curvature = []  # (U, d) with plus = U diag(d) U', d > 0
     for c in problem.constraints:
         sp = splitter(c.form.dense_p)
+        w, V = sp.eigen.values, sp.eigen.vectors
         rows.append((sp.plus, sp.minus, c.form.q_vec, c.form.r))
+        curvature.append((V[:, w > 0.0], w[w > 0.0]))
         if c.sense is Sense.EQ:
             rows.append((sp.minus, sp.plus, -c.form.q_vec, -c.form.r))
+            curvature.append((V[:, w < 0.0], -w[w < 0.0]))
     K = len(rows)
     dim = n + K
     r_rows = np.array([r for _, _, _, r in rows], dtype=float)
@@ -946,25 +937,22 @@ def improve_ccp(
         L = np.array([q - 2.0 * (minus @ xk) for _, minus, q, _ in rows]).reshape(K, n)
         return L, np.array([float(xk @ (minus @ xk)) for _, minus, _, _ in rows])
 
-    # subproblem rows in (x, s): row 2k is convexified row k with -s_k, row
-    # 2k+1 is s_k >= 0; Q and R hold their linear terms and constants
+    # subproblem rows in (x, s), Q and R their linear terms and constants;
+    # every row has -1 on its slack, so no row's set is empty
     Q = np.zeros((2 * K, dim))
     Q[0::2, n:] = Q[1::2, n:] = -np.eye(K)
     R = np.zeros(2 * K)
-    L, lin_r = linearized(x0)
-    Q[0::2, :n], R[0::2] = L, r_rows + lin_r
-    sub_constraints = []
-    for k, (plus, _, _, _) in enumerate(rows):
-        Pk = np.zeros((dim, dim))
-        Pk[:n, :n] = plus
-        row = QuadraticForm.from_dense(Pk, Q[2 * k], R[2 * k])
-        slack = QuadraticForm.create(dim, (), Q[2 * k + 1], 0.0)
-        sub_constraints += [Constraint(row, Sense.LE), Constraint(slack, Sense.LE)]
+    convex = [k for k, (_, dk) in enumerate(curvature) if dk.size]  # the rows with plus_k != 0
+    cvx = 2 * np.array(convex, dtype=int)
+    aff = np.flatnonzero(~np.isin(np.arange(2 * K), cvx))
+    rank = max((curvature[k][1].size for k in convex), default=0)
+    U, d = np.zeros((len(convex), n, rank)), np.ones((len(convex), rank))
+    for j, k in enumerate(convex):
+        Uk, dk = curvature[k]
+        U[j, :, : dk.size], d[j, : dk.size] = Uk, dk
     Pq = np.zeros((dim, dim))
     Pq[:n, :n] = sp0.plus
     sub_objective = QuadraticForm.from_dense(Pq)
-    sub_rows = _Rows(QcqpProblem.create(sub_objective, sub_constraints))
-    _check_convex(sub_objective, sub_rows)
     sub_opts = {"max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
     if set(sub_opts) != {"max_iter", "resid_tol"}:
         raise TypeError(f"subsolver_opts takes only max_iter and resid_tol, got {sorted(subsolver_opts)}")
@@ -986,7 +974,8 @@ def improve_ccp(
         rr = problem.objective.r + float(xk @ (sp0.minus @ xk))
         L, lin_r = linearized(xk)
         Q[0::2, :n], R[0::2] = L, r_rows + lin_r
-        sub = sub_rows.with_linear(Q, R)
+        affine = _AffineRows(np.zeros(aff.size, dtype=bool), Q[aff], R[aff])
+        sub = _Rows(dim, 2 * K, [(aff, affine), (cvx, _ConvexRows(U, d, Q[cvx], R[cvx]))])
         s_init = np.maximum(0.0, convexified(xk, L) + R[0::2]) + 1e-6
         # the slack weight tau dominates the subproblem objective as it grows,
         # so the subsolver step size tracks it
@@ -995,14 +984,7 @@ def improve_ccp(
         # U is the rho-scaled dual, so rescale it when rho moves with tau
         warm_start = {} if warm is None else {"init_x": warm[0], "init_u": warm[1] * (warm[2] / rho)}
         objective = QuadraticForm._of_symmetric(sub_objective.dense_p, qq, rr)
-        try:
-            rep = _admm(objective, sub, z_init, rho, two_phase=False, **sub_opts, **warm_start)
-        except InfeasibleConstraintError:
-            # every subproblem row has its own slack, so no row's set is
-            # empty; a projector finds one empty only when rounding has
-            # swamped the row (a point near 1e31 makes its constant ~1e64),
-            # and the iterations stop at the best point so far
-            break
+        rep = _admm(objective, sub, z_init, rho, two_phase=False, **sub_opts, **warm_start)
         warm = (rep.final_state[1], rep.final_state[2], rho)
 
         def penalized(xc):

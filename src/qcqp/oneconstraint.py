@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import QuadraticForm, Sense, _row_class, evaluate
+from .core import QuadraticForm, _row_class, evaluate
 from .errors import InfeasibleConstraintError, NumericalFailureError
 from .linalg import inv_chol, sym_eigen
 from .onevar import _stable_roots
@@ -97,7 +97,7 @@ class ConstraintProjector:
     def __init__(self, form: QuadraticForm):
         P, s = form.dense_p, form.support
         self._support = s if s.size < form.n else None  # None: the support is all of x
-        kind, i = _row_class(form, Sense.EQ)  # the sense decides the curved class alone
+        kind, i = _row_class(form)
         self._i = i if kind == "one" else None  # the variable of a one-variable support
         if self._i is not None:
             lam, qh = float(P[i, i]), float(form.q_vec[i])

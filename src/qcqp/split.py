@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_symmetric_input, sym_eigen
+from .linalg import EigenDecomposition, _check_symmetric_input, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class Splitting:
     factors: tuple[np.ndarray, np.ndarray] | None = None
     curvature: float | None = None
     min_divisor: float | None = None
+    eigen: EigenDecomposition | None = None  # split_eigen: P's eigenpairs, noise set to 0; plus is the positive ones
 
 
 def split_shift(P) -> Splitting:
@@ -70,7 +71,7 @@ def split_eigen(P) -> Splitting:
     plus = (eig.vectors * wp) @ eig.vectors.T
     minus = (eig.vectors * wm) @ eig.vectors.T
     curvature = float(np.trace(plus) + np.trace(minus) - np.sum(np.abs(eig.values)))
-    return Splitting(plus=plus, minus=minus, curvature=curvature)
+    return Splitting(plus=plus, minus=minus, curvature=curvature, eigen=EigenDecomposition(w, eig.vectors))
 
 
 def default_delta(P) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 from functools import partial
 from unittest import mock
 
@@ -10,8 +11,18 @@ import qcqp.improve
 from qcqp.cli import PipelineConfig, run_pipeline
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, _RowClasses, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
-from qcqp.generators import brute_force, gen_beamforming, gen_boolean_ls, gen_maxcut, gen_partitioning
+from qcqp.generators import (
+    brute_force,
+    gen_3sat,
+    gen_beamforming,
+    gen_boolean_ls,
+    gen_maxclique,
+    gen_maxcut,
+    gen_partitioning,
+)
 from qcqp.improve import (
+    _AffineRows,
+    _ConvexRows,
     _Rows,
     METHODS,
     default_rho,
@@ -25,8 +36,8 @@ from qcqp.improve import (
     scale_to_cover,
     solve_convex,
 )
-from qcqp.oneconstraint import FEAS_TOL, ConstraintProjector
-from qcqp.split import split_eigen, split_shift
+from qcqp.oneconstraint import FEAS_TOL, ConstraintProjector, ProjectionResult
+from qcqp.split import split_eigen
 from qcqp.onevar import OneVarStatus, solve_onevar
 
 
@@ -708,7 +719,7 @@ def affine_rows_and_points(draw):
 @given(affine_rows_and_points())
 def test_affine_block_matches_per_row_projection(case):
     problem, V = case
-    block = _Rows(problem).affine
+    block = _Rows.of(problem).blocks[0][1]
     X = block.project(V)
     tol = 1e-12 * (1.0 + np.linalg.norm(V, axis=1))
     assert np.all(np.max(np.abs(X - per_row_projections(problem, V)), axis=1) <= tol)
@@ -732,7 +743,7 @@ def test_affine_block_zero_gradient_row_follows_constraint_projector(sense, r, r
     other = Constraint(QuadraticForm.create(3, (), [1.0, 0.0, -1.0], 0.5), Sense.EQ)
     V = np.array([[1.0, -2.0, 3.0], [1.0, -2.0, 3.0]])
     proj = ConstraintProjector(zero.form)
-    block = _Rows(QcqpProblem.create(QuadraticForm.create(3), [zero, other])).affine
+    block = _Rows.of(QcqpProblem.create(QuadraticForm.create(3), [zero, other])).blocks[0][1]
     with np.errstate(all="raise"):
         if raises:
             with pytest.raises(InfeasibleConstraintError):
@@ -861,96 +872,97 @@ def test_ccp_merit_decreases():
     assert not assess(p, x0).better_than(rep.assessment)
 
 
-def test_ccp_sets_up_projectors_and_convexity_checks_only_for_quadratic_rows():
-    # beamforming's coverage rows are concave, so their linearizations and
-    # every slack row reach the subproblem affine; only the 2 convex upper
-    # bound rows are quadratic there.  CCP sets its subproblem up once per
-    # call, so their projectors and the convexity checks are built once,
-    # whatever the number of outer iterations.
-    p = gen_beamforming(4, 6, 2, seed=3)
-    x0 = np.random.default_rng(4).standard_normal(8)
-    init, eig, admm = ConstraintProjector.__init__, qcqp.improve.min_eig_bound, qcqp.improve._admm
-    with (
-        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
-        mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
-        mock.patch.object(qcqp.improve, "min_eig_bound", autospec=True, side_effect=eig) as eigs,
-    ):
-        rep = improve_ccp(p, x0, max_iter=4)
-    assert subsolves.call_count == rep.iterations >= 2
-    rows = [call.args[1] for call in subsolves.call_args_list]
-    assert all(r.aff.size == 6 + 8 and r.cur.size == 0 and len(r.general) == 2 for r in rows)
-    # every subproblem projects its quadratic rows with the same projectors
-    projectors = [[proj for _, proj in r.general.values()] for r in rows]
-    assert all(list(map(id, ps)) == list(map(id, projectors[0])) for ps in projectors)
-    built = [call.args[1] for call in inits.call_args_list]
-    assert not any(form.is_affine for form in built)
-    # one build per quadratic row, and none for a restriction to a support
-    assert [id(f) for f in built] == [id(proj.form) for proj in projectors[0]]
-    assert len(built) == 2
-    # the objective; the 2 quadratic rows are checked on their projectors' eigenvalues
-    assert eigs.call_count == 1
+def _ccp_case(name: str):
+    """(problem, x0) of a pinned CCP run."""
+    if name == "3sat":  # rows x_i^2 - x_i = 0: the convex block's rows have a linear term in x_i
+        rng = np.random.default_rng(6)
+        literals = [rng.choice(np.arange(1, 9), 3, replace=False) * rng.choice([-1, 1], 3) for _ in range(12)]
+        return gen_3sat([tuple(map(int, c)) for c in literals], 8), rng.random(8)
+    if name == "maxcut":
+        W = np.triu(np.random.default_rng(3).random((8, 8)), 1)
+        return gen_maxcut(W + W.T), np.random.default_rng(4).standard_normal(8)
+    problem, x0, _ = _cd_case(name)
+    return problem, x0
 
 
-def test_rows_are_classified_once_per_problem_and_once_per_ccp_call():
-    # improve_admm and cd read the problem's cached classes, so a second
-    # call scans no row; CCP classifies its subproblem once, and with_linear
-    # keeps those classes for every later subproblem
-    p = gen_beamforming(4, 6, 2, seed=3)
-    x0 = np.random.default_rng(4).standard_normal(8)
-    init, admm = _RowClasses.__init__, qcqp.improve._admm
-    with (
-        mock.patch.object(_RowClasses, "__init__", autospec=True, side_effect=init) as scans,
-        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
-    ):
-        improve_admm(p, x0, max_iter=20)
-        assert scans.call_count == 1
-        improve_admm(p, -x0, max_iter=20)
-        improve_coordinate_descent(p, x0)
-        assert scans.call_count == 1
-        subsolves.reset_mock()
-        rep = improve_ccp(p, x0, max_iter=3, subsolver_opts={"max_iter": 20})
-    assert subsolves.call_count == rep.iterations >= 2
-    assert scans.call_count == 2
-    assert len({id(call.args[1].classes) for call in subsolves.call_args_list}) == 1
+def _digest(rep) -> str:
+    """sha256 of a report's point, assessment and trace (float64 bytes), iteration count and convergence."""
+    h = hashlib.sha256()
+    for part in (rep.x, np.array(rep.assessment.as_tuple()), np.array(rep.phase_trace, dtype=float)):
+        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    h.update(f"{rep.iterations} {rep.converged}".encode())
+    return h.hexdigest()
 
 
-def test_ccp_keeps_the_projectors_of_unmoved_general_rows_and_rebuilds_moved_ones():
-    # CCP moves only the linear terms of its subproblem's rows.  A general
-    # row whose terms did not move keeps its projector object, and a moved
-    # one gets a projector of its new form, which projects byte for byte as
-    # a fresh one.  On this problem the PSD rows on 2-3 variables never
-    # move and the indefinite ones move in every subproblem.
-    p, x0 = _sparse_rows_problem(86), np.random.default_rng(6).standard_normal(8)
-    init, admm = ConstraintProjector.__init__, qcqp.improve._admm
-    with (
-        mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves,
-        mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
-    ):
-        rep = improve_ccp(p, x0, max_iter=4, subsolver_opts={"max_iter": 30})
-    assert rep.iterations == 4
-    rows = [call.args[1] for call in subsolves.call_args_list]
-    zs = np.random.default_rng(7).standard_normal((4, rows[0].n)) * 3.0
-    kept = moved = 0
-    for prev, sub in zip(rows, rows[1:]):
-        for k, (c, proj) in sub.general.items():
-            c_prev, proj_prev = prev.general[k]
-            if c.form.r == c_prev.form.r and np.array_equal(c.form.q_vec, c_prev.form.q_vec):
-                assert proj is proj_prev
-                kept += 1
-                continue
-            assert proj is not proj_prev and proj.form is c.form
-            moved += 1
-            fresh = ConstraintProjector(c.form)
-            for z in zs:
-                for equality in (True, False):
-                    got, want = proj.project(z, equality), fresh.project(z, equality)
-                    assert got.x.tobytes() == want.x.tobytes() and np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
-    assert kept > 0 and moved > 0
-    # one build per general row for the first subproblem, and one per moved row after it
-    assert inits.call_count == len(rows[0].general) + moved
+# _digest of improve_ccp (max_iter=6) and of ["ccp", "cd"] on the same start,
+# as recorded when CCP set its subproblem up as one QcqpProblem of lifted rows
+# and projected each row a x_i^2 + w'x + r - s_k <= 0 by the closed form in
+# x_i; its convex block projects those rows bit for bit as that form did
+CCP_PINS = {
+    "boolean_ls": (
+        "0875455c91c6588a835b6720d2cba79676099a201374e6b915d95e4f86b1be92",
+        "1f2fd28f0dd7dff1fc30aefa9229db990a89ed5ae33a5d74213d797559d89587",
+    ),
+    "partitioning": (
+        "96fbbbe45d661fd459f535df1155280387f35e25c31f6694e941cde265d56f8d",
+        "40f67e819983eeb0adb52537ca09c8f1bd9c9e1717d0739f8c44be85589ff51b",
+    ),
+    "maxcut": (
+        "146fc16eaa500ae34c08db68468d1d703a7e6f9aaa350526c26cc37018a0a83a",
+        "1cfc0e579fa0ac3f4b164e7c47df21ffbc90e64ebbcf97b6d05c264b3106e238",
+    ),
+    "3sat": (
+        "b69c6de02db4b1c4bb7bfbd9af55d3d4d6cf5c06158cab94415998359de72f69",
+        "ac222bb93ff107158bd8031d6e39113cdbe4b20b1388947416f431c7a499c7ca",
+    ),
+}
 
 
-def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=split_eigen) -> QcqpProblem:
+@pytest.mark.parametrize("name", list(CCP_PINS))
+def test_ccp_outputs_pinned(name):
+    problem, x0 = _ccp_case(name)
+    ccp = improve_ccp(problem, x0, max_iter=6)
+    ccp_cd = improve_sequence(problem, x0, ["ccp", "cd"], {"ccp": {"max_iter": 6}})
+    assert (_digest(ccp), _digest(ccp_cd)) == CCP_PINS[name]
+
+
+def test_ccp_builds_no_projector_and_classifies_no_row():
+    # CCP's subproblem is an affine block and a convex block whose curvature
+    # comes from the eigenpairs split_eigen computed, so no row of it is
+    # classified, gets a ConstraintProjector or solves a secular equation.
+    # Beamforming's coverage rows are concave and reach the subproblem
+    # affine, and its 2 power caps are PSD of rank two.  Max-clique's rows
+    # x_i x_j = 0 split into rank-one parts along (e_i +- e_j) / sqrt(2).
+    adjacency = np.ones((6, 6), dtype=int)
+    for i, j in ((0, 3), (1, 4), (2, 5)):
+        adjacency[i, j] = adjacency[j, i] = 0
+    cases = [
+        # (problem, affine rows, convex rows, the convex block's rank)
+        (gen_beamforming(4, 6, 2, seed=3), 6 + 8, 2, 2),
+        (gen_maxclique(adjacency), 6 + 18, 6 + 6, 1),
+    ]
+    init, secular, scan = ConstraintProjector.__init__, ConstraintProjector._solve_secular, _RowClasses.__init__
+    for p, n_aff, n_cvx, rank in cases:
+        x0 = np.random.default_rng(4).standard_normal(p.n)
+        assess(p, x0)  # the problem's own row classes, which it keeps
+        with (
+            mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=qcqp.improve._admm) as subsolves,
+            mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
+            mock.patch.object(ConstraintProjector, "_solve_secular", autospec=True, side_effect=secular) as solves,
+            mock.patch.object(_RowClasses, "__init__", autospec=True, side_effect=scan) as scans,
+        ):
+            rep = improve_ccp(p, x0, max_iter=3, subsolver_opts={"max_iter": 20})
+        assert inits.call_count == solves.call_count == scans.call_count == 0
+        assert subsolves.call_count == rep.iterations >= 2
+        for call in subsolves.call_args_list:
+            rows = call.args[1]
+            (aff, affine), (cvx, convex) = rows.blocks
+            assert isinstance(affine, _AffineRows) and isinstance(convex, _ConvexRows) and not rows.general
+            assert (aff.size, cvx.size, convex.U.shape) == (n_aff, n_cvx, (n_cvx, p.n, rank))
+            assert rows.m == aff.size + cvx.size
+
+
+def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float) -> QcqpProblem:
     """CCP's convex subproblem at xk in (x, s), built as one QcqpProblem.
 
     Row 2k is the k-th convexified row x'(plus)x + (q - 2 minus xk)'x + r +
@@ -959,7 +971,7 @@ def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=sp
     n = problem.n
     rows = []
     for c in problem.constraints:
-        sp = splitter(c.form.dense_p)
+        sp = split_eigen(c.form.dense_p)
         rows.append((sp.plus, sp.minus, c.form.q_vec, c.form.r))
         if c.sense is Sense.EQ:
             rows.append((sp.minus, sp.plus, -c.form.q_vec, -c.form.r))
@@ -974,7 +986,7 @@ def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=sp
         qk[n + k] = -1.0
         cons.append(Constraint(QuadraticForm.from_dense(P, qk, r + float(xk @ (minus @ xk))), Sense.LE))
         cons.append(Constraint(QuadraticForm.create(dim, (), -np.eye(dim)[n + k], 0.0), Sense.LE))
-    sp0 = splitter(problem.objective.dense_p)
+    sp0 = split_eigen(problem.objective.dense_p)
     P0 = np.zeros((dim, dim))
     P0[:n, :n] = sp0.plus
     q0 = np.concatenate([problem.objective.q_vec - 2.0 * (sp0.minus @ xk), np.full(K, tau)])
@@ -984,16 +996,24 @@ def ccp_subproblem(problem: QcqpProblem, xk: np.ndarray, tau: float, splitter=sp
 
 def test_admm_on_ccp_subproblem_matches_per_row_reference_without_secular_solves():
     # boolean LS: each x_i^2 = 1 gives the convexified row x_i^2 - 1 - s <= 0,
-    # one curved coordinate and a slack, and an affine linearized row
+    # a row of CCP's convex block, and an affine linearized row.  ADMM on the
+    # rows CCP builds projects as each row's ConstraintProjector does on the
+    # subproblem written out as one QcqpProblem.
     p = gen_boolean_ls(8, 5, seed=0)
     xk = np.random.default_rng(1).standard_normal(5)
+    admm = qcqp.improve._admm
+    with mock.patch.object(qcqp.improve, "_admm", autospec=True, side_effect=admm) as subsolves:
+        improve_ccp(p, xk, tau0=4.0, max_iter=1, subsolver_opts={"max_iter": 1})
+    objective, rows = subsolves.call_args.args[:2]
     sub = ccp_subproblem(p, xk, tau=4.0)
-    rows = _Rows(sub)
-    assert rows.cur.tolist() == [0, 4, 8, 12, 16] and not rows.general
+    assert rows.blocks[1][0].tolist() == [0, 4, 8, 12, 16] and not rows.general
+    assert np.array_equal(objective.dense_p, sub.objective.dense_p)
+    assert np.array_equal(objective.q_vec, sub.objective.q_vec) and objective.r == sub.objective.r
     z0 = np.concatenate([xk, np.full(10, 0.5)])
+    assert rows.assess(objective, z0).as_tuple() == pytest.approx(assess(sub, z0).as_tuple(), rel=1e-12)
     secular = ConstraintProjector._solve_secular
     with mock.patch.object(ConstraintProjector, "_solve_secular", autospec=True, side_effect=secular) as calls:
-        rep = solve_convex(sub, z0, rho=2.0, max_iter=40, resid_tol=0.0, record_iterates=True)
+        rep = admm(objective, rows, z0, 2.0, max_iter=40, two_phase=False, resid_tol=0.0, record_iterates=True)
     assert calls.call_count == 0
     assert rep.iterations == len(rep.iterates) == 40
     U_prev = np.zeros((sub.m, sub.n))
@@ -1010,86 +1030,111 @@ def test_admm_on_ccp_subproblem_matches_per_row_reference_without_secular_solves
         assert np.array_equal(rows.project_row(k, V[k]), X[k])
 
 
-@pytest.mark.parametrize("splitter", [split_eigen, split_shift], ids=["eigen", "shift"])
-def test_rows_with_linear_match_rows_set_up_at_the_new_point(splitter):
-    # improve_ccp sets its rows up at x0 and then moves only their linear
-    # terms; that must project exactly as rows set up afresh at the new
-    # point.  The indefinite rows on 2-3 variables are general rows whose
-    # terms move, so they need new projectors.
-    p = _sparse_rows_problem(86)
-    rng = np.random.default_rng(6)
-    xa, xb = rng.standard_normal(8), rng.standard_normal(8)
-    sub_a, sub_b = ccp_subproblem(p, xa, 1.0, splitter), ccp_subproblem(p, xb, 1.0, splitter)
-    Q = np.array([c.form.q_vec for c in sub_b.constraints])
-    R = np.array([c.form.r for c in sub_b.constraints])
-    moved = _Rows(sub_a).with_linear(Q, R)
-    fresh = _Rows(sub_b)
-    assert moved.aff.size and moved.cur.size and moved.general
-    assert moved.cur.tolist() == fresh.cur.tolist() and list(moved.general) == list(fresh.general)
-    assert any(not np.array_equal(Q[k], sub_a.constraints[k].form.q_vec) for k in fresh.general)
-    V = rng.standard_normal((sub_b.m, sub_b.n)) * 3.0
-    assert np.array_equal(moved.project(V), fresh.project(V))
-    z = V[0]
-    assert moved.assess(sub_b.objective, z) == fresh.assess(sub_b.objective, z)
-
-
-# -- the curved-coordinate block ------------------------------------------
+# -- the convex block ------------------------------------------------------
 
 
 @st.composite
-def curved_rows_and_points(draw):
-    """LE rows a x_i^2 + w'x + r <= 0 on n <= 5 variables, each with a slack-like
-    coordinate in w, and a point v at f(v) = gap (inside the set for gap <= 0)."""
-    n = draw(st.integers(2, 5))
-    rows, points = [], []
+def convex_rows_and_points(draw):
+    """LE rows x'U diag(d) U'x + w'x + r <= 0, U of rank 1-3 over the first n <= 5
+    of n + 1 coordinates and w nonzero on the last, slack-like one, each with a
+    point v at f(v) = gap (inside the set for gap <= 0).  U is a signed axis
+    column or has orthonormal columns in general position."""
+    n = draw(st.integers(1, 5))
+    rows, points, curvature = [], [], []
     for _ in range(draw(st.integers(1, 4))):
-        i, slack = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        P = np.zeros((n, n))
-        P[i, i] = 10.0 ** draw(st.floats(-3.0, 3.0))
-        q = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
-        q[slack] = draw(nonzero)
-        v = np.array(draw(st.lists(coefficient, min_size=n, max_size=n)))
-        gap = draw(coefficient)
-        r = gap - evaluate(QuadraticForm.from_dense(P, q), v)
+        rank = draw(st.integers(1, min(3, n)))
+        if rank == 1 and draw(st.booleans()):
+            U = np.zeros((n, 1))
+            U[draw(st.integers(0, n - 1)), 0] = draw(st.sampled_from([1.0, -1.0]))
+        else:
+            U = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, rank)))[0]
+        d = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=rank, max_size=rank)))
+        P = np.zeros((n + 1, n + 1))
+        P[:n, :n] = (U * d) @ U.T
+        q = np.array(draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1)))
+        q[n] = draw(nonzero)
+        v = np.array(draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1)))
+        r = draw(coefficient) - evaluate(QuadraticForm.from_dense(P, q), v)
         rows.append(Constraint(QuadraticForm.from_dense(P, q, r), Sense.LE))
         points.append(v)
-    return QcqpProblem.create(QuadraticForm.create(n), rows), np.array(points)
+        curvature.append((U, d))
+    p = max(d.size for _, d in curvature)
+    U, d = np.zeros((len(rows), n, p)), np.ones((len(rows), p))
+    for k, (Uk, dk) in enumerate(curvature):
+        U[k, :, : dk.size], d[k, : dk.size] = Uk, dk
+    Q = np.array([c.form.q_vec for c in rows])
+    R = np.array([c.form.r for c in rows])
+    return QcqpProblem.create(QuadraticForm.create(n + 1), rows), _ConvexRows(U, d, Q, R), np.array(points)
 
 
-@given(curved_rows_and_points())
+@given(convex_rows_and_points())
 def test_curved_block_matches_per_row_projection(case):
-    problem, V = case
-    rows = _Rows(problem)
-    assert rows.cur.size == problem.m
-    block = rows.curved
+    problem, block, V = case
     X = block.project(V)
     ref = per_row_projections(problem, V)
     assert np.all(np.max(np.abs(X - ref), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(ref), axis=1)))
     for k, c in enumerate(problem.constraints):
-        assert evaluate(c.form, X[k]) <= FEAS_TOL * ConstraintProjector(c.form).scale
+        proj = ConstraintProjector(c.form)
+        fx = evaluate(c.form, X[k])
+        assert fx <= FEAS_TOL * proj.scale
+        # the KKT residual of X[k] at the multiplier nu >= 0 that fits 2 (x - v) + nu grad f(x) = 0 best
+        g, step = c.form.gradient(X[k]), 2.0 * (X[k] - V[k])
+        nu = max(-float(step @ g) / float(g @ g), 0.0) if g.any() else 0.0
+        moved = evaluate(c.form, V[k]) > 0.0
+        assert ProjectionResult(X[k], nu, c.form, V[k], moved).kkt_residual <= 1e-8 * proj.scale
+        if evaluate(c.form, V[k]) < -1e-9 * proj.scale:  # feasible beyond rounding: v unchanged
+            assert np.array_equal(X[k], V[k])
         assert np.array_equal(block.project(V[k : k + 1], [k])[0], X[k])
     v = V[0]
     want = [c.violation(v) for c in problem.constraints]
-    # both sides add the same n + 2 <= 7 terms in different orders, each sum
-    # within (n + 2) eps / 2 of the sum of the terms' magnitudes
-    terms = np.abs(block.a * v[block.i] ** 2) + np.abs(block.W) @ np.abs(v) + np.abs(block.r)
-    assert np.allclose(block.violations(v), want, rtol=1e-12, atol=8 * np.finfo(float).eps * terms)
+    assert np.allclose(block.violations(v), want, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(v).max()) ** 2))
 
 
-def test_curved_class_takes_only_le_rows_with_one_positive_curvature_and_a_flat_term():
+def test_admm_projects_every_quadratic_row_of_several_variables_through_its_projector():
+    # only affine rows are stacked for ADMM: a convex row a x_0^2 + w'x + r <= 0
+    # is a general row, as every other quadratic row is
     def row(P, q, sense=Sense.LE):
         return Constraint(QuadraticForm.from_dense(np.array(P, dtype=float), q, -1.0), sense)
 
-    curved = row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0])
-    others = [
+    rows = [
+        row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0]),  # one convex coordinate and a flat term
         row([[2.0, 0.0], [0.0, 0.0]], [0.0, -1.0], Sense.EQ),  # equality
         row([[-2.0, 0.0], [0.0, 0.0]], [0.0, -1.0]),  # concave
         row([[2.0, 0.0], [0.0, 0.0]], [1.0, 0.0]),  # one variable: closed form in ConstraintProjector
         row([[2.0, 0.0], [0.0, 1.0]], [0.0, -1.0]),  # two curved coordinates
         row([[0.0, 1.0], [1.0, 0.0]], [0.0, -1.0]),  # off-diagonal curvature
+        row([[0.0, 0.0], [0.0, 0.0]], [1.0, -1.0]),  # affine
     ]
-    rows = _Rows(QcqpProblem.create(QuadraticForm.create(2), [curved] + others))
-    assert rows.cur.tolist() == [0] and list(rows.general) == [1, 2, 3, 4, 5]
+    problem = QcqpProblem.create(QuadraticForm.create(2), rows)
+    admm_rows = problem._admm_rows
+    assert list(admm_rows.general) == [0, 1, 2, 3, 4, 5]
+    assert [r.tolist() for r, _ in admm_rows.blocks] == [[6]]
+    V = np.random.default_rng(5).standard_normal((len(rows), 2)) * 3.0
+    assert np.array_equal(admm_rows.project(V)[:6], per_row_projections(problem, V)[:6])
+
+def test_rows_are_classified_once_per_problem_and_once_per_ccp_call():
+    # improve_admm and cd read the problem's cached row classes, and ADMM's
+    # rows, with a projector for each of beamforming's 8 quadratic rows, are
+    # kept with the problem too: a second candidate scans no row and builds
+    # no projector.  CCP on a fresh problem scans only that problem's rows
+    # (for assess), never its subproblem's.
+    p = gen_beamforming(4, 6, 2, seed=3)
+    x0 = np.random.default_rng(4).standard_normal(8)
+    init, scan = ConstraintProjector.__init__, _RowClasses.__init__
+    with (
+        mock.patch.object(_RowClasses, "__init__", autospec=True, side_effect=scan) as scans,
+        mock.patch.object(ConstraintProjector, "__init__", autospec=True, side_effect=init) as inits,
+    ):
+        first = improve_admm(p, x0, max_iter=20)
+        assert (scans.call_count, inits.call_count) == (1, 8)
+        improve_admm(p, -x0, max_iter=20)
+        improve_coordinate_descent(p, x0)
+        again = improve_admm(p, x0, max_iter=20)
+        assert (scans.call_count, inits.call_count) == (1, 8)
+        improve_ccp(gen_beamforming(4, 6, 2, seed=3), x0, max_iter=3, subsolver_opts={"max_iter": 20})
+    assert (scans.call_count, inits.call_count) == (2, 8)
+    assert again.x.tobytes() == first.x.tobytes()
+
 
 
 # -- composition ------------------------------------------------------------
