@@ -165,11 +165,17 @@ def _row_class(form: QuadraticForm) -> tuple[str, int]:
     return "gen", -1
 
 
-def _violations(f: np.ndarray, eq) -> np.ndarray:
-    """Constraint._violation_of of each value of f, bit for bit (max(f, 0.0) keeps f = -0.0)."""
-    v = np.abs(f, out=np.where(f < 0.0, 0.0, f), where=eq)
-    v[~np.isfinite(f)] = math.inf
-    return v
+def _max_violation(f: np.ndarray, eq=None) -> float:
+    """The largest Constraint._violation_of of the values f, EQ where eq (None: every row is LE).
+
+    A value that is not finite counts as inf: NaN carries through max, and
+    an LE row at -inf shows in min.  The result can be below 0.0 (LE rows
+    with f < 0, or no row at all): what counts is max(v, it), which for any
+    v >= 0.0 is the fold max(v, violation) over the rows.
+    """
+    g = f if eq is None else np.where(eq, np.abs(f), f)
+    lo, hi = float(g.min(initial=math.inf)), float(g.max(initial=-math.inf))
+    return math.inf if lo == -math.inf or math.isnan(hi) else hi
 
 
 class _RowClasses:
@@ -177,8 +183,9 @@ class _RowClasses:
 
     one: a x_i^2 + b x_i + r (= or <=) 0 with a != 0, stacked as arrays i,
     a, b, r and eq.  aff: P = 0.  gen: every other row.  Each class lists
-    its rows' indices in ascending order, and others holds every row
-    outside the stack, to evaluate one at a time.
+    its rows' indices in ascending order.  The rows outside the one stack,
+    general rows first (dense = gen then aff), are stacked as they are: P
+    (k, n, n), q (k, n), c (their r) and dense_eq.
 
     A stacked row has P = a e_i e_i' and q = b e_i, so _value computes
     round(round(x_i a x_i) + round(b x_i)) + r: every other term of its
@@ -187,9 +194,13 @@ class _RowClasses:
     row's terms cancel exactly, and so does r + 0.0.  With n > 1 they give
     NaN at a point with any non-finite coordinate (0 * inf is NaN), and so
     does values(), without numpy's warnings about invalid values.
+
+    dense_values() runs _value's own products on the dense stack: the
+    stacked matmul and vecdot call the same BLAS kernels on each row that
+    P @ x and x @ y call on one, so each value is _value's, bit for bit.
     """
 
-    def __init__(self, constraints: Sequence[Constraint]):
+    def __init__(self, constraints: Sequence[Constraint], n: int):
         kinds = [_row_class(c.form) for c in constraints]
         self.one, self.aff, self.gen = (
             np.array([k for k, (kind, _) in enumerate(kinds) if kind == name], dtype=int)
@@ -201,8 +212,13 @@ class _RowClasses:
         self.b = np.array([f.q_vec[j] for f, j in zip(forms, self.i.tolist())], dtype=float)
         self.r = np.array([f.r for f in forms], dtype=float) + 0.0
         self.eq = np.array([constraints[k].sense is Sense.EQ for k in self.one.tolist()], dtype=bool)
-        held = set(self.one.tolist())
-        self.others = tuple(c for k, c in enumerate(constraints) if k not in held)
+        self.dense = np.concatenate([self.gen, self.aff])
+        forms = [constraints[k].form for k in self.dense.tolist()]
+        k = len(forms)
+        self.P = np.array([f.dense_p for f in forms], dtype=float).reshape(k, n, n)
+        self.q = np.array([f.q_vec for f in forms], dtype=float).reshape(k, n)
+        self.c = np.array([f.r for f in forms], dtype=float)
+        self.dense_eq = np.array([constraints[j].sense is Sense.EQ for j in self.dense.tolist()], dtype=bool)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Each stacked row's f(x), equal bit for bit to _value(form, x)."""
@@ -218,24 +234,31 @@ class _RowClasses:
         xi = x[self.i]
         return xi * (self.a * xi) + self.b * xi + self.r
 
-    def max_violation(self, x: np.ndarray, others) -> float:
-        """The largest violation at x over the rows others and the stack, folded as assess folds it.
+    def dense_values(self, x: np.ndarray, Px: np.ndarray) -> np.ndarray:
+        """f(x) of the first len(Px) dense rows, given their products P_k x, each equal to _value(form, x)."""
+        k = len(Px)
+        return np.vecdot(x, Px) + np.vecdot(self.q[:k], x) + self.c[:k]
 
-        The stack is evaluated as at a finite x: elsewhere the objective is not finite, so assess gives inf.
+    def max_violation(self, x: np.ndarray, k: int | None = None) -> float:
+        """The largest violation at x over the first k dense rows (all by default) and the one stack.
+
+        It is the value assess's fold over those rows gives.  Both stacks are
+        evaluated as at a finite x: elsewhere the objective is not finite, so
+        assess gives inf.
         """
-        v = 0.0
-        for c in others:
-            v = max(v, c._violation_of(_value(c.form, x)))
+        P, v = self.P[:k], 0.0
+        if len(P):
+            v = max(v, _max_violation(self.dense_values(x, P @ x), self.dense_eq[:k]))
         if self.one.size:
-            v = max(v, float(_violations(self._finite_values(x), self.eq).max()))
+            v = max(v, _max_violation(self._finite_values(x), self.eq))
         return v
 
 
 class _CoordinateRows:
     """The rows each coordinate x_j enters, set up once per problem for coordinate descent.
 
-    Row k = 0 is the objective and rows k >= 1 are the constraints.  forms,
-    P, q and senses hold each row's fields (senses[0] is None), and eq marks
+    Row k = 0 is the objective and rows k >= 1 are the constraints.  P, q
+    and senses hold each row's fields (senses[0] is None), and eq marks
     the EQ constraints.  rows[j] lists the constraint rows whose support holds
     x_j.  A block coordinate is one whose only row is an EQ row of the
     stacked rows of one variable, a x_j^2 + b x_j + r = 0.  block_j lists
@@ -243,13 +266,13 @@ class _CoordinateRows:
     and b, and block_p0 and block_q0 the objective's P_jj and q_j.
     run_end[j] is the first coordinate from j on that is not a block
     coordinate (n if none), and block_at[j] counts the block coordinates
-    before j.  stacked lists the rows of the stacked block, and evaluated
-    every other row, the objective first.
+    before j.  stacked lists the rows of the stacked block of one variable,
+    and dense the rows of the dense stack, in its order.
     """
 
     def __init__(self, problem: "QcqpProblem"):
         n = problem.n
-        self.forms = forms = [problem.objective] + [c.form for c in problem.constraints]
+        forms = [problem.objective] + [c.form for c in problem.constraints]
         self.P = [f.dense_p for f in forms]
         self.q = [f.q_vec for f in forms]
         self.senses = [None] + [c.sense for c in problem.constraints]
@@ -260,8 +283,7 @@ class _CoordinateRows:
                 self.rows[j].append(k)
         rc = problem._row_classes
         self.stacked = rc.one + 1
-        held = set(self.stacked.tolist())
-        self.evaluated = [k for k in range(len(forms)) if k not in held]
+        self.dense = rc.dense + 1
         pairs = enumerate(zip(rc.i.tolist(), self.stacked.tolist()))
         b = np.array([b for b, (j, k) in pairs if rc.eq[b] and self.rows[j] == [k]], dtype=int)
         b = b[np.argsort(rc.i[b])]  # in coordinate order
@@ -324,7 +346,7 @@ class QcqpProblem:
 
     @cached_property
     def _row_classes(self) -> _RowClasses:
-        return _RowClasses(self.constraints)
+        return _RowClasses(self.constraints, self.n)
 
     @cached_property
     def _coordinate_rows(self) -> _CoordinateRows:
@@ -343,16 +365,16 @@ def assess(problem: QcqpProblem, x) -> Assessment:
 
     A non-finite objective counts as violation inf, like a non-finite
     constraint value, so such a point never beats a finite one.  x is
-    checked once; every row is then evaluated as `evaluate` would, the rows
-    of one variable all at once.  At a non-finite point the objective is
-    not finite either (0 * inf is NaN), so it alone is evaluated, quietly.
+    checked once; every row is then evaluated as `evaluate` would, in two
+    stacks: the rows of one variable and the rest.  At a non-finite point
+    the objective is not finite either (0 * inf is NaN), so it alone is
+    evaluated, quietly.
     """
     x = _check_vector(x, problem.n)
     if not np.isfinite(x).all():
         with np.errstate(invalid="ignore"):
             return Assessment(violation=math.inf, objective=_value(problem.objective, x))
-    rc = problem._row_classes
-    v = rc.max_violation(x, rc.others)
+    v = problem._row_classes.max_violation(x)
     f = _value(problem.objective, x)
     if not math.isfinite(f):
         v = math.inf

@@ -21,8 +21,8 @@ from .core import (
     QuadraticForm,
     Sense,
     _check_vector,
+    _max_violation,
     _value,
-    _violations,
     assess,
 )
 from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError
@@ -56,10 +56,14 @@ class ImproveReport:
     iterates: tuple | None = None
 
 
-def _report(problem, x0, x, iterations, trace, converged, method) -> ImproveReport:
-    """Assemble a report, enforcing the never-worse contract against x0."""
-    a0 = assess(problem, x0)
-    a = assess(problem, x)
+def _report(problem, x0, x, iterations, trace, converged, method, a0=None, a=None) -> ImproveReport:
+    """Assemble a report, enforcing the never-worse contract against x0.
+
+    a0 and a are assess() of x0 and of x where the caller has them already.
+    """
+    a0 = assess(problem, x0) if a0 is None else a0
+    if a is None:
+        a = a0 if x is x0 else assess(problem, x)
     if a0.better_than(a):
         x, a = np.asarray(x0, dtype=float).copy(), a0
     return ImproveReport(
@@ -72,9 +76,9 @@ def _report(problem, x0, x, iterations, trace, converged, method) -> ImproveRepo
     )
 
 
-def _reassessed(problem, x0, rep: ImproveReport) -> ImproveReport:
+def _reassessed(problem, x0, rep: ImproveReport, a0=None) -> ImproveReport:
     """rep with its point checked as _report checks one: by assess(), and never worse than x0."""
-    checked = _report(problem, x0, rep.x, rep.iterations, rep.phase_trace, rep.converged, rep.method)
+    checked = _report(problem, x0, rep.x, rep.iterations, rep.phase_trace, rep.converged, rep.method, a0)
     return replace(rep, x=checked.x, assessment=checked.assessment)
 
 
@@ -131,14 +135,20 @@ def greedy_clique(x, adjacency) -> np.ndarray:
     return z
 
 
-def improve_round_sign(problem: QcqpProblem, x0) -> ImproveReport:
+# Every method of METHODS takes _a0, assess(problem, x0) where its caller
+# (improve_sequence) has it, so that no point of a sequence is assessed twice.
+
+
+def improve_round_sign(problem: QcqpProblem, x0, *, _a0=None) -> ImproveReport:
     z = round_sign(x0)
-    return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "sign")
+    a = assess(problem, z)
+    return _report(problem, x0, z, 1, [a.as_tuple()], True, "sign", _a0, a)
 
 
-def improve_round_balanced_sign(problem: QcqpProblem, x0) -> ImproveReport:
+def improve_round_balanced_sign(problem: QcqpProblem, x0, *, _a0=None) -> ImproveReport:
     z = round_balanced_sign(x0)
-    return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "balanced-sign")
+    a = assess(problem, z)
+    return _report(problem, x0, z, 1, [a.as_tuple()], True, "balanced-sign", _a0, a)
 
 
 def _covering_forms(problem: QcqpProblem):
@@ -155,15 +165,16 @@ def _covering_forms(problem: QcqpProblem):
     return out
 
 
-def improve_scale_to_cover(problem: QcqpProblem, x0) -> ImproveReport:
+def improve_scale_to_cover(problem: QcqpProblem, x0, *, _a0=None) -> ImproveReport:
     forms = _covering_forms(problem)
     if not forms:
-        return _report(problem, x0, x0, 0, [], True, "scale")
+        return _report(problem, x0, x0, 0, [], True, "scale", _a0)
     try:
         z = scale_to_cover(x0, forms)
     except NotScalableError:
-        return _report(problem, x0, x0, 0, [], False, "scale")
-    return _report(problem, x0, z, 1, [assess(problem, z).as_tuple()], True, "scale")
+        return _report(problem, x0, x0, 0, [], False, "scale", _a0)
+    a = assess(problem, z)
+    return _report(problem, x0, z, 1, [a.as_tuple()], True, "scale", _a0, a)
 
 
 # -- two-phase coordinate descent ------------------------------------------
@@ -179,8 +190,8 @@ class _CoordState:
     constant in x_j, so move(j, t) updates only the objective and rows[j].
     violated holds the constraint rows that a constant in x_j could not
     satisfy in phase II (|f| > EQ_TOL for EQ, f > EQ_TOL for LE): it is
-    rebuilt by refresh(), which evaluates every row exactly (the rows of one
-    variable as the problem's stacked block), and updated by move().
+    rebuilt by refresh(), which evaluates every row exactly (the constraints
+    as the two stacks of the problem's _RowClasses), and updated by move().
 
     A row of one variable a x_i^2 + b x_i + r is read only at x_i, so
     refresh() writes just g[k, i] = a x_i + 0.0 there: the dense product's
@@ -194,6 +205,7 @@ class _CoordState:
     def __init__(self, problem: QcqpProblem, x0):
         self.cr = problem._coordinate_rows
         self.block = problem._row_classes
+        self.f0 = problem.objective
         self.P, self.qv, self.senses, self.rows = self.cr.P, self.cr.q, self.cr.senses, self.cr.rows
         self.x = _check_vector(x0, problem.n).copy()
         self.g = np.zeros((len(self.P), problem.n))
@@ -201,18 +213,20 @@ class _CoordState:
         self.refresh()
 
     def refresh(self):
-        x, dense = self.x, range(len(self.P))
+        x, rc, cr = self.x, self.block, self.cr
         if np.isfinite(x).all():
-            i = self.block.i
-            self.g[self.cr.stacked, i] = self.block.a * x[i] + 0.0
-            dense = self.cr.evaluated
-        for k in dense:
-            self.g[k] = self.P[k] @ x
-        self.fval[self.cr.stacked] = self.block.values(self.x)
-        for k in self.cr.evaluated:
-            self.fval[k] = _value(self.cr.forms[k], self.x)
+            self.g[cr.stacked, rc.i] = rc.a * x[rc.i] + 0.0
+        else:
+            for k in cr.stacked.tolist():
+                self.g[k] = self.P[k] @ x
+        self.g[0] = self.P[0] @ x
+        Px = rc.P @ x
+        self.g[cr.dense] = Px
+        self.fval[0] = _value(self.f0, x)
+        self.fval[cr.stacked] = rc.values(x)
+        self.fval[cr.dense] = rc.dense_values(x, Px)
         f = self.fval[1:]
-        out = ~(np.where(self.cr.eq, np.abs(f), f) <= EQ_TOL)  # _is_violated of every row
+        out = ~(np.where(cr.eq, np.abs(f), f) <= EQ_TOL)  # _is_violated of every row
         self.violated = set((np.flatnonzero(out) + 1).tolist())
 
     def _is_violated(self, k: int) -> bool:
@@ -469,7 +483,7 @@ STALL_TOL = 1e-7
 EQ_TOL = 1e-8
 
 
-def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) -> ImproveReport:
+def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100, *, _a0=None) -> ImproveReport:
     """Greedy coordinate updates in two phases.
 
     Phase I ignores the objective and reduces the maximum violation: each
@@ -507,7 +521,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
             phase1 = False
         elif v_before - v_after < STALL_TOL:
             # stalled without reaching feasibility
-            return _report(problem, x0, st.x, sweeps, trace, False, "cd")
+            return _report(problem, x0, st.x, sweeps, trace, False, "cd", _a0)
     if sweeps:
         # without a phase I sweep no x_j moved: the state is the fresh one
         st.refresh()
@@ -518,7 +532,7 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100) 
         if not improved:
             converged = True
             break
-    return _report(problem, x0, st.x, sweeps, trace, converged, "cd")
+    return _report(problem, x0, st.x, sweeps, trace, converged, "cd", _a0)
 
 
 # -- consensus ADMM ---------------------------------------------------------
@@ -532,6 +546,8 @@ class _AffineRows:
     s = f(v) on EQ rows and max(f(v), 0) on LE rows.  A row with q = 0 leaves
     v unchanged, and raises InfeasibleConstraintError where ConstraintProjector
     does: when r is off the row's set by more than FEAS_TOL * (1 + |r|).
+    Whether any row is flat or infeasible and whether every row is LE are
+    decided once, here.
     """
 
     def __init__(self, eq: np.ndarray, A: np.ndarray, b: np.ndarray):
@@ -541,18 +557,22 @@ class _AffineRows:
         self.norm2 = np.where(self.flat, 1.0, norm2)
         tol = FEAS_TOL * (1.0 + np.abs(b))
         self.infeasible = self.flat & np.where(self.eq, np.abs(b) > tol, b > tol)
+        self.any_flat, self.any_infeasible = bool(self.flat.any()), bool(self.infeasible.any())
+        self.all_le = not eq.any()
 
-    def violations(self, z: np.ndarray) -> np.ndarray:
-        return _violations(self.A @ z + self.b, self.eq)
+    def max_violation(self, z: np.ndarray) -> float:
+        """The largest violation at z (see core._max_violation)."""
+        return _max_violation(self.A @ z + self.b, None if self.all_le else self.eq)
 
     def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
-        if self.infeasible[rows].any():
+        if self.any_infeasible and self.infeasible[rows].any():
             raise InfeasibleConstraintError("affine row with q = 0 has an empty feasible set")
         A = self.A[rows]
         f = np.einsum("ij,ij->i", V, A) + self.b[rows]
-        s = np.where(self.eq[rows], f, np.maximum(f, 0.0))
-        s[self.flat[rows]] = 0.0
+        s = np.maximum(f, 0.0) if self.all_le else np.where(self.eq[rows], f, np.maximum(f, 0.0))
+        if self.any_flat:
+            s[self.flat[rows]] = 0.0
         return V - (s / self.norm2[rows])[:, None] * A
 
 
@@ -584,9 +604,14 @@ class _ConvexRows:
         self.W_perp[:, :nc] -= np.einsum("kip,kp->ki", U, self.b)
         self.omega = np.einsum("ij,ij->i", self.W_perp, self.W_perp)
 
-    def violations(self, z: np.ndarray) -> np.ndarray:
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Each row's f(z)."""
         uz = np.einsum("kip,i->kp", self.U, z[: self.U.shape[1]])
-        return _violations((self.d * uz**2).sum(axis=1) + self.W @ z + self.r, False)
+        return (self.d * uz**2).sum(axis=1) + self.W @ z + self.r
+
+    def max_violation(self, z: np.ndarray) -> float:
+        """The largest violation at z (see core._max_violation)."""
+        return _max_violation(self.values(z))
 
     def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
@@ -641,7 +666,6 @@ class _Rows:
         self.general = {} if general is None else general
         self.classes = classes
         self._projected = [(k, proj, c.sense is Sense.EQ) for k, (c, proj) in self.general.items()]
-        self._gen_rows = [] if classes is None else [self.general[k][0] for k in classes.gen.tolist()]
         # row index -> (block, row in that block), to project one row alone
         self._slot = {k: (block, j) for rows, block in self.blocks for j, k in enumerate(rows.tolist())}
 
@@ -680,10 +704,14 @@ class _Rows:
         return block.project(x[None, :], [j])[0]
 
     def assess(self, objective: QuadraticForm, x: np.ndarray) -> Assessment:
-        """assess() of the problem with these rows, reading each block's violations at once."""
-        v = 0.0 if self.classes is None else self.classes.max_violation(x, self._gen_rows)
+        """assess() of the problem with these rows, reading each block's violations at once.
+
+        The general rows are read from the classes' dense stack, whose first
+        rows they are, and the rows of one variable from their stack.
+        """
+        v = 0.0 if self.classes is None else self.classes.max_violation(x, self.classes.gen.size)
         for _, block in self.blocks:
-            v = max(v, float(block.violations(x).max()))
+            v = max(v, block.max_violation(x))
         f = _value(objective, x)
         return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
 
@@ -698,7 +726,7 @@ def default_rho(problem: QcqpProblem) -> float:
 EPS_FEAS = 1e-6
 
 
-def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> ImproveReport:
+def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, *, _a0=None, **opts) -> ImproveReport:
     """Consensus ADMM with one copy x_i per constraint.
 
     Phase I drops the objective: z is the mean of x_i - u_i, so iterates are
@@ -722,7 +750,7 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, **opts) -> 
     """
     rho = default_rho(problem) if rho is None else rho
     rep = _admm(problem.objective, problem._admm_rows, x0, rho, **opts)
-    return _reassessed(problem, x0, rep)
+    return _reassessed(problem, x0, rep, _a0)
 
 
 def _admm(
@@ -884,6 +912,8 @@ def improve_ccp(
     max_iter: int = 30,
     feas_tol: float = 1e-6,
     subsolver_opts: dict | None = None,
+    *,
+    _a0=None,
 ) -> ImproveReport:
     """Penalty convex-concave procedure.
 
@@ -909,49 +939,56 @@ def improve_ccp(
     constants, and updates tau and the ADMM step size rho with the
     Cholesky factor of P0 + m rho I.
     """
-    splitter = _SPLITTERS["eigen"]
     x0 = np.asarray(x0, dtype=float)
-    n = problem.n
-    sp0 = splitter(problem.objective.dense_p)
-    rows = []  # (plus, minus, q, r) meaning x'(plus - minus)x + q'x + r <= 0
-    curvature = []  # (U, d) with plus = U diag(d) U', d > 0
-    for c in problem.constraints:
-        sp = splitter(c.form.dense_p)
-        w, V = sp.eigen.values, sp.eigen.vectors
-        rows.append((sp.plus, sp.minus, c.form.q_vec, c.form.r))
-        curvature.append((V[:, w > 0.0], w[w > 0.0]))
-        if c.sense is Sense.EQ:
-            rows.append((sp.minus, sp.plus, -c.form.q_vec, -c.form.r))
-            curvature.append((V[:, w < 0.0], -w[w < 0.0]))
-    K = len(rows)
+    n, m = problem.n, problem.m
+    forms = [problem.objective] + [c.form for c in problem.constraints]
+    sp = _SPLITTERS["eigen"](np.array([f.dense_p for f in forms], dtype=float).reshape(m + 1, n, n))
+    # convexified row k, x'(plus_k - minus_k)x + q_k'x + r_k <= 0, is constraint
+    # src[k]; an EQ constraint gives two rows, the second with the sides swapped
+    eq = np.array([c.sense is Sense.EQ for c in problem.constraints], dtype=bool)
+    src = np.repeat(np.arange(m), np.where(eq, 2, 1))
+    K = src.size
+    flip = np.zeros(K, dtype=bool)
+    flip[np.cumsum(np.where(eq, 2, 1)) - 1] = eq
+    plus, minus = sp.plus[1:][src], sp.minus[1:][src]
+    plus, minus = np.where(flip[:, None, None], minus, plus), np.where(flip[:, None, None], plus, minus)
+    q = np.array([f.q_vec for f in forms[1:]], dtype=float).reshape(m, n)[src]
+    q_rows = np.where(flip[:, None], -q, q)
+    r = np.array([f.r for f in forms[1:]], dtype=float)[src]
+    r_rows = np.where(flip, -r, r)
     dim = n + K
-    r_rows = np.array([r for _, _, _, r in rows], dtype=float)
 
     def convexified(x, L):
-        # x' plus_k x + L_k' x for every row k; one dot product per row, as a
-        # stacked product would round differently
-        return np.array([float(x @ (p @ x)) + float(l @ x) for (p, _, _, _), l in zip(rows, L)])
+        # x' plus_k x + L_k' x for every row k, each rounded as x @ (plus_k @ x) + L_k @ x
+        return np.vecdot(x, plus @ x) + np.vecdot(L, x)
 
     def linearized(xk):
         # linear terms q_k - 2 minus_k xk of the convexified rows, and xk' minus_k xk
-        L = np.array([q - 2.0 * (minus @ xk) for _, minus, q, _ in rows]).reshape(K, n)
-        return L, np.array([float(xk @ (minus @ xk)) for _, minus, _, _ in rows])
+        Mx = minus @ xk
+        return q_rows - 2.0 * Mx, np.vecdot(xk, Mx)
 
     # subproblem rows in (x, s), Q and R their linear terms and constants;
     # every row has -1 on its slack, so no row's set is empty
     Q = np.zeros((2 * K, dim))
     Q[0::2, n:] = Q[1::2, n:] = -np.eye(K)
     R = np.zeros(2 * K)
-    convex = [k for k, (_, dk) in enumerate(curvature) if dk.size]  # the rows with plus_k != 0
-    cvx = 2 * np.array(convex, dtype=int)
+    # plus_k = U diag(d) U' from its positive eigenpairs, kept in order and
+    # zero-padded (d = 1) to the largest rank; rows with plus_k = 0 are affine
+    w = sp.eigen.values[1:][src]
+    w = np.where(flip[:, None], -w, w)
+    pos = w > 0.0
+    convex = np.flatnonzero(pos.any(axis=1))
+    cvx = 2 * convex
     aff = np.flatnonzero(~np.isin(np.arange(2 * K), cvx))
-    rank = max((curvature[k][1].size for k in convex), default=0)
-    U, d = np.zeros((len(convex), n, rank)), np.ones((len(convex), rank))
-    for j, k in enumerate(convex):
-        Uk, dk = curvature[k]
-        U[j, :, : dk.size], d[j, : dk.size] = Uk, dk
+    rank = int(pos.sum(axis=1).max(initial=0))
+    order = np.argsort(~pos[convex], axis=1, kind="stable")[:, :rank]
+    keep = np.take_along_axis(pos[convex], order, axis=1)
+    V = sp.eigen.vectors[1:][src[convex]]
+    U = np.where(keep[:, None, :], np.take_along_axis(V, order[:, None, :], axis=2), 0.0)
+    d = np.where(keep, np.take_along_axis(w[convex], order, axis=1), 1.0)
+    sp0_plus, sp0_minus = sp.plus[0], sp.minus[0]
     Pq = np.zeros((dim, dim))
-    Pq[:n, :n] = sp0.plus
+    Pq[:n, :n] = sp0_plus
     sub_objective = QuadraticForm.from_dense(Pq)
     sub_opts = {"max_iter": 600, "resid_tol": 1e-7, **(subsolver_opts or {})}
     if set(sub_opts) != {"max_iter", "resid_tol"}:
@@ -961,7 +998,7 @@ def improve_ccp(
     xk = x0.copy()
     tau = tau0
     best_x = x0.copy()
-    best_a = assess(problem, x0)
+    a0 = best_a = assess(problem, x0) if _a0 is None else _a0
     trace: list[tuple[float, float]] = []
     converged = False
     prev_slack = math.inf
@@ -969,9 +1006,9 @@ def improve_ccp(
     for it in range(1, max_iter + 1):
         # objective: convex part + linearized concave part + tau * sum(s)
         qq = np.zeros(dim)
-        qq[:n] = problem.objective.q_vec - 2.0 * (sp0.minus @ xk)
+        qq[:n] = problem.objective.q_vec - 2.0 * (sp0_minus @ xk)
         qq[n:] = tau
-        rr = problem.objective.r + float(xk @ (sp0.minus @ xk))
+        rr = problem.objective.r + float(xk @ (sp0_minus @ xk))
         L, lin_r = linearized(xk)
         Q[0::2, :n], R[0::2] = L, r_rows + lin_r
         affine = _AffineRows(np.zeros(aff.size, dtype=bool), Q[aff], R[aff])
@@ -990,7 +1027,7 @@ def improve_ccp(
         def penalized(xc):
             # exact subproblem value at xc with the slacks eliminated:
             # the optimal s_k is the positive part of the convexified row
-            val = float(xc @ (sp0.plus @ xc)) + float(qq[:n] @ xc) + rr
+            val = float(xc @ (sp0_plus @ xc)) + float(qq[:n] @ xc) + rr
             res = np.maximum(0.0, convexified(xc, L) + r_rows + lin_r)
             return val + tau * float(np.sum(res)), res
 
@@ -1016,7 +1053,7 @@ def improve_ccp(
             break
         prev_slack = slack
         tau = min(TAU_GROWTH * tau, TAU_MAX)
-    return _report(problem, x0, best_x, it, trace, converged, "ccp")
+    return _report(problem, x0, best_x, it, trace, converged, "ccp", a0, best_a)
 
 
 # -- composition ------------------------------------------------------------
@@ -1038,7 +1075,8 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     signature.  method_opts maps an entry's name (a callable's __name__) to
     its keyword options; a key that names no entry raises TypeError.  The
     composition is itself an improvement method: the output is never worse
-    than any intermediate point.
+    than any intermediate point.  A method of METHODS is handed the
+    assessment of its start point, so each point is assessed once.
     """
     method_opts = {} if method_opts is None else method_opts
     if not isinstance(method_opts, dict):
@@ -1048,19 +1086,21 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     if unused := set(method_opts) - set(names):
         raise TypeError(f"method_opts names no method of the sequence: {sorted(map(str, unused))}")
     x = np.asarray(x0, dtype=float)
-    best_x = x.copy()
-    best_a = assess(problem, x)
-    trace: list[tuple[float, float]] = [best_a.as_tuple()]
+    a = a0 = assess(problem, x)  # a is assess() of x, None after a callable's step
+    best_x, best_a, best_known = x.copy(), a0, a0
+    trace: list[tuple[float, float]] = [a0.as_tuple()]
     iterations = 0
     converged = True
     for name, entry in zip(names, methods):
-        fn = METHODS[entry] if isinstance(entry, str) else entry
-        rep = fn(problem, x, **method_opts.get(name, {}))
+        opts = method_opts.get(name, {})
+        rep = METHODS[entry](problem, x, _a0=a, **opts) if isinstance(entry, str) else entry(problem, x, **opts)
         x = rep.x
+        # a method of METHODS reports assess() of its point; a callable may not
+        a = rep.assessment if isinstance(entry, str) else None
         iterations += rep.iterations
         trace.extend(rep.phase_trace)
         converged = converged and rep.converged
         if rep.assessment.better_than(best_a):
-            best_a, best_x = rep.assessment, x.copy()
+            best_a, best_x, best_known = rep.assessment, x.copy(), a
     label = "+".join(names) if names else "identity"
-    return _report(problem, x0, best_x, iterations, trace, converged, label)
+    return _report(problem, x0, best_x, iterations, trace, converged, label, a0, best_known)

@@ -11,24 +11,25 @@ import numpy as np
 
 
 def _check_symmetric_input(P) -> np.ndarray:
+    """(P + P') / 2 of a square matrix, or of each matrix of a stack (k, n, n)."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[0] != P.shape[1]:
+    if P.ndim > 3 or P.shape[-2] != P.shape[-1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(P)):
         raise ValueError("matrix has non-finite entries")
-    return 0.5 * (P + P.T)
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """P = Q diag(values) Q' with values ascending and Q orthogonal."""
+    """P = Q diag(values) Q' with values ascending and Q orthogonal; of a stack, one per matrix."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
 def sym_eigen(P) -> EigenDecomposition:
-    """Symmetric eigendecomposition with ascending eigenvalues."""
+    """Symmetric eigendecomposition with ascending eigenvalues, of P or of each matrix of a stack."""
     S = _check_symmetric_input(P)
     w, V = np.linalg.eigh(S)
     return EigenDecomposition(values=w, vectors=V)

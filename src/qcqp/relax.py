@@ -104,16 +104,23 @@ SDR_MAX_ITER = 100
 RAY_TOL = 1e-8  # a diverging iterate this close to a ray proves infeasibility
 
 
-def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack."""
-    N = problem.n + 1
-    A = np.empty((problem.m + 1, N, N))
-    A[0] = 0.0
-    A[0, N - 1, N - 1] = 1.0
-    for i, con in enumerate(problem.constraints, start=1):
-        A[i] = _homogenize_form(con.form).dense_p
+def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C, the stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack.
+
+    A_i (i >= 1) is row i's _homogenize_form, written into one stack from
+    the rows' P, q and r; adding 0.0 turns every -0.0 into 0.0 as that
+    form's construction does.
+    """
+    n, m = problem.n, problem.m
+    forms = [c.form for c in problem.constraints]
+    A = np.zeros((m + 1, n + 1, n + 1))
+    A[0, n, n] = 1.0
+    A[1:, :n, :n] = np.array([f.dense_p for f in forms]).reshape(m, n, n)
+    A[1:, :n, n] = A[1:, n, :n] = 0.5 * np.array([f.q_vec for f in forms]).reshape(m, n)
+    A[1:, n, n] = [f.r for f in forms]
+    A += 0.0
     le = np.array([False] + [con.sense is Sense.LE for con in problem.constraints])
-    return A, le
+    return _homogenize_form(problem.objective).dense_p, A, le
 
 
 def _max_step(Li: np.ndarray, dV: np.ndarray) -> float:
@@ -151,17 +158,16 @@ def _norm(M: np.ndarray) -> float:
     return norm
 
 
-def _solve_sdr(problem: QcqpProblem) -> _SdrIterate:
+def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
     """Primal-dual interior-point method on the homogenised SDR.
 
     Infeasible-start path following with the HKM search direction
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and Mehrotra's
     predictor-corrector; each iteration forms and factors the m+1 by m+1
     Schur complement M_ij = <A_i, Z A_j S^-1> + LP slack terms.  Every
-    factorization is a numpy Cholesky (linalg.inv_chol).
+    factorization is a numpy Cholesky (linalg.inv_chol).  C, A and le are
+    _sdr_rows of the problem.
     """
-    A, le = _sdr_rows(problem)
-    C = _homogenize_form(problem.objective).dense_p
     N = A.shape[1]
     # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
     with np.errstate(over="ignore"):
@@ -316,7 +322,7 @@ def _trace_bound(problem: QcqpProblem, level: float) -> float | None:
     return best
 
 
-def _certified_bound(problem: QcqpProblem, y) -> tuple[float, bool]:
+def _certified_bound(problem: QcqpProblem, rows, y) -> tuple[float, bool]:
     """Lower bound on the SDR (hence on the QCQP) from any dual vector y.
 
     y holds the multipliers of <A_0, Z> = 1 and of each constraint row.
@@ -324,11 +330,11 @@ def _certified_bound(problem: QcqpProblem, y) -> tuple[float, bool]:
     from the data, every feasible Z with tr(Z) <= T has
     <C, Z> >= y_0 + min(0, lambda_min(S)) T (Jansson, Chaykin & Keil 2007).
     The bound is flagged invalid only when lambda_min(S) < 0 and the rows
-    give no T.
+    give no T.  rows is _sdr_rows(problem).
     """
-    A, le = _sdr_rows(problem)
+    C, A, le = rows
     y = np.where(le, np.minimum(np.asarray(y, dtype=float), 0.0), y)
-    S = _homogenize_form(problem.objective).dense_p - np.tensordot(y, A, axes=1)
+    S = C - np.tensordot(y, A, axes=1)
     lam = float(np.linalg.eigvalsh(S)[0])
     if lam >= 0.0:
         return float(y[0]), True
@@ -347,12 +353,13 @@ def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
     unproven infeasibility; one found unbounded gives -inf.  A NaN bound is
     flagged invalid.
     """
-    it = _solve_sdr(problem)
+    rows = _sdr_rows(problem)
+    it = _solve_sdr(*rows)
     if it.status == "infeasible":
         return RelaxationResult(bound=math.inf, valid=False)
     if it.status == "unbounded":
         return RelaxationResult(bound=-math.inf)
-    bound, valid = _certified_bound(problem, it.y)
+    bound, valid = _certified_bound(problem, rows, it.y)
     valid = valid and not math.isnan(bound)
     n = problem.n
     Z = 0.5 * (it.Z + it.Z.T)

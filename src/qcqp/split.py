@@ -31,12 +31,20 @@ class Splitting:
     eigen: EigenDecomposition | None = None  # split_eigen: P's eigenpairs, noise set to 0; plus is the positive ones
 
 
+def _check_matrix(P) -> np.ndarray:
+    """_check_symmetric_input of one matrix: only split_eigen splits a stack."""
+    S = _check_symmetric_input(P)
+    if S.ndim != 2:
+        raise ValueError("matrix must be square")
+    return S
+
+
 def split_shift(P) -> Splitting:
     """Identity-shift splitting; adds curvature 2t along every direction.
 
     Uses whichever of P + tI - tI and tI - (tI - P) needs the smaller shift.
     """
-    S = _check_symmetric_input(P)
+    S = _check_matrix(P)
     w = np.linalg.eigvalsh(S)
     lmin, lmax = float(w[0]), float(w[-1])
     if abs(lmax) >= abs(lmin):
@@ -60,18 +68,26 @@ def split_eigen(P) -> Splitting:
     Eigenvalues with |lambda| <= n * eps * max|lambda| are rounding noise and
     count as exactly 0, so a semidefinite P gets an exactly zero part on the
     other side (and a linearized concave row stays exactly affine).
+
+    P may be a stack (k, n, n): each matrix is split by the same stacked
+    calls, bit for bit as alone, and every field holds one entry per
+    matrix (curvature an array of k values).
     """
     S = _check_symmetric_input(P)
     eig = sym_eigen(S)
     w = eig.values
-    noise = S.shape[0] * np.finfo(float).eps * np.max(np.abs(w), initial=0.0)
+    noise = S.shape[-1] * np.finfo(float).eps * np.max(np.abs(w), axis=-1, keepdims=True, initial=0.0)
     w = np.where(np.abs(w) <= noise, 0.0, w)
     wp = np.clip(w, 0.0, None)
     wm = np.clip(-w, 0.0, None)
-    plus = (eig.vectors * wp) @ eig.vectors.T
-    minus = (eig.vectors * wm) @ eig.vectors.T
-    curvature = float(np.trace(plus) + np.trace(minus) - np.sum(np.abs(eig.values)))
-    return Splitting(plus=plus, minus=minus, curvature=curvature, eigen=EigenDecomposition(w, eig.vectors))
+    V, Vt = eig.vectors, eig.vectors.swapaxes(-1, -2)
+    plus = (V * wp[..., None, :]) @ Vt
+    minus = (V * wm[..., None, :]) @ Vt
+    trace = np.trace(plus, axis1=-2, axis2=-1) + np.trace(minus, axis1=-2, axis2=-1)
+    curvature = trace - np.sum(np.abs(eig.values), axis=-1)
+    if S.ndim == 2:
+        curvature = float(curvature)
+    return Splitting(plus=plus, minus=minus, curvature=curvature, eigen=EigenDecomposition(w, V))
 
 
 def default_delta(P) -> float:
@@ -89,7 +105,7 @@ def split_cholesky_diff(P, delta: float | None = None) -> Splitting:
     on -M and swaps which factor receives each column.  Every divisor has magnitude >= sqrt(delta); the
     smallest one used is reported.
     """
-    S = _check_symmetric_input(P)
+    S = _check_matrix(P)
     n = S.shape[0]
     if delta is None:
         delta = default_delta(S)

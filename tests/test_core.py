@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import qcqp.core
+import qcqp.improve
 from qcqp.core import (
     Assessment,
     Constraint,
@@ -16,10 +19,11 @@ from qcqp.core import (
     evaluate,
     to_epigraph,
     to_homogeneous,
+    _max_violation,
     _value,
-    _violations,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
+from qcqp.generators import gen_beamforming
 
 
 def evaluate_triplets(form: QuadraticForm, x) -> float:
@@ -257,14 +261,15 @@ def same(a, b) -> bool:
 def test_one_variable_block_matches_each_row_bit_for_bit(case):
     problem, x = case
     block = problem._row_classes
-    values, violations = block.values(x), _violations(block.values(x), block.eq)
+    values = block.values(x)
     for j, k in enumerate(block.one.tolist()):
         c = problem.constraints[k]
         assert c.form.support.size == 1
         assert same(values[j], _value(c.form, x))
-        assert same(violations[j], c._violation_of(_value(c.form, x)))
+        row = max(0.0, _max_violation(values[j : j + 1], block.eq[j : j + 1]))
+        assert same(row, max(0.0, c._violation_of(_value(c.form, x))))
     held = set(block.one.tolist())
-    assert list(block.others) == [c for k, c in enumerate(problem.constraints) if k not in held]
+    assert sorted(block.dense.tolist()) == [k for k in range(problem.m) if k not in held]
     # assess folds the block in with the other rows as the per-row loop does
     v = 0.0
     for c in problem.constraints:
@@ -288,8 +293,8 @@ def test_assess_gives_violation_inf_at_a_nonfinite_point(case, bad, at):
     x[at % problem.n] = bad
     assert assess(problem, x).violation == math.inf
     block = problem._row_classes
-    assert np.all(_violations(block.values(x), block.eq) == math.inf)
     values = block.values(x)
+    assert all(_max_violation(values[j : j + 1], block.eq[j : j + 1]) == math.inf for j in range(values.size))
     for j, k in enumerate(block.one.tolist()):
         # n = 1 leaves no zero term to turn an infinite value into NaN.  The
         # reference is the dense products, which warn at such a point: only
@@ -297,6 +302,125 @@ def test_assess_gives_violation_inf_at_a_nonfinite_point(case, bad, at):
         with np.errstate(invalid="ignore"):
             want = _value(problem.constraints[k].form, x)
         assert same(values[j], want)
+
+
+# -- the dense stack ----------------------------------------------------------------
+
+wide = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e-200]), st.floats(-1e3, 1e3))
+
+
+def _rows_problem(n, rows, x):
+    """(problem with a zero objective and rows (P, q, r, sense), x)."""
+    constraints = [Constraint(QuadraticForm.from_dense(np.reshape(P, (n, n)), q, r), sense) for P, q, r, sense in rows]
+    return QcqpProblem.create(QuadraticForm.create(n), constraints), np.array(x, dtype=float)
+
+
+def _seeded_rows_and_point(seed):
+    """Rows and a point over n = 5-40 variables from numpy's generator: sums long enough to be blocked.
+
+    BLAS sums a long dot product in several partial sums, so a kernel
+    that sums in another order rounds differently here.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 41))
+    rows = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = rng.choice(["zero", "one", "dense"])
+        P = np.zeros((n, n))
+        if kind == "one":
+            P[rng.integers(n), rng.integers(n)] = rng.standard_normal()
+        elif kind == "dense":
+            P = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        q = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        rows.append((P + P.T, q, float(rng.standard_normal()), rng.choice([Sense.EQ, Sense.LE])))
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.2:
+        x[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+    return _rows_problem(n, rows, x)
+
+
+@st.composite
+def dense_rows_and_points(draw):
+    """Rows over n = 0-4 variables (m = 0-5) with P zero, of one variable or dense, EQ or LE, and a point.
+
+    Entries reach 1e200, whose products overflow, and the point may hold an
+    inf or a NaN.  One case in four is _seeded_rows_and_point's instead.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        return _seeded_rows_and_point(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["zero", "one", "dense"])) if n else "zero"
+        P = np.zeros((n, n))
+        if kind == "one":
+            i = draw(st.integers(0, n - 1))
+            P[i, i] = draw(wide)
+        elif kind == "dense":
+            U = np.triu(np.array(draw(st.lists(wide, min_size=n * n, max_size=n * n))).reshape(n, n))
+            P = U + np.triu(U, 1).T
+        q = draw(st.lists(wide, min_size=n, max_size=n))
+        rows.append((P, q, draw(wide), draw(st.sampled_from([Sense.EQ, Sense.LE]))))
+    x = draw(st.lists(wide, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return _rows_problem(n, rows, x)
+
+
+@given(dense_rows_and_points())
+@example(_rows_problem(0, [], []))
+@example(_rows_problem(0, [(np.zeros((0, 0)), [], -0.0, Sense.EQ), (np.zeros((0, 0)), [], 2.0, Sense.LE)], []))
+@example(_rows_problem(1, [([[2.0]], [1.0], -1.0, Sense.EQ), ([[0.0]], [-0.0], -0.0, Sense.LE)], [-0.0]))
+@example(_rows_problem(2, [([[1e200, 1e200], [1e200, 0.0]], [0.0, 1.0], -1e200, Sense.LE)], [1e200, -1e200]))
+@example(_rows_problem(2, [([[0.0, 1.0], [1.0, 0.0]], [0.0, -0.0], -0.0, Sense.EQ)], [-0.0, 0.0]))
+def test_dense_stack_matches_each_row_bit_for_bit(case):
+    problem, x = case
+    rc = problem._row_classes
+    assert sorted(rc.dense.tolist()) == sorted(rc.gen.tolist() + rc.aff.tolist())
+    assert rc.dense.tolist() == rc.gen.tolist() + rc.aff.tolist()  # general rows first
+    # 1e200 overflows and 0 * inf is NaN, in the per-row reference as in the stack
+    with np.errstate(all="ignore"):
+        values = rc.dense_values(x, rc.P @ x)
+        fold = 0.0
+        for j, k in enumerate(rc.dense.tolist()):
+            c = problem.constraints[k]
+            assert values[j].hex() == _value(c.form, x).hex()  # NaN's sign is not compared
+            row = max(0.0, _max_violation(values[j : j + 1], rc.dense_eq[j : j + 1]))
+            assert row.hex() == max(0.0, c.violation(x)).hex()
+            fold = max(fold, c.violation(x))
+        for c in problem.constraints:
+            fold = max(fold, c.violation(x))
+        if np.isfinite(x).all():
+            assert rc.max_violation(x).hex() == fold.hex()
+            assert rc.max_violation(x, rc.gen.size).hex() == max(
+                [0.0] + [problem.constraints[k].violation(x) for k in rc.gen.tolist() + rc.one.tolist()]
+            ).hex()
+            a = assess(problem, x)
+            assert a.objective.hex() == _value(problem.objective, x).hex()
+            assert a.violation.hex() == (fold if math.isfinite(a.objective) else math.inf).hex()
+
+
+@given(st.lists(st.one_of(wide, st.sampled_from([math.inf, -math.inf, math.nan])), max_size=6), st.data())
+def test_max_violation_folds_the_values_as_assess_folds_the_rows(values, data):
+    f = np.array(values, dtype=float)
+    eq = np.array(data.draw(st.lists(st.booleans(), min_size=f.size, max_size=f.size)), dtype=bool)
+    for senses, arg in ((eq, eq), (np.zeros(f.size, dtype=bool), None)):  # None: every row LE
+        fold = 0.0
+        for v, is_eq in zip(f.tolist(), senses.tolist()):
+            fold = max(fold, Constraint(QuadraticForm.create(0), Sense.EQ if is_eq else Sense.LE)._violation_of(v))
+        assert max(0.0, _max_violation(f, arg)).hex() == fold.hex()
+
+
+def test_assess_evaluates_only_the_objective_row_by_row():
+    # beamforming's rows are all general: they are read from the dense stack
+    p = gen_beamforming(4, 6, 2, seed=3)
+    x = np.random.default_rng(4).standard_normal(p.n)
+    assert p._row_classes.gen.size == p.m
+    want = assess(p, x)
+    for module, run in ((qcqp.core, lambda: assess(p, x)), (qcqp.improve, lambda: p._admm_rows.assess(p.objective, x))):
+        with mock.patch.object(module, "_value", autospec=True, side_effect=qcqp.core._value) as values:
+            assert run() == want
+        assert values.call_count == 1 and values.call_args.args[0] is p.objective
 
 
 # -- the row classes ------------------------------------------------------------

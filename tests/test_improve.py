@@ -1,4 +1,5 @@
 import hashlib
+import math
 from functools import partial
 from unittest import mock
 
@@ -926,6 +927,52 @@ def test_ccp_outputs_pinned(name):
     assert (_digest(ccp), _digest(ccp_cd)) == CCP_PINS[name]
 
 
+# _digest of improve_ccp (max_iter=6) and of ["ccp", "cd"] on rows of several
+# variables, whose products are sums of several terms, as recorded when CCP
+# split and evaluated one row at a time
+CCP_GENERAL_PINS = {
+    "beamforming": (
+        "8aad61faeb9a464cf28ad2bffac123c57982e164fb21495c3c2518e6c5dce4e7",
+        "03bc4b569c9df191c7588545cad0d1f0fbf9d3c80331f8ac708ad2ca194fe287",
+    ),
+    "maxclique": (
+        "252aa237b28abb25e6307255935a8fc664256a63e90ee67ed3f5eef79bb919dd",
+        "48d68b9d82c7957deb7d6be4a14f409f85990b4e4a257bf4c64d5e9d1269b7d5",
+    ),
+}
+
+
+def _three_non_edges():
+    adjacency = np.ones((6, 6), dtype=int)
+    for i, j in ((0, 3), (1, 4), (2, 5)):
+        adjacency[i, j] = adjacency[j, i] = 0
+    return adjacency
+
+
+@pytest.mark.parametrize("name", list(CCP_GENERAL_PINS))
+def test_ccp_outputs_pinned_on_rows_of_several_variables(name):
+    if name == "beamforming":
+        problem, x0 = gen_beamforming(4, 6, 2, seed=3), np.random.default_rng(4).standard_normal(8)
+    else:
+        problem, x0 = gen_maxclique(_three_non_edges()), np.random.default_rng(4).standard_normal(6)
+    ccp = improve_ccp(problem, x0, max_iter=6)
+    ccp_cd = improve_sequence(problem, x0, ["ccp", "cd"], {"ccp": {"max_iter": 6}})
+    assert (_digest(ccp), _digest(ccp_cd)) == CCP_GENERAL_PINS[name]
+
+
+def test_ccp_splits_the_objective_and_every_row_in_one_call():
+    # beamforming's rows are LE, 3-SAT's x_i^2 - x_i = 0 are EQ and give two rows each
+    for p, x0 in ((gen_beamforming(4, 6, 2, seed=3), np.random.default_rng(4).standard_normal(8)), _ccp_case("3sat")):
+        splitter = mock.Mock(side_effect=split_eigen)
+        with mock.patch.dict(qcqp.improve._SPLITTERS, {"eigen": splitter}):
+            rep = improve_ccp(p, x0, max_iter=3, subsolver_opts={"max_iter": 20})
+        assert rep.iterations >= 2 and splitter.call_count == 1
+        (stack,) = splitter.call_args.args
+        assert stack.shape == (p.m + 1, p.n, p.n)
+        forms = [p.objective] + [c.form for c in p.constraints]
+        assert all(np.array_equal(P, f.dense_p) for P, f in zip(stack, forms))
+
+
 def test_ccp_builds_no_projector_and_classifies_no_row():
     # CCP's subproblem is an affine block and a convex block whose curvature
     # comes from the eigenpairs split_eigen computed, so no row of it is
@@ -933,13 +980,10 @@ def test_ccp_builds_no_projector_and_classifies_no_row():
     # Beamforming's coverage rows are concave and reach the subproblem
     # affine, and its 2 power caps are PSD of rank two.  Max-clique's rows
     # x_i x_j = 0 split into rank-one parts along (e_i +- e_j) / sqrt(2).
-    adjacency = np.ones((6, 6), dtype=int)
-    for i, j in ((0, 3), (1, 4), (2, 5)):
-        adjacency[i, j] = adjacency[j, i] = 0
     cases = [
         # (problem, affine rows, convex rows, the convex block's rank)
         (gen_beamforming(4, 6, 2, seed=3), 6 + 8, 2, 2),
-        (gen_maxclique(adjacency), 6 + 18, 6 + 6, 1),
+        (gen_maxclique(_three_non_edges()), 6 + 18, 6 + 6, 1),
     ]
     init, secular, scan = ConstraintProjector.__init__, ConstraintProjector._solve_secular, _RowClasses.__init__
     for p, n_aff, n_cvx, rank in cases:
@@ -1087,7 +1131,9 @@ def test_curved_block_matches_per_row_projection(case):
         assert np.array_equal(block.project(V[k : k + 1], [k])[0], X[k])
     v = V[0]
     want = [c.violation(v) for c in problem.constraints]
-    assert np.allclose(block.violations(v), want, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(v).max()) ** 2))
+    atol = 1e-12 * max(1.0, float(np.abs(v).max()) ** 2)
+    assert np.allclose(np.maximum(block.values(v), 0.0), want, rtol=1e-12, atol=atol)
+    assert math.isclose(max(0.0, block.max_violation(v)), max(want), rel_tol=1e-12, abs_tol=atol)
 
 
 def test_admm_projects_every_quadratic_row_of_several_variables_through_its_projector():
@@ -1168,6 +1214,21 @@ def test_improve_sequence_empty_is_identity():
     rep = improve_sequence(p, x0, [])
     assert np.array_equal(rep.x, x0)
     assert rep.method == "identity"
+
+
+@pytest.mark.parametrize(
+    "methods, opts, points",
+    [(["sign", "cd"], {}, 3), (["admm", "cd"], {"admm": {"max_iter": 20}}, 3), (["scale", "sign"], {}, 2)],
+)
+def test_improve_sequence_assesses_each_point_once(methods, opts, points):
+    # x0 and each method's point: a method of METHODS is handed the
+    # assessment of its start, and scale (no covering row here) moves nothing
+    p = gen_boolean_ls(10, 6, seed=6)
+    x0 = np.random.default_rng(7).standard_normal(6)
+    with mock.patch.object(qcqp.improve, "assess", autospec=True, side_effect=assess) as calls:
+        rep = improve_sequence(p, x0, methods, opts)
+    assert calls.call_count == points
+    assert rep.assessment == assess(p, rep.x)
 
 
 def test_beamforming_admm_then_cd():

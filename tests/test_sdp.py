@@ -150,10 +150,11 @@ def test_certified_bound_absorbs_perturbed_duals():
         _, fstar = brute_force(p)
         if not math.isfinite(fstar):
             continue
-        y = relax_mod._solve_sdr(p).y
+        rows = relax_mod._sdr_rows(p)
+        y = relax_mod._solve_sdr(*rows).y
         for _ in range(20):
             y_bad = y + 1e-3 * rng.standard_normal(y.size)
-            bound, valid = relax_mod._certified_bound(p, y_bad)
+            bound, valid = relax_mod._certified_bound(p, rows, y_bad)
             assert valid
             assert bound <= fstar + 1e-9
             corrected += bound < y_bad[0]
@@ -166,8 +167,9 @@ def test_beamforming_bound_certified_from_objective_level():
     p = gen_beamforming(10, 8, 3, tau=20.0, eta=2.0, seed=0)
     res = sdr_bound(p)
     assert res.converged and res.valid
-    y = relax_mod._solve_sdr(p).y
-    bound, valid = relax_mod._certified_bound(p, y + 1e-3)
+    rows = relax_mod._sdr_rows(p)
+    y = relax_mod._solve_sdr(*rows).y
+    bound, valid = relax_mod._certified_bound(p, rows, y + 1e-3)
     assert valid and bound <= res.bound
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcqp.split import default_delta, split_cholesky_diff, split_eigen, split_shift
 
@@ -147,3 +149,40 @@ def test_eigen_split_threshold_is_relative(scale):
     assert np.linalg.eigvalsh(sp.plus) == pytest.approx([0.0, 0.0, lam, lam], abs=1e-12 * lam)
     assert np.linalg.eigvalsh(sp.minus) == pytest.approx([0.0, 0.0, lam, lam], abs=1e-12 * lam)
     assert np.linalg.norm(sp.plus - sp.minus - P) <= 1e-12 * np.linalg.norm(P)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 9),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["indefinite", "semidefinite", "zero", "scaled"]),
+)
+def test_eigen_split_of_a_stack_is_each_matrix_split_alone_byte_for_byte(k, n, seed, kind):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, n, n))
+    if kind == "semidefinite":  # rank 2, of either sign: rounding-size eigenvalues go to 0
+        B = rng.standard_normal((k, n, 2))
+        A = (B @ B.swapaxes(1, 2)) * rng.choice([-1.0, 1.0], (k, 1, 1))
+    elif kind == "zero":
+        A[0] = 0.0
+    elif kind == "scaled":
+        A *= 10.0 ** rng.uniform(-20.0, 20.0, (k, 1, 1))
+    stacked = split_eigen(A)
+    assert stacked.curvature.shape == (k,)
+    for i in range(k):
+        alone = split_eigen(A[i].copy())
+        assert isinstance(alone.curvature, float)
+        assert alone.curvature.hex() == float(stacked.curvature[i]).hex()
+        for got, want in (
+            (stacked.plus[i], alone.plus),
+            (stacked.minus[i], alone.minus),
+            (stacked.eigen.values[i], alone.eigen.values),
+            (stacked.eigen.vectors[i], alone.eigen.vectors),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("split", [split_shift, split_cholesky_diff])
+def test_only_the_eigen_split_takes_a_stack(split):
+    with pytest.raises(ValueError, match="square"):
+        split(np.stack([np.eye(2), np.eye(2)]))
