@@ -61,7 +61,8 @@ def _check_numbers(values: list, where: str, what: str) -> None:
         raise ParseError(f"{where}: {what} must be a number, got {bad!r}")
 
 
-def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
+def _form_fields(obj, where: str) -> tuple:
+    """The (triplets, q, r) of a form's JSON object, checked to be lists of numbers and a number."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     P, q, r = obj.get("P", []), obj.get("q"), obj.get("r", 0.0)
@@ -73,12 +74,13 @@ def _form_from_json(obj, n: int, where: str) -> QuadraticForm:
         raise ParseError(f"{where}: q must be a list of numbers")
     _check_numbers(q or [], where, "each q entry")
     _check_numbers([r], where, "r")
-    try:
-        return QuadraticForm.create(n, P, q, r)
-    # a triplet index that is not an integer in [0, n), q of the wrong length, a non-finite
-    # number, an integer beyond the float range, or an n x n matrix too large to allocate
-    except (QcqpError, ValueError, OverflowError, MemoryError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return P, q, r
+
+
+# what QuadraticForm.create raises for a triplet index that is not an integer in
+# [0, n), q of the wrong length, a non-finite number, an integer beyond the float
+# range, or an n x n matrix too large to allocate
+_FORM_ERRORS = (QcqpError, ValueError, OverflowError, MemoryError)
 
 
 def problem_to_json(problem: QcqpProblem) -> dict:
@@ -104,15 +106,30 @@ def problem_from_json(data) -> QcqpProblem:
     entries = data.get("constraints", [])
     if not isinstance(entries, list):
         raise ParseError("'constraints' must be a list")
-    obj = _form_from_json(data["objective"], n, "objective")
-    cons = []
-    for k, entry in enumerate(entries):
-        sense_str = entry.get("sense", "le") if isinstance(entry, dict) else None
-        if sense_str not in ("le", "eq"):
-            raise ParseError(f"constraint {k}: sense must be 'le' or 'eq'")
-        form = _form_from_json(entry, n, f"constraint {k}")
-        cons.append(Constraint(form, Sense(sense_str)))
-    return QcqpProblem.create(obj, cons)
+    wheres = ["objective"] + [f"constraint {k}" for k in range(len(entries))]
+    fields, senses = [], []
+    try:
+        fields.append(_form_fields(data["objective"], "objective"))
+        for k, entry in enumerate(entries):
+            sense_str = entry.get("sense", "le") if isinstance(entry, dict) else None
+            if sense_str not in ("le", "eq"):
+                raise ParseError(f"constraint {k}: sense must be 'le' or 'eq'")
+            fields.append(_form_fields(entry, wheres[k + 1]))
+            senses.append(Sense(sense_str))
+        forms = QuadraticForm._create_all(n, fields)
+    except (ParseError,) + _FORM_ERRORS as exc:
+        # report the first bad entry in file order, as building each form in
+        # turn did: a form before the entry that failed its checks, or the
+        # first form that fails create alone
+        for where, part in zip(wheres, fields):
+            try:
+                QuadraticForm.create(n, *part)
+            except _FORM_ERRORS as form_exc:
+                raise ParseError(f"{where}: {form_exc}") from form_exc
+        if isinstance(exc, ParseError):
+            raise
+        raise ParseError(f"problem: {exc}") from exc  # each form fits in memory, but not all at once
+    return QcqpProblem.create(forms[0], [Constraint(f, s) for f, s in zip(forms[1:], senses)])
 
 
 def _reject_constant(name: str):

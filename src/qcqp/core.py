@@ -12,6 +12,7 @@ methods share.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,10 +56,25 @@ class QuadraticForm:
 
         Each index must be an integer (an integral float counts) in [0, n).
         """
+        return cls._create_all(n, [(triplets, q, r)])[0]
+
+    @classmethod
+    def _create_all(cls, n, parts: Sequence[tuple]) -> list["QuadraticForm"]:
+        """create(n, triplets, q, r) of each (triplets, q, r) in parts, all in one pass.
+
+        One array takes every triplet and one np.add.at sums each value, in
+        input order, into its cell of an (len(parts), n, n) stack and into
+        the mirror cell below the diagonal.  Each sum starts at 0.0, so no
+        cell holds -0.0, and each mirror cell gets the same sum as its
+        upper cell.  Each form's P and q are read-only views of one stack.
+        The checks are create's, in its order, each over every part at
+        once.
+        """
         n = int(n)
         if n < 0:
             raise DimensionMismatchError("dimension must be nonnegative")
-        t = np.array(list(triplets), dtype=float)
+        triplets = [list(t) for t, _, _ in parts]
+        t = np.array(list(itertools.chain.from_iterable(triplets)), dtype=float)
         if t.size and t.shape[1:] != (3,):
             raise DimensionMismatchError("triplets must be (i, j, v) rows")
         t = t.reshape(-1, 3)
@@ -68,12 +84,25 @@ class QuadraticForm:
             k = int(np.argmax(bad.any(axis=1)))
             raise DimensionMismatchError(f"triplet index ({ij[k, 0]:g},{ij[k, 1]:g}) is not an integer in [0, {n})")
         i, j = ij.T.astype(int)
-        U = np.zeros((n, n))
-        if t.shape[0] == 1 and i[0] == j[0]:  # one diagonal entry: nothing to sum or mirror
-            U[i[0], i[0]] = t[0, 2]
-            return cls._of_symmetric(U, q, r)
-        np.add.at(U, (np.minimum(i, j), np.maximum(i, j)), t[:, 2])  # in input order
-        return cls._of_symmetric(U + np.triu(U, 1).T, q, r)
+        lo, hi, v = np.minimum(i, j), np.maximum(i, j), t[:, 2]
+        form = np.arange(len(parts)).repeat(list(map(len, triplets)))  # each triplet's part
+        P = np.zeros((len(parts), n, n))
+        np.add.at(P, (form, lo, hi), v)
+        off = lo != hi
+        np.add.at(P, (form[off], hi[off], lo[off]), v[off])
+        Q = np.zeros((len(parts), n))
+        given = [k for k, (_, q, _) in enumerate(parts) if q is not None]
+        if given:
+            q = np.array([parts[k][1] for k in given], dtype=float)
+            if q.shape[1:] != (n,):
+                raise DimensionMismatchError(f"q has shape {q.shape[1:]}, expected ({n},)")
+            Q[given] = q
+        r = [float(r) for _, _, r in parts]
+        if not (np.isfinite(P).all() and np.isfinite(Q).all() and all(map(math.isfinite, r))):
+            raise ValueError("quadratic form has non-finite coefficients")
+        P.setflags(write=False)
+        Q.setflags(write=False)
+        return [cls(n=n, dense_p=P[k], q_vec=Q[k], r=r[k]) for k in range(len(parts))]
 
     @classmethod
     def from_dense(cls, P, q=None, r=0.0) -> "QuadraticForm":
@@ -165,16 +194,21 @@ def _row_class(form: QuadraticForm) -> tuple[str, int]:
     return "gen", -1
 
 
-def _max_violation(f: np.ndarray, eq=None) -> float:
+def _max_violation(f: np.ndarray, eq=None, axis=None):
     """The largest Constraint._violation_of of the values f, EQ where eq (None: every row is LE).
 
     A value that is not finite counts as inf: NaN carries through max, and
     an LE row at -inf shows in min.  The result can be below 0.0 (LE rows
     with f < 0, or no row at all): what counts is max(v, it), which for any
-    v >= 0.0 is the fold max(v, violation) over the rows.
+    v >= 0.0 is the fold max(v, violation) over the rows.  With axis=1, row
+    t of f holds the rows' values at point t, and the result is an array of
+    one such value per point.
     """
     g = f if eq is None else np.where(eq, np.abs(f), f)
-    lo, hi = float(g.min(initial=math.inf)), float(g.max(initial=-math.inf))
+    lo, hi = g.min(axis=axis, initial=math.inf), g.max(axis=axis, initial=-math.inf)
+    if axis is not None:
+        return np.where((lo == -math.inf) | np.isnan(hi), math.inf, hi)
+    lo, hi = float(lo), float(hi)
     return math.inf if lo == -math.inf or math.isnan(hi) else hi
 
 
@@ -231,7 +265,8 @@ class _RowClasses:
         return f
 
     def _finite_values(self, x: np.ndarray) -> np.ndarray:
-        xi = x[self.i]
+        """The one stack's values at x, or at each row of a stack of points x."""
+        xi = x.take(self.i, axis=-1)
         return xi * (self.a * xi) + self.b * xi + self.r
 
     def dense_values(self, x: np.ndarray, Px: np.ndarray) -> np.ndarray:
@@ -251,6 +286,17 @@ class _RowClasses:
             v = max(v, _max_violation(self.dense_values(x, P @ x), self.dense_eq[:k]))
         if self.one.size:
             v = max(v, _max_violation(self._finite_values(x), self.eq))
+        return v
+
+    def max_violations(self, Z: np.ndarray, k: int | None = None) -> np.ndarray:
+        """max_violation(z, k) of each row z of Z, by the same products on every point at once."""
+        P, v = self.P[:k], np.zeros(len(Z))
+        if len(P):
+            Zk = Z[:, None, :]  # each point against each row
+            f = np.vecdot(Zk, np.matmul(P, Zk[..., None])[..., 0]) + np.vecdot(self.q[:k], Zk) + self.c[:k]
+            v = np.maximum(v, _max_violation(f, self.dense_eq[:k], axis=1))
+        if self.one.size:
+            v = np.maximum(v, _max_violation(self._finite_values(Z), self.eq, axis=1))
         return v
 
 

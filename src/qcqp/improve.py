@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     _value,
     assess,
 )
-from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError
+from .errors import InfeasibleConstraintError, NotConvexError, NotScalableError, NumericalFailureError
 from .linalg import inv_chol, min_eig_bound
 from .onevar import (
     AFFINE_EPS,
@@ -538,6 +539,11 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100, 
 # -- consensus ADMM ---------------------------------------------------------
 
 
+def _select(fields: tuple, rows) -> tuple:
+    """A block's per-row arrays fields, each cut to rows (None: all of them, as they are)."""
+    return fields if rows is None else tuple(a[rows] for a in fields)
+
+
 class _AffineRows:
     """Affine rows A[k]'x + b[k] = 0 (where eq[k]) or <= 0, stacked to project as one block.
 
@@ -547,7 +553,7 @@ class _AffineRows:
     v unchanged, and raises InfeasibleConstraintError where ConstraintProjector
     does: when r is off the row's set by more than FEAS_TOL * (1 + |r|).
     Whether any row is flat or infeasible and whether every row is LE are
-    decided once, here.
+    decided once, here.  project(V) without rows projects every row.
     """
 
     def __init__(self, eq: np.ndarray, A: np.ndarray, b: np.ndarray):
@@ -559,21 +565,27 @@ class _AffineRows:
         self.infeasible = self.flat & np.where(self.eq, np.abs(b) > tol, b > tol)
         self.any_flat, self.any_infeasible = bool(self.flat.any()), bool(self.infeasible.any())
         self.all_le = not eq.any()
+        self._fields = (A, b, eq, self.flat, self.norm2, self.infeasible)
 
     def max_violation(self, z: np.ndarray) -> float:
         """The largest violation at z (see core._max_violation)."""
         return _max_violation(self.A @ z + self.b, None if self.all_le else self.eq)
 
-    def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def max_violations(self, Z: np.ndarray) -> np.ndarray:
+        """max_violation(z) of each row z of Z, by the same products on every point at once."""
+        f = np.matmul(self.A, Z[..., None])[..., 0] + self.b
+        return _max_violation(f, None if self.all_le else self.eq, axis=1)
+
+    def project(self, V: np.ndarray, rows=None) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
-        if self.any_infeasible and self.infeasible[rows].any():
+        A, b, eq, flat, norm2, infeasible = _select(self._fields, rows)
+        if self.any_infeasible and infeasible.any():
             raise InfeasibleConstraintError("affine row with q = 0 has an empty feasible set")
-        A = self.A[rows]
-        f = np.einsum("ij,ij->i", V, A) + self.b[rows]
-        s = np.maximum(f, 0.0) if self.all_le else np.where(self.eq[rows], f, np.maximum(f, 0.0))
+        f = np.einsum("ij,ij->i", V, A) + b
+        s = np.maximum(f, 0.0) if self.all_le else np.where(eq, f, np.maximum(f, 0.0))
         if self.any_flat:
-            s[self.flat[rows]] = 0.0
-        return V - (s / self.norm2[rows])[:, None] * A
+            s[flat] = 0.0
+        return V - (s / norm2)[:, None] * A
 
 
 class _ConvexRows:
@@ -603,26 +615,31 @@ class _ConvexRows:
         self.W_perp = W.copy()
         self.W_perp[:, :nc] -= np.einsum("kip,kp->ki", U, self.b)
         self.omega = np.einsum("ij,ij->i", self.W_perp, self.W_perp)
+        self._fields = (U, d, self.b, self.omega, self.W_perp, r, W)
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        """Each row's f(z)."""
-        uz = np.einsum("kip,i->kp", self.U, z[: self.U.shape[1]])
-        return (self.d * uz**2).sum(axis=1) + self.W @ z + self.r
+        """Each row's f(z); of a stack of points z, one row of values per point."""
+        uz = np.einsum("kip,...i->...kp", self.U, z[..., : self.U.shape[1]])
+        return (self.d * uz**2).sum(axis=-1) + np.matmul(self.W, z[..., None])[..., 0] + self.r
 
     def max_violation(self, z: np.ndarray) -> float:
         """The largest violation at z (see core._max_violation)."""
         return _max_violation(self.values(z))
 
-    def project(self, V: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Project V[k] onto the set of rows[k], for every k at once."""
-        U, d, b, omega = self.U[rows], self.d[rows], self.b[rows], self.omega[rows]
+    def max_violations(self, Z: np.ndarray) -> np.ndarray:
+        """max_violation(z) of each row z of Z, by the same products on every point at once."""
+        return _max_violation(self.values(Z), axis=1)
+
+    def project(self, V: np.ndarray, rows=None) -> np.ndarray:
+        """Project V[k] onto the set of rows[k], for every k at once; V itself when no row moves."""
+        U, d, b, omega, W_perp, r, W = _select(self._fields, rows)
         nc = U.shape[1]
         a = np.einsum("kip,ki->kp", U, V[:, :nc])  # U'v, as b is U'w
-        rest = np.einsum("ij,ij->i", V, self.W_perp[rows]) + self.r[rows]  # w_perp'v + r
+        rest = np.einsum("ij,ij->i", V, W_perp) + r  # w_perp'v + r
         f0 = ((d * a + b) * a).sum(axis=1) + rest
         moved = f0 > 0.0  # a row feasible at v keeps v
         if not moved.any():
-            return V.copy()
+            return V
         # phi(nu) = sum_j s2_j / (4 d_j t_j^2) + kappa - omega nu with t = 1 +
         # 2 d nu, so max(kappa, 0) / omega <= root <= f0 / omega
         s2 = (2.0 * d * a + b) ** 2
@@ -639,7 +656,7 @@ class _ConvexRows:
             new = np.clip(nu + phi / ((s2 / t**3).sum(axis=1) + omega), 0.0, hi)
             active &= np.abs(new - nu) > 1e-13 * (1.0 + nu)
             nu = np.where(active, new, nu)
-        X = V - nu[:, None] * self.W[rows]
+        X = V - nu[:, None] * W
         Y = X[:, :nc]
         uy = np.einsum("kip,ki->kp", U, Y)
         c = uy / (1.0 + 2.0 * d * nu[:, None])
@@ -655,9 +672,9 @@ class _Rows:
     measures all at once.  general maps every other row k to (constraint,
     its ConstraintProjector), and classes, when given, are the rows'
     _RowClasses, which assess() reads the general rows' values from.
-    project() is ADMM's x-update and assess() its assessment of a point.
-    ADMM's rows of a problem are of(problem); improve_ccp builds the rows of
-    its subproblem from two blocks.
+    project() is ADMM's x-update, and assess() its assessment of a point
+    and assess_stack() of many.  ADMM's rows of a problem are of(problem);
+    improve_ccp builds the rows of its subproblem from two blocks.
     """
 
     def __init__(self, n: int, m: int, blocks, general: dict | None = None, classes=None):
@@ -666,8 +683,11 @@ class _Rows:
         self.general = {} if general is None else general
         self.classes = classes
         self._projected = [(k, proj, c.sense is Sense.EQ) for k, (c, proj) in self.general.items()]
-        # row index -> (block, row in that block), to project one row alone
-        self._slot = {k: (block, j) for rows, block in self.blocks for j, k in enumerate(rows.tolist())}
+
+    @cached_property
+    def _slot(self) -> dict:
+        """Row index -> (block, row in that block), to project one row alone."""
+        return {k: (block, j) for rows, block in self.blocks for j, k in enumerate(rows.tolist())}
 
     @classmethod
     def of(cls, problem: QcqpProblem) -> "_Rows":
@@ -687,7 +707,7 @@ class _Rows:
         return cls(problem.n, problem.m, [(classes.aff, _AffineRows(eq, A, b))], general, classes)
 
     def project(self, V: np.ndarray) -> np.ndarray:
-        """Row k of V projected onto row k's set, for every row."""
+        """Row k of V projected onto row k's set, for every row, into a new array."""
         X = np.empty_like(V)
         for rows, block in self.blocks:
             X[rows] = block.project(V[rows])
@@ -715,6 +735,24 @@ class _Rows:
         f = _value(objective, x)
         return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
 
+    def assess_stack(self, objective: QuadraticForm, Z: np.ndarray) -> list[Assessment]:
+        """[assess(objective, z) for z in Z], bit for bit, from one stacked product per kind of row.
+
+        The stacked matmul and vecdot call, for each point, the BLAS kernels
+        that assess's P @ z and z @ y call.  Values that are not finite are
+        computed quietly: they make the violation inf.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            v = np.zeros(len(Z)) if self.classes is None else self.classes.max_violations(Z, self.classes.gen.size)
+            for _, block in self.blocks:
+                v = np.maximum(v, block.max_violations(Z))
+            PZ = np.matmul(objective.dense_p, Z[..., None])[..., 0]
+            f = np.vecdot(Z, PZ) + np.vecdot(objective.q_vec, Z) + objective.r
+        return [
+            Assessment(violation=vi if math.isfinite(fi) else math.inf, objective=fi)
+            for vi, fi in zip(v.tolist(), f.tolist())
+        ]
+
 
 def default_rho(problem: QcqpProblem) -> float:
     m = max(problem.m, 1)
@@ -738,10 +776,14 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, *, _a0=None
     rows.  Each x_i is projected onto its constraint.  The rows are set
     up once per problem (_Rows.of, kept with the problem for every later
     call): the affine rows project as one stacked block, every other row
-    through its ConstraintProjector, and the per-iteration assessment reads
-    the same classes.  Iterates can cycle on nonconvex problems, so the report returns
+    through its ConstraintProjector, and the assessment reads the same
+    classes.  Phase I assesses each iterate as it comes, since its switch
+    reads the violation; phase II's iterates are assessed as one stack after
+    the loop.  Iterates can cycle on nonconvex problems, so the report returns
     the best iterate ever seen under the lexicographic order, assessed again
-    by assess() and never worse than x0.
+    by assess() and never worse than x0.  Iterates that diverge can reach a
+    point whose projection finds no KKT point (NumericalFailureError); the
+    loop ends there, unconverged.
 
     Options (keywords of _admm): max_iter=500, two_phase=True,
     init_x/init_u (a warm start of the copies and the duals),
@@ -770,19 +812,11 @@ def _admm(
     n, m = rows.n, rows.m
 
     z = x0.copy()
-    X = (
-        np.array([np.asarray(v, dtype=float) for v in init_x])
-        if init_x is not None
-        else np.tile(x0, (m, 1))
-    )
-    U = (
-        np.array([np.asarray(v, dtype=float) for v in init_u])
-        if init_u is not None
-        else np.zeros((m, n))
-    )
+    X = np.array(init_x, dtype=float) if init_x is not None else np.tile(x0, (m, 1))
+    U = np.array(init_u, dtype=float) if init_u is not None else np.zeros((m, n))
 
     P0 = objective.dense_p
-    q0 = objective.q_vec
+    half_q0 = 0.5 * objective.q_vec
     A = P0 + m * rho * np.eye(n)
     try:
         Li = inv_chol(A)
@@ -798,15 +832,19 @@ def _admm(
         # iterates with better objectives win over early interior points
         return (a.violation if a.violation > EPS_FEAS else 0.0, a.objective)
 
-    a0 = assess_z(x0)
-    best_x, best_a = x0.copy(), a0
     trace: list[tuple[float, float]] = []
     iterates = []
-    phase1 = two_phase and m > 0
+    phase1 = ran_phase1 = two_phase and m > 0
+    # phase I's switch reads each iterate's violation, so its iterates are
+    # assessed one at a time; phase II's are kept (each z is a new array)
+    # and assessed as one stack after the loop, with x0 where no phase I runs
+    phase2: list[np.ndarray] = []
+    if phase1:
+        a0 = az = assess_z(x0)  # az: the assessment of the current z
+        best_x, best_a = x0.copy(), a0
     converged = False
     it = 0
-    z_prev = z.copy()
-    az = a0  # assessment of the current z
+    z_prev = z
     for it in range(1, max_iter + 1):
         if phase1 and az.violation <= EPS_FEAS:
             phase1 = False
@@ -814,15 +852,24 @@ def _admm(
             z = np.add.reduce(X - U, axis=0) / m  # np.mean's sum and division
         else:
             # minimize z'Az + (q0 - 2 rho t)'z, t the sum of x_i - u_i
-            b = rho * (np.add.reduce(X - U, axis=0) if m > 0 else np.zeros(n)) - 0.5 * q0
+            b = rho * (np.add.reduce(X - U, axis=0) if m > 0 else np.zeros(n)) - half_q0
             z = A_inv @ b if A_inv is not None else np.linalg.lstsq(A, b, rcond=None)[0]
-        X = rows.project(z + U)
+        try:
+            X = rows.project(z + U)
+        except NumericalFailureError:
+            # iterates that diverge can reach a point no projection solves
+            # for: stop there, unconverged, with the iterations before it
+            z, it = z_prev, it - 1
+            break
         gap = z - X
         U += gap
-        az = assess_z(z)
-        trace.append(az.as_tuple())
-        if best_key(az) < best_key(best_a):
-            best_a, best_x = az, z.copy()
+        if phase1:
+            az = assess_z(z)
+            trace.append(az.as_tuple())
+            if best_key(az) < best_key(best_a):
+                best_a, best_x = az, z
+        else:
+            phase2.append(z)
         if record_iterates:
             iterates.append((z.copy(), X.copy(), U.copy()))
         # the norms as np.linalg.norm computes them: a sum of squares, then its root
@@ -830,7 +877,7 @@ def _admm(
         # both residuals: consensus mismatch and movement of z itself
         dz = z - z_prev
         dual_resid = math.sqrt(float(dz @ dz))
-        z_prev = z.copy()
+        z_prev = z
         scale_z = 1.0 + math.sqrt(float(z @ z))
         if not phase1 and max(resid, dual_resid) <= resid_tol * scale_z:
             converged = True
@@ -838,6 +885,16 @@ def _admm(
         if m == 0 and dual_resid <= resid_tol * scale_z:
             converged = True
             break
+    points = phase2 if ran_phase1 else [x0] + phase2
+    if points:
+        assessed = rows.assess_stack(objective, np.array(points))
+        if not ran_phase1:
+            a0, assessed = assessed[0], assessed[1:]
+            best_x, best_a = x0.copy(), a0
+        for z_k, a in zip(phase2, assessed):  # in iteration order, as phase I's
+            trace.append(a.as_tuple())
+            if best_key(a) < best_key(best_a):
+                best_a, best_x = a, z_k
     if 0.0 < best_a.violation <= 10.0 * EPS_FEAS and m > 0:
         # cyclic projection polish: a near-feasible best iterate can lose the
         # exact lexicographic comparison to a feasible x0 on violation alone
@@ -1009,6 +1066,11 @@ def improve_ccp(
         qq[:n] = problem.objective.q_vec - 2.0 * (sp0_minus @ xk)
         qq[n:] = tau
         rr = problem.objective.r + float(xk @ (sp0_minus @ xk))
+        if not (np.isfinite(qq).all() and math.isfinite(rr)):
+            # no subproblem linearizes the objective at xk (a NaN coordinate,
+            # or a square that overflows): stop with the iterations before it
+            it -= 1
+            break
         L, lin_r = linearized(xk)
         Q[0::2, :n], R[0::2] = L, r_rows + lin_r
         affine = _AffineRows(np.zeros(aff.size, dtype=bool), Q[aff], R[aff])

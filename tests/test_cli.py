@@ -63,6 +63,68 @@ def test_problem_from_json_errors():
         )
 
 
+@st.composite
+def problem_documents(draw):
+    """A problem file on n <= 10 variables whose P lists repeat cells, name cells below the
+    diagonal, hold -0.0 and write some indices as integral floats."""
+    n = draw(st.integers(1, 10))
+    index = st.integers(0, n - 1).flatmap(lambda i: st.sampled_from([i, float(i)]))
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-0.0, 0.0, 1e-300]), st.integers(-3, 3))
+    triplets = st.lists(st.tuples(index, index, value).map(list), max_size=12)
+
+    def form():
+        P = draw(triplets)
+        entry = {"P": P + draw(st.lists(st.sampled_from(P), max_size=4)) if P else P}
+        if draw(st.booleans()):
+            entry["q"] = draw(st.lists(value, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            entry["r"] = draw(value)
+        return entry
+
+    constraints = [{**form(), "sense": draw(st.sampled_from(["le", "eq"]))} for _ in range(draw(st.integers(0, 5)))]
+    return {"n": n, "objective": form(), "constraints": constraints}
+
+
+def _dense_reference(n, triplets):
+    """P of create's rule, one triplet at a time: summed in input order on the upper cell, then mirrored."""
+    P = np.zeros((n, n))
+    for i, j, v in triplets:
+        a, b = sorted((int(i), int(j)))
+        P[a, b] += v
+    return P + np.triu(P, 1).T + 0.0
+
+
+@given(problem_documents())
+def test_problem_from_json_builds_each_form_as_create_does(doc):
+    problem = problem_from_json(json.loads(json.dumps(doc)))
+    n, entries = doc["n"], [doc["objective"]] + doc["constraints"]
+    forms = [problem.objective] + [c.form for c in problem.constraints]
+    assert len(forms) == len(entries)
+    for form, entry in zip(forms, entries):
+        alone = QuadraticForm.create(n, entry["P"], entry.get("q"), entry.get("r", 0.0))
+        assert form.dense_p.tobytes() == alone.dense_p.tobytes() == _dense_reference(n, entry["P"]).tobytes()
+        assert form.q_vec.tobytes() == alone.q_vec.tobytes() and form.r.hex() == alone.r.hex()
+        assert not (form.dense_p.flags.writeable or form.q_vec.flags.writeable)
+
+
+def test_problem_from_json_names_the_first_bad_entry_in_file_order():
+    ok = {"P": [[0, 0, 1.0]]}
+    bad_index, bad_sense, short_q = {**ok, "P": [[0, 2, 1.0]]}, {**ok, "sense": "lt"}, {**ok, "q": [1.0]}
+    overflow = {**ok, "P": [[1, 1, 1e308], [1, 1, 1e308]]}
+    cases = [
+        # a bad index before a bad sense, and a bad sense before a bad index
+        ([bad_index, bad_sense], "constraint 0: triplet index (0,2) is not an integer in [0, 2)"),
+        ([ok, bad_sense, bad_index], "constraint 1: sense must be 'le' or 'eq'"),
+        # a sum that overflows before a q of the wrong length, and that q before an r beyond the float range
+        ([overflow, short_q], "constraint 0: quadratic form has non-finite coefficients"),
+        ([ok, short_q, {**ok, "r": 10**400}], "constraint 1: q has shape (1,), expected (2,)"),
+    ]
+    for constraints, message in cases:
+        with pytest.raises(ParseError) as exc, np.errstate(over="ignore"):
+            problem_from_json({"n": 2, "objective": ok, "constraints": constraints})
+        assert str(exc.value) == message
+
+
 def test_load_problem_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

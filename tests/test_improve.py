@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from functools import partial
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qcqp.improve
-from qcqp.cli import PipelineConfig, run_pipeline
+from qcqp.cli import PipelineConfig, _suggest, run_pipeline
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, _RowClasses, assess, evaluate
 from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
 from qcqp.generators import (
@@ -1181,6 +1182,183 @@ def test_rows_are_classified_once_per_problem_and_once_per_ccp_call():
     assert (scans.call_count, inits.call_count) == (2, 8)
     assert again.x.tobytes() == first.x.tobytes()
 
+
+
+# -- ADMM's stacked assessment ---------------------------------------------
+
+
+@st.composite
+def rows_objective_and_stack(draw):
+    """ADMM's rows of a problem, or CCP's two blocks, with an objective and a stack of t <= 60 points.
+
+    ADMM's rows (n <= 40, m <= 6, m = 0 included) are rows of one variable,
+    general rows and affine rows, EQ or LE; an affine row may be flat (q =
+    0).  CCP's rows are an affine block and a convex block of rank 1-3.  A
+    few entries of the points are +-inf, NaN or 1e200.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    M = rng.standard_normal((n, n))
+    objective = QuadraticForm.from_dense(M + M.T, rng.standard_normal(n), float(rng.standard_normal()))
+    if n == 0 or draw(st.booleans()):
+        kinds = ("one", "gen", "aff", "flat") if n else ("flat",)
+        rows = []
+        for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+            sense = draw(st.sampled_from([Sense.EQ, Sense.LE]))
+            r = float(rng.standard_normal())
+            if kind == "one":
+                i, (a, b) = int(rng.integers(n)), rng.standard_normal(2)
+                form = QuadraticForm.create(n, [(i, i, float(a))], b * np.eye(n)[i], r)
+            elif kind == "gen":
+                B = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+                form = QuadraticForm.from_dense(B + B.T + np.eye(n), rng.standard_normal(n), r)
+            else:
+                form = QuadraticForm.create(n, (), rng.standard_normal(n) if kind == "aff" else None, r)
+            rows.append(Constraint(form, sense))
+        admm_rows = _Rows.of(QcqpProblem.create(objective, rows))
+    else:
+        k_aff, k_cvx = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+        nc = draw(st.integers(1, n))
+        rank = min(draw(st.integers(1, 3)), nc)
+        # each row of rank 1 to rank over the first nc coordinates, padded as CCP pads it
+        U, d = np.zeros((k_cvx, nc, rank)), np.ones((k_cvx, rank))
+        for k in range(k_cvx):
+            p = draw(st.integers(1, rank))
+            U[k, :, :p] = np.linalg.qr(rng.standard_normal((nc, p)))[0]
+            d[k, :p] = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        convex = _ConvexRows(U, d, rng.standard_normal((k_cvx, n)), rng.standard_normal(k_cvx))
+        affine = _AffineRows(np.zeros(k_aff, dtype=bool), rng.standard_normal((k_aff, n)), rng.standard_normal(k_aff))
+        order = rng.permutation(k_aff + k_cvx)
+        admm_rows = _Rows(n, k_aff + k_cvx, [(np.sort(order[:k_aff]), affine), (np.sort(order[k_aff:]), convex)])
+    t = draw(st.integers(1, 60))
+    Z = rng.standard_normal((t, n)) * 10.0 ** rng.integers(-3, 4, (t, n))
+    if n:
+        for value in draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1e200]), max_size=4)):
+            Z[rng.integers(t), rng.integers(n)] = value
+    return admm_rows, objective, Z
+
+
+def _hex(a):
+    return a.violation.hex(), a.objective.hex()
+
+
+@given(rows_objective_and_stack())
+def test_assess_stack_is_assess_of_each_point_bit_for_bit(case):
+    rows, objective, Z = case
+    with np.errstate(all="ignore"):  # NaN and inf in a point's products
+        want = [_hex(rows.assess(objective, z)) for z in Z]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and quietly in the stack
+        got = [_hex(a) for a in rows.assess_stack(objective, Z)]
+    assert got == want
+
+
+# _digest of solve_convex and of improve_admm from sign-rounded starts, which
+# are feasible on boolean LS and partitioning and so run phase II at once, as
+# recorded when ADMM assessed every iterate as it went
+ADMM_PINS = {
+    "convex": "7efcb9b5ec92ed3d9a603834548dad5d1c9b9e85e3562e9e9356fff3fe720848",
+    "boolean_ls": "b93b5d0037cd632479c0a8860d24530c1eb4c08db78b4a80c20d0663e2e63aab",
+    "partitioning": "ddfafb35e57f59de5b4626f68d7174ed3818f2f04d6b0666533a448d49a9c307",
+}
+
+
+def _convex_case():
+    """A convex QCQP: rank-two convex rows, affine EQ and LE rows and a bound on x_0^2."""
+    rng = np.random.default_rng(11)
+    n = 5
+    M = rng.standard_normal((n, n))
+    obj = QuadraticForm.from_dense(M @ M.T + 0.1 * np.eye(n), rng.standard_normal(n), 1.0)
+    cons = []
+    for _ in range(3):
+        B = rng.standard_normal((n, 2))
+        cons.append(Constraint(QuadraticForm.from_dense(B @ B.T, rng.standard_normal(n), -2.0), Sense.LE))
+    cons.append(Constraint(QuadraticForm.create(n, (), rng.standard_normal(n), 0.5), Sense.EQ))
+    cons.append(Constraint(QuadraticForm.create(n, (), rng.standard_normal(n), -1.0), Sense.LE))
+    cons.append(Constraint(QuadraticForm.create(n, [(0, 0, 1.0)], None, -4.0), Sense.LE))
+    return QcqpProblem.create(obj, cons), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("name", list(ADMM_PINS))
+def test_admm_phase2_outputs_pinned(name):
+    if name == "convex":
+        problem, x0 = _convex_case()
+        rep = solve_convex(problem, x0, max_iter=300)
+    else:
+        problem, x0, _ = _cd_case(name)
+        rep = improve_admm(problem, round_sign(x0), max_iter=60)
+    assert _digest(rep) == ADMM_PINS[name]
+
+
+def test_admm_assesses_phase1_iterates_one_at_a_time_and_phase2_as_one_stack():
+    # CCP's subsolves have no phase I: their loops assess nothing, and each
+    # assesses its iterates in one stack.  On boolean LS from a random start
+    # every one of ADMM's 50 iterations is in phase I: x0 and each iterate
+    # are assessed one at a time, and there is no stack.
+    one, stack = _Rows.assess, _Rows.assess_stack
+    cases = [
+        (partial(improve_ccp, max_iter=3, subsolver_opts={"max_iter": 20}), gen_beamforming(4, 6, 2, seed=3), 8),
+        (partial(improve_admm, max_iter=50), gen_boolean_ls(25, 16, seed=0), 16),
+    ]
+    counts = []
+    for improve, p, n in cases:
+        x0 = np.random.default_rng(4).standard_normal(n)
+        with (
+            mock.patch.object(_Rows, "assess", autospec=True, side_effect=one) as singles,
+            mock.patch.object(_Rows, "assess_stack", autospec=True, side_effect=stack) as stacks,
+        ):
+            rep = improve(p, x0)
+        counts.append((rep.iterations, singles.call_count, stacks.call_count))
+    (ccp_iters, ccp_singles, ccp_stacks), (admm_iters, admm_singles, admm_stacks) = counts
+    assert ccp_iters == 3 and ccp_singles == 0 and ccp_stacks == 3
+    assert admm_iters == 50 and admm_singles == 51 and admm_stacks == 0
+
+
+def test_admm_keeps_the_first_of_equally_good_iterates():
+    # a constant objective and a start inside the ball: x0 and every later
+    # iterate, each feasible, tie, and the strict order keeps x0
+    ball = Constraint(QuadraticForm.from_dense(np.eye(2), None, -4.0), Sense.LE)
+    p = QcqpProblem.create(QuadraticForm.create(2), [ball])
+    x0 = np.array([0.5, 0.0])
+    for two_phase in (True, False):
+        rep = improve_admm(p, x0, two_phase=two_phase, init_x=[[1.0, 1.0]], max_iter=5, record_iterates=True)
+        assert rep.phase_trace == ((0.0, 0.0),) * rep.iterations
+        assert not np.array_equal(rep.iterates[0][0], x0) and np.array_equal(rep.x, x0)
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pipeline_survives_admm_diverging_on_partitioning(seed):
+    # from the point sign and cd reach, ADMM's iterates on these problems grow
+    # until a row's projector finds no KKT point; ADMM then stops at its best
+    # iterate, which is never worse than where it started
+    B = np.random.default_rng(seed).standard_normal((8, 8))
+    p = gen_partitioning(B + B.T)
+    for suggest in ("sdr", "spectral", "random"):
+        config = PipelineConfig(suggest=suggest, improve=("sign", "cd", "admm", "cd"), seed=1)
+        report = run_pipeline(p, config)
+        for cand, x0 in zip(report["candidates"], _suggest(p, config).candidates):
+            assert "error" not in cand
+            assert (cand["violation"], cand["objective"]) <= assess(p, x0).as_tuple()
+
+
+def test_admm_stops_at_its_best_iterate_when_a_projection_fails():
+    # the partitioning problem above (seed 0) after sign and cd
+    B = np.random.default_rng(0).standard_normal((8, 8))
+    p = gen_partitioning(B + B.T)
+    x0 = improve_sequence(p, np.random.default_rng(1).standard_normal(8), ["sign", "cd"]).x
+    rep = improve_admm(p, x0)
+    assert not rep.converged and rep.iterations == len(rep.phase_trace) < 500
+    assert not assess(p, x0).better_than(rep.assessment)
+
+
+@pytest.mark.parametrize("family", ["beamforming", "boolean_ls"])
+def test_ccp_returns_a_start_with_a_nan_coordinate(family):
+    p = gen_beamforming(4, 6, 2, seed=3) if family == "beamforming" else gen_boolean_ls(12, 8, seed=1)
+    x0 = np.random.default_rng(4).standard_normal(p.n)
+    x0[1] = math.nan
+    rep = improve_ccp(p, x0)
+    assert (rep.iterations, rep.converged, rep.phase_trace) == (0, False, ())
+    assert np.array_equal(rep.x, x0, equal_nan=True) and _hex(rep.assessment) == _hex(assess(p, x0)) == ("inf", "nan")
+    assert _hex(improve_sequence(p, x0, ["ccp", "cd"]).assessment) == ("inf", "nan")
 
 
 # -- composition ------------------------------------------------------------
