@@ -337,6 +337,8 @@ def cmd_bound(args) -> int:
 
 def cmd_generate(args) -> int:
     fam = args.family
+    if args.n < 1:
+        raise ParseError(f"--n must be at least 1, got {args.n}")
     if fam == "boolean-ls":
         problem = gen_boolean_ls(args.m, args.n, args.seed)
     elif fam in ("partitioning", "maxcut", "maxbisection"):

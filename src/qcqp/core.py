@@ -5,9 +5,10 @@ symmetric matrix P, a read-only vector q and a float r.  Upper-triangle
 (i, j, v) triplets are the problem-file format only: `create` reads them
 and `triplets` writes them back.  All types are immutable after
 construction; what they add later are caches of values derived from
-their fields (`QuadraticForm.support`, a problem's row classes, the rows
-of each coordinate and ADMM's rows), which `assess` and the improve
-methods share.
+their fields: `QuadraticForm.support`, and per problem its row table
+(`_RowClasses`: every form gathered once into stacks, and each row's
+class) with the rows of each coordinate and ADMM's rows sliced from it.
+`assess`, the improve methods and the SDR share them.
 """
 
 from __future__ import annotations
@@ -186,7 +187,11 @@ class Constraint:
 
 
 def _row_class(form: QuadraticForm) -> tuple[str, int]:
-    """The class in _RowClasses of a row with this form, and its x_i (-1 where it has none)."""
+    """The class in _RowClasses of a row with this form, and its x_i (-1 where it has none).
+
+    It is _RowClasses' rule on one row: aff where P = 0, else one where the
+    support is one x_i, else gen.
+    """
     if not form.dense_p.any():
         return "aff", -1
     if form.support.size == 1:  # then P = a e_i e_i' with a != 0
@@ -213,13 +218,20 @@ def _max_violation(f: np.ndarray, eq=None, axis=None):
 
 
 class _RowClasses:
-    """Each row of a constraint list in exactly one class, decided by one scan (_row_class).
+    """A problem's one row table: every form gathered once, each constraint row in one class.
+
+    Row 0 is the objective and row k >= 1 constraint k - 1, as in the
+    loader's stack, cd and CCP.  all_P (m+1, n, n), all_q, all_r and all_eq
+    (row 0 False) hold the forms' fields as they are, -0.0 included, and
+    support the x_j each row reads, as QuadraticForm.support does; all are
+    read-only.  One vectorized pass over the table puts each constraint in
+    one class, by _row_class's rule:
 
     one: a x_i^2 + b x_i + r (= or <=) 0 with a != 0, stacked as arrays i,
     a, b, r and eq.  aff: P = 0.  gen: every other row.  Each class lists
-    its rows' indices in ascending order.  The rows outside the one stack,
-    general rows first (dense = gen then aff), are stacked as they are: P
-    (k, n, n), q (k, n), c (their r) and dense_eq.
+    its constraints' indices in ascending order.  The rows outside the one
+    stack, general rows first (dense = gen then aff), are stacked as they
+    are: P (k, n, n), q (k, n), c (their r) and dense_eq.
 
     A stacked row has P = a e_i e_i' and q = b e_i, so _value computes
     round(round(x_i a x_i) + round(b x_i)) + r: every other term of its
@@ -234,25 +246,25 @@ class _RowClasses:
     P @ x and x @ y call on one, so each value is _value's, bit for bit.
     """
 
-    def __init__(self, constraints: Sequence[Constraint], n: int):
-        kinds = [_row_class(c.form) for c in constraints]
-        self.one, self.aff, self.gen = (
-            np.array([k for k, (kind, _) in enumerate(kinds) if kind == name], dtype=int)
-            for name in ("one", "aff", "gen")
-        )
-        self.i = np.array([kinds[k][1] for k in self.one.tolist()], dtype=int)
-        forms = [constraints[k].form for k in self.one.tolist()]
-        self.a = np.array([f.dense_p[j, j] for f, j in zip(forms, self.i.tolist())], dtype=float)
-        self.b = np.array([f.q_vec[j] for f, j in zip(forms, self.i.tolist())], dtype=float)
-        self.r = np.array([f.r for f in forms], dtype=float) + 0.0
-        self.eq = np.array([constraints[k].sense is Sense.EQ for k in self.one.tolist()], dtype=bool)
+    def __init__(self, problem: "QcqpProblem"):
+        forms = [problem.objective] + [c.form for c in problem.constraints]
+        self.all_P = np.array([f.dense_p for f in forms], dtype=float)
+        self.all_q = np.array([f.q_vec for f in forms], dtype=float)
+        self.all_r = np.array([f.r for f in forms], dtype=float)
+        self.all_eq = np.array([False] + [c.sense is Sense.EQ for c in problem.constraints], dtype=bool)
+        self.support = self.all_P.any(axis=1) | (self.all_q != 0.0)
+        curved = self.all_P.reshape(len(forms), -1).any(axis=1)
+        one = curved & (self.support.sum(axis=1) == 1)
+        self.one, self.aff, self.gen = (np.flatnonzero(c[1:]) for c in (one, ~curved, curved & ~one))
+        rows = self.one + 1
+        self.i = i = np.nonzero(self.support[rows])[1]  # each row's one True, in row order
+        self.a, self.b = self.all_P[rows, i, i], self.all_q[rows, i]
+        self.r, self.eq = self.all_r[rows] + 0.0, self.all_eq[rows]
         self.dense = np.concatenate([self.gen, self.aff])
-        forms = [constraints[k].form for k in self.dense.tolist()]
-        k = len(forms)
-        self.P = np.array([f.dense_p for f in forms], dtype=float).reshape(k, n, n)
-        self.q = np.array([f.q_vec for f in forms], dtype=float).reshape(k, n)
-        self.c = np.array([f.r for f in forms], dtype=float)
-        self.dense_eq = np.array([constraints[j].sense is Sense.EQ for j in self.dense.tolist()], dtype=bool)
+        rows = self.dense + 1
+        self.P, self.q, self.c, self.dense_eq = self.all_P[rows], self.all_q[rows], self.all_r[rows], self.all_eq[rows]
+        for field in (self.all_P, self.all_q, self.all_r, self.all_eq, self.support):
+            field.setflags(write=False)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Each stacked row's f(x), equal bit for bit to _value(form, x)."""
@@ -303,31 +315,25 @@ class _RowClasses:
 class _CoordinateRows:
     """The rows each coordinate x_j enters, set up once per problem for coordinate descent.
 
-    Row k = 0 is the objective and rows k >= 1 are the constraints.  P, q
-    and senses hold each row's fields (senses[0] is None), and eq marks
-    the EQ constraints.  rows[j] lists the constraint rows whose support holds
-    x_j.  A block coordinate is one whose only row is an EQ row of the
-    stacked rows of one variable, a x_j^2 + b x_j + r = 0.  block_j lists
-    them in order, block_k their rows, block_a and block_b those rows' a
-    and b, and block_p0 and block_q0 the objective's P_jj and q_j.
-    run_end[j] is the first coordinate from j on that is not a block
-    coordinate (n if none), and block_at[j] counts the block coordinates
-    before j.  stacked lists the rows of the stacked block of one variable,
-    and dense the rows of the dense stack, in its order.
+    Row k = 0 is the objective and rows k >= 1 are the constraints: P, q
+    and eq are the problem's row table (_RowClasses' all_P, all_q and
+    all_eq).  rows[j] lists the constraint rows whose support holds x_j.  A
+    block coordinate is one whose only row is an EQ row of the stacked rows
+    of one variable, a x_j^2 + b x_j + r = 0.  block_j lists them in order,
+    block_k their rows, block_a and block_b those rows' a and b, and
+    block_p0 and block_q0 the objective's P_jj and q_j.  run_end[j] is the
+    first coordinate from j on that is not a block coordinate (n if none),
+    and block_at[j] counts the block coordinates before j.  stacked lists
+    the rows of the stacked block of one variable, and dense the rows of the
+    dense stack, in its order.
     """
 
     def __init__(self, problem: "QcqpProblem"):
-        n = problem.n
-        forms = [problem.objective] + [c.form for c in problem.constraints]
-        self.P = [f.dense_p for f in forms]
-        self.q = [f.q_vec for f in forms]
-        self.senses = [None] + [c.sense for c in problem.constraints]
-        self.eq = np.array([s is Sense.EQ for s in self.senses[1:]], dtype=bool)
+        n, rc = problem.n, problem._row_classes
+        self.P, self.q, self.eq = rc.all_P, rc.all_q, rc.all_eq
         self.rows: list[list[int]] = [[] for _ in range(n)]
-        for k in range(1, len(forms)):
-            for j in forms[k].support.tolist():
-                self.rows[j].append(k)
-        rc = problem._row_classes
+        for j, k in np.argwhere(rc.support[1:].T).tolist():  # by j, then by row
+            self.rows[j].append(k + 1)
         self.stacked = rc.one + 1
         self.dense = rc.dense + 1
         pairs = enumerate(zip(rc.i.tolist(), self.stacked.tolist()))
@@ -337,8 +343,8 @@ class _CoordinateRows:
         self.block_k = self.stacked[b]
         self.block_a = rc.a[b]
         self.block_b = rc.b[b]
-        self.block_p0 = problem.objective.dense_p[self.block_j, self.block_j]
-        self.block_q0 = problem.objective.q_vec[self.block_j]
+        self.block_p0 = self.P[0, self.block_j, self.block_j]
+        self.block_q0 = self.q[0, self.block_j]
         is_block = np.zeros(n, dtype=bool)
         is_block[self.block_j] = True
         self.block_at = [0] + np.cumsum(is_block).tolist()
@@ -392,7 +398,7 @@ class QcqpProblem:
 
     @cached_property
     def _row_classes(self) -> _RowClasses:
-        return _RowClasses(self.constraints, self.n)
+        return _RowClasses(self)
 
     @cached_property
     def _coordinate_rows(self) -> _CoordinateRows:

@@ -27,15 +27,20 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _rows(n: int, parts, sense: Sense) -> list[Constraint]:
+    """A row of this sense for each (triplets, q, r) of parts, all built in one pass (QuadraticForm._create_all)."""
+    return [Constraint(form, sense) for form in QuadraticForm._create_all(n, parts)]
+
+
 def _sign_rows(n: int) -> list[Constraint]:
     """The rows x_i^2 = 1, which keep each x_i in {-1, 1}."""
-    return [Constraint(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ) for i in range(n)]
+    return _rows(n, [([(i, i, 1.0)], None, -1.0) for i in range(n)], Sense.EQ)
 
 
 def _binary_rows(n: int) -> list[Constraint]:
     """The rows x_i (x_i - 1) = 0, which keep each x_i in {0, 1}."""
     minus_e = -np.eye(n)  # row i is q = -e_i
-    return [Constraint(QuadraticForm.create(n, [(i, i, 1.0)], minus_e[i], 0.0), Sense.EQ) for i in range(n)]
+    return _rows(n, [([(i, i, 1.0)], minus_e[i], 0.0) for i in range(n)], Sense.EQ)
 
 
 def gen_boolean_ls(m: int, n: int, seed=None) -> QcqpProblem:
@@ -86,14 +91,8 @@ def gen_maxclique(adjacency) -> QcqpProblem:
     if not np.array_equal(A, A.T) or not np.all(np.diag(A) == 1):
         raise ValueError("adjacency must be symmetric with unit diagonal")
     obj = QuadraticForm.create(n, (), -np.ones(n), 0.0)
-    cons = _binary_rows(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not A[i, j]:
-                cons.append(
-                    Constraint(QuadraticForm.create(n, [(i, j, 0.5)], None, 0.0), Sense.EQ)
-                )
-    return QcqpProblem.create(obj, cons)
+    non_edges = [([(i, j, 0.5)], None, 0.0) for i in range(n) for j in range(i + 1, n) if not A[i, j]]
+    return QcqpProblem.create(obj, _binary_rows(n) + _rows(n, non_edges, Sense.EQ))
 
 
 def gen_3sat(clauses, n_vars: int | None = None) -> QcqpProblem:
@@ -116,7 +115,7 @@ def gen_3sat(clauses, n_vars: int | None = None) -> QcqpProblem:
     if max_var > n:
         raise ValueError("clause references a variable beyond n_vars")
     obj = QuadraticForm.create(n, (), None, 0.0)  # pure feasibility
-    cons = _binary_rows(n)
+    rows = []
     for cl in clauses:
         a = np.zeros(n)
         b = 0.0
@@ -127,8 +126,8 @@ def gen_3sat(clauses, n_vars: int | None = None) -> QcqpProblem:
                 a[-lit - 1] -= 1.0
                 b += 1.0
         # a'x + b >= 1  ->  -a'x + (1 - b) <= 0
-        cons.append(Constraint(QuadraticForm.create(n, (), -a, 1.0 - b), Sense.LE))
-    return QcqpProblem.create(obj, cons)
+        rows.append(((), -a, 1.0 - b))
+    return QcqpProblem.create(obj, _binary_rows(n) + _rows(n, rows, Sense.LE))
 
 
 def gen_beamforming(n: int, m: int, l: int, tau: float = 20.0, eta: float = 2.0, seed=None) -> QcqpProblem:

@@ -154,15 +154,13 @@ def improve_round_balanced_sign(problem: QcqpProblem, x0, *, _a0=None) -> Improv
 
 def _covering_forms(problem: QcqpProblem):
     """Constraints of shape x'Mx >= r with M PSD, normalized to x'Px >= 1."""
+    rc = problem._row_classes
+    cover = ~rc.all_eq & (rc.all_r > 0.0) & ~rc.all_q.any(axis=1)
     out = []
-    for c in problem.constraints:
-        if c.sense is not Sense.LE or c.form.r <= 0.0:
-            continue
-        if np.any(c.form.q_vec != 0.0):
-            continue
-        M = -c.form.dense_p
+    for k in (np.flatnonzero(cover[1:]) + 1).tolist():
+        M = -rc.all_P[k]
         if min_eig_bound(M) >= -1e-9 * (1.0 + np.linalg.norm(M)):
-            out.append(M / c.form.r)
+            out.append(M / rc.all_r[k])
     return out
 
 
@@ -207,7 +205,7 @@ class _CoordState:
         self.cr = problem._coordinate_rows
         self.block = problem._row_classes
         self.f0 = problem.objective
-        self.P, self.qv, self.senses, self.rows = self.cr.P, self.cr.q, self.cr.senses, self.cr.rows
+        self.P, self.qv, self.eq, self.rows = self.cr.P, self.cr.q, self.cr.eq, self.cr.rows
         self.x = _check_vector(x0, problem.n).copy()
         self.g = np.zeros((len(self.P), problem.n))
         self.fval = np.empty(len(self.P))
@@ -227,18 +225,18 @@ class _CoordState:
         self.fval[cr.stacked] = rc.values(x)
         self.fval[cr.dense] = rc.dense_values(x, Px)
         f = self.fval[1:]
-        out = ~(np.where(cr.eq, np.abs(f), f) <= EQ_TOL)  # _is_violated of every row
+        out = ~(np.where(cr.eq[1:], np.abs(f), f) <= EQ_TOL)  # _is_violated of every row
         self.violated = set((np.flatnonzero(out) + 1).tolist())
 
     def _is_violated(self, k: int) -> bool:
         # written as "not within" so that a NaN value counts as violated
         f = self.fval[k]
-        return not ((abs(f) if self.senses[k] is Sense.EQ else f) <= EQ_TOL)
+        return not ((abs(f) if self.eq[k] else f) <= EQ_TOL)
 
     def coeffs(self, k: int, j: int):
         """(p, q, c) of f_k as a quadratic in x_j with the rest fixed."""
-        p = self.P[k][j, j]
-        ql = 2.0 * (self.g[k, j] - p * self.x[j]) + self.qv[k][j]
+        p = self.P[k, j, j]
+        ql = 2.0 * (self.g[k, j] - p * self.x[j]) + self.qv[k, j]
         c = self.fval[k] - p * self.x[j] ** 2 - ql * self.x[j]
         return p, ql, c
 
@@ -249,7 +247,7 @@ class _CoordState:
         for k in [0] + self.rows[j]:
             p, ql, c = self.coeffs(k, j)
             self.fval[k] = p * t * t + ql * t + c
-            self.g[k] += d * self.P[k][:, j]
+            self.g[k] += d * self.P[k, :, j]
         for k in self.rows[j]:
             if self._is_violated(k):
                 self.violated.add(k)
@@ -260,7 +258,7 @@ class _CoordState:
     def violation(self) -> float:
         """The largest |f| (EQ) or f (LE) over the constraints, 0.0 if none is positive; NaN is skipped."""
         f = self.fval[1:]
-        v = np.where(self.cr.eq, np.abs(f), f)
+        v = np.where(self.cr.eq[1:], np.abs(f), f)
         v = v[v > 0.0]
         return float(v.max()) if v.size else 0.0
 
@@ -343,13 +341,13 @@ class _CoordState:
 
 
 def _phase1_set(rows, s: float) -> IntervalSet:
-    """Feasible x_j values for max restricted violation <= s."""
+    """Feasible x_j values for max restricted violation <= s; rows holds (p, q, c, eq) of each row."""
     S = IntervalSet.full()
-    for p, q, c, sense in rows:
+    for p, q, c, eq in rows:
         S = intersect(S, constraint_solution_set(p, q, c - s))
         if S.is_empty:
             return S
-        if sense is Sense.EQ:
+        if eq:
             S = intersect(S, constraint_solution_set(-p, -q, -c - s))
             if S.is_empty:
                 return S
@@ -368,9 +366,9 @@ def _phase1_visit(st: _CoordState, j: int) -> None:
     # rows not involving x_j are constants the coordinate cannot fix;
     # minimize the worst violation among the rows it can influence
     rows = [
-        st.coeffs(k, j) + (st.senses[k],)
+        st.coeffs(k, j) + (st.eq[k],)
         for k in st.rows[j]
-        if st.P[k][j, j] != 0.0 or st.g[k, j] != 0.0 or st.qv[k][j] != 0.0
+        if st.P[k, j, j] != 0.0 or st.g[k, j] != 0.0 or st.qv[k, j] != 0.0
     ]
     if not rows:
         return
@@ -380,9 +378,9 @@ def _phase1_visit(st: _CoordState, j: int) -> None:
     else:
         t = st.x[j]
         hi = 0.0
-        for p, q, c, sense in rows:
+        for p, q, c, eq in rows:
             f = p * t * t + q * t + c
-            hi = max(hi, abs(f) if sense is Sense.EQ else max(f, 0.0))
+            hi = max(hi, abs(f) if eq else max(f, 0.0))
         lo = 0.0
         S = _phase1_set(rows, hi)
         if S.is_empty:
@@ -420,8 +418,8 @@ def _equality_root_set(p: float, q: float, c: float) -> IntervalSet:
 
 def _phase2_set(rows) -> IntervalSet:
     S = IntervalSet.full()
-    for p, q, c, sense in rows:
-        if sense is Sense.EQ:
+    for p, q, c, eq in rows:
+        if eq:
             S = intersect(S, _equality_root_set(p, q, c))
         else:
             S = intersect(S, constraint_solution_set(p, q, c))
@@ -434,7 +432,7 @@ def _phase2_visit(st: _CoordState, j: int) -> bool:
     """Phase II's step on x_j: the exact minimizer over its rows' solution set, taken if it lowers f strictly."""
     if st.violated and not st.violated.issubset(st.rows[j]):
         return False
-    rows = [st.coeffs(k, j) + (st.senses[k],) for k in st.rows[j]]
+    rows = [st.coeffs(k, j) + (st.eq[k],) for k in st.rows[j]]
     S = _phase2_set(rows)
     if S.is_empty:
         return False
@@ -511,8 +509,6 @@ def improve_coordinate_descent(problem: QcqpProblem, x0, max_sweeps: int = 100, 
     phase1 = st.violation() > 0.0
     while sweeps < max_sweeps and phase1:
         v_before = st.violation()
-        if v_before <= 0.0:
-            break
         for j in range(n):
             _phase1_visit(st, j)
         sweeps += 1
@@ -698,10 +694,7 @@ class _Rows:
         a time through their ConstraintProjector.
         """
         constraints, classes = problem.constraints, problem._row_classes
-        aff = [constraints[k] for k in classes.aff.tolist()]
-        A = np.array([c.form.q_vec for c in aff]).reshape(len(aff), problem.n)
-        b = np.array([c.form.r for c in aff], dtype=float)
-        eq = np.array([c.sense is Sense.EQ for c in aff], dtype=bool)
+        A, b, eq = (field[classes.aff + 1] for field in (classes.all_q, classes.all_r, classes.all_eq))
         general = sorted(classes.one.tolist() + classes.gen.tolist())
         general = {k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general}
         return cls(problem.n, problem.m, [(classes.aff, _AffineRows(eq, A, b))], general, classes)
@@ -997,21 +990,20 @@ def improve_ccp(
     Cholesky factor of P0 + m rho I.
     """
     x0 = np.asarray(x0, dtype=float)
-    n, m = problem.n, problem.m
-    forms = [problem.objective] + [c.form for c in problem.constraints]
-    sp = _SPLITTERS["eigen"](np.array([f.dense_p for f in forms], dtype=float).reshape(m + 1, n, n))
+    n, m, rc = problem.n, problem.m, problem._row_classes
+    sp = _SPLITTERS["eigen"](rc.all_P)
     # convexified row k, x'(plus_k - minus_k)x + q_k'x + r_k <= 0, is constraint
     # src[k]; an EQ constraint gives two rows, the second with the sides swapped
-    eq = np.array([c.sense is Sense.EQ for c in problem.constraints], dtype=bool)
+    eq = rc.all_eq[1:]
     src = np.repeat(np.arange(m), np.where(eq, 2, 1))
     K = src.size
     flip = np.zeros(K, dtype=bool)
     flip[np.cumsum(np.where(eq, 2, 1)) - 1] = eq
     plus, minus = sp.plus[1:][src], sp.minus[1:][src]
     plus, minus = np.where(flip[:, None, None], minus, plus), np.where(flip[:, None, None], plus, minus)
-    q = np.array([f.q_vec for f in forms[1:]], dtype=float).reshape(m, n)[src]
+    q = rc.all_q[1:][src]
     q_rows = np.where(flip[:, None], -q, q)
-    r = np.array([f.r for f in forms[1:]], dtype=float)[src]
+    r = rc.all_r[1:][src]
     r_rows = np.where(flip, -r, r)
     dim = n + K
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Constraint, QcqpProblem, QuadraticForm, Sense, _homogenize_form
+from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
 from .linalg import inv_chol, sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
@@ -107,20 +107,20 @@ RAY_TOL = 1e-8  # a diverging iterate this close to a ray proves infeasibility
 def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, the stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack.
 
-    A_i (i >= 1) is row i's _homogenize_form, written into one stack from
-    the rows' P, q and r; adding 0.0 turns every -0.0 into 0.0 as that
-    form's construction does.
+    C and A_i (i >= 1) are the _homogenize_form of the objective and of row
+    i, written into one stack from the problem's row table; adding 0.0
+    turns every -0.0 into 0.0 as that form's construction does.
     """
-    n, m = problem.n, problem.m
-    forms = [c.form for c in problem.constraints]
-    A = np.zeros((m + 1, n + 1, n + 1))
-    A[0, n, n] = 1.0
-    A[1:, :n, :n] = np.array([f.dense_p for f in forms]).reshape(m, n, n)
-    A[1:, :n, n] = A[1:, n, :n] = 0.5 * np.array([f.q_vec for f in forms]).reshape(m, n)
-    A[1:, n, n] = [f.r for f in forms]
+    rc, n = problem._row_classes, problem.n
+    A = np.zeros((problem.m + 1, n + 1, n + 1))
+    A[:, :n, :n] = rc.all_P
+    A[:, :n, n] = A[:, n, :n] = 0.5 * rc.all_q
+    A[:, n, n] = rc.all_r
     A += 0.0
-    le = np.array([False] + [con.sense is Sense.LE for con in problem.constraints])
-    return _homogenize_form(problem.objective).dense_p, A, le
+    C = A[0].copy()
+    A[0] = 0.0
+    A[0, n, n] = 1.0
+    return C, A, np.append(False, ~rc.all_eq[1:])
 
 
 def _max_step(Li: np.ndarray, dV: np.ndarray) -> float:

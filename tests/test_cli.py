@@ -312,6 +312,17 @@ def test_cli_rejects_a_dimension_below_one_or_too_large_to_allocate(tmp_path, ca
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", ["boolean-ls", "partitioning", "maxcut", "maxbisection", "maxclique", "beamforming"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_cli_generate_rejects_a_dimension_below_one(tmp_path, capsys, family, n):
+    # n = 0 wrote a file that solve, bound and brute all reject, and n = -2
+    # failed inside numpy; no file is written
+    out = tmp_path / "p.json"
+    assert main(["generate", "--family", family, "--n", str(n), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+    assert not out.exists()
+
+
 def _strict_json(text: str):
     """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
 

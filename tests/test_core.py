@@ -20,6 +20,7 @@ from qcqp.core import (
     to_epigraph,
     to_homogeneous,
     _max_violation,
+    _row_class,
     _value,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
@@ -483,3 +484,71 @@ def test_each_row_lands_in_the_one_class_its_definition_gives(problem):
         c, i = problem.constraints[k], rc.i[j]
         assert (rc.a[j], rc.b[j], rc.r[j]) == (c.form.dense_p[i, i], c.form.q_vec[i], c.form.r)
         assert rc.eq[j] == (c.sense is Sense.EQ)
+
+
+@st.composite
+def row_tables(draw):
+    """Problems over n = 0-6 variables with m = 0-6 rows: zero, affine, one-variable and dense, EQ and LE.
+
+    Entries include -0.0, which a form keeps in q and r, and a row drawn as
+    one-variable gets a zero P where its triplets' values are zeros.
+    """
+    n = draw(st.integers(0, 6))
+    entry = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300])
+
+    def form(kind):
+        q = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=float)
+        triplets = []
+        if kind == "zero":
+            q = np.where(q == 0.0, q, 0.0)  # only the zeros, of either sign
+        elif kind == "one":
+            i = draw(st.integers(0, n - 1))
+            q = np.where(np.arange(n) == i, q, np.copysign(0.0, q))
+            triplets = [(i, i, draw(entry)) for _ in range(draw(st.integers(1, 2)))]
+        elif kind == "dense":
+            triplets = [(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(entry)) for _ in range(4)]
+        return QuadraticForm.create(n, triplets, q, draw(entry))
+
+    kinds = st.sampled_from(["zero", "affine", "one", "dense"] if n else ["zero", "affine"])
+    senses = st.sampled_from([Sense.EQ, Sense.LE])
+    rows = [Constraint(form(draw(kinds)), draw(senses)) for _ in range(draw(st.integers(0, 6)))]
+    return QcqpProblem.create(form(draw(kinds)), rows)
+
+
+def same_bytes(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@given(row_tables())
+@example(QcqpProblem.create(QuadraticForm.create(0), [Constraint(QuadraticForm.create(0, (), None, -0.0), Sense.EQ)]))
+def test_row_table_matches_each_form_alone_bit_for_bit(problem):
+    rc = problem._row_classes
+    n, constraints = problem.n, problem.constraints
+    forms = [problem.objective] + [c.form for c in constraints]
+    assert rc.all_P.shape == (problem.m + 1, n, n) and rc.all_q.shape == (problem.m + 1, n)
+    for k, f in enumerate(forms):
+        assert same_bytes(rc.all_P[k], f.dense_p) and same_bytes(rc.all_q[k], f.q_vec)
+        assert same_bytes(rc.all_r[k], f.r)
+        assert rc.all_eq[k] == (k > 0 and constraints[k - 1].sense is Sense.EQ)
+        assert np.flatnonzero(rc.support[k]).tolist() == f.support.tolist()
+    kinds = [_row_class(c.form) for c in constraints]
+    for c, kind in zip(constraints, kinds):  # the rule of one row, from its own fields
+        want = "aff" if not c.form.dense_p.any() else "one" if c.form.support.size == 1 else "gen"
+        assert kind == (want, int(c.form.support[0]) if want == "one" else -1)
+    for name in ("one", "aff", "gen"):
+        assert getattr(rc, name).tolist() == [k for k, (kind, _) in enumerate(kinds) if kind == name]
+    assert rc.i.tolist() == [kinds[k][1] for k in rc.one.tolist()]
+    for j, (k, i) in enumerate(zip(rc.one.tolist(), rc.i.tolist())):
+        f = constraints[k].form
+        assert same_bytes(rc.a[j], f.dense_p[i, i]) and same_bytes(rc.b[j], f.q_vec[i])
+        assert same_bytes(rc.r[j], f.r + 0.0)
+        assert rc.eq[j] == (constraints[k].sense is Sense.EQ)
+    assert rc.dense.tolist() == rc.gen.tolist() + rc.aff.tolist()
+    assert rc.P.shape == (rc.dense.size, n, n) and rc.q.shape == (rc.dense.size, n)
+    for j, k in enumerate(rc.dense.tolist()):
+        f = constraints[k].form
+        assert same_bytes(rc.P[j], f.dense_p) and same_bytes(rc.q[j], f.q_vec) and same_bytes(rc.c[j], f.r)
+        assert rc.dense_eq[j] == (constraints[k].sense is Sense.EQ)
+    # cd's rows of each coordinate are the rows whose support holds it
+    rows = problem._coordinate_rows.rows
+    assert rows == [[k + 1 for k, c in enumerate(constraints) if j in c.form.support.tolist()] for j in range(n)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcqp.core import Sense, assess, evaluate
+from qcqp.core import QuadraticForm, Sense, assess, evaluate
 from qcqp.errors import TooLargeError
 from qcqp.generators import (
     brute_force,
@@ -95,6 +95,56 @@ def test_3sat_validates_clauses():
         gen_3sat([(1, 2)])
     with pytest.raises(ValueError):
         gen_3sat([(1, 2, 5)], n_vars=3)
+
+
+def _clause_row(n, clause):
+    """A 3-SAT clause's row built alone: sum of literals >= 1 as -a'x + (1 - b) <= 0."""
+    a, b = np.zeros(n), 0.0
+    for lit in clause:
+        if lit > 0:
+            a[lit - 1] += 1.0
+        else:
+            a[-lit - 1] -= 1.0
+            b += 1.0
+    return QuadraticForm.create(n, (), -a, 1.0 - b)
+
+
+def test_generated_rows_equal_create_of_each_entry_bit_for_bit():
+    # the generators build their rows in one pass; each row must be the form
+    # QuadraticForm.create builds of the same entry alone, -0.0 included
+    n = 7
+    rng = np.random.default_rng(0)
+    W = np.triu(rng.uniform(size=(n, n)), 1)
+    W = W + W.T
+    A = np.triu((rng.uniform(size=(n, n)) < 0.5).astype(int), 1)
+    A = A + A.T + np.eye(n, dtype=int)
+    clauses = [(1, -2, 3), (-4, -5, -6), (7, 2, -1), (3, 4, 5)]
+    e = np.eye(n)
+    sign = [(QuadraticForm.create(n, [(i, i, 1.0)], None, -1.0), Sense.EQ) for i in range(n)]
+    binary = [(QuadraticForm.create(n, [(i, i, 1.0)], -e[i], 0.0), Sense.EQ) for i in range(n)]
+    non_edges = [
+        (QuadraticForm.create(n, [(i, j, 0.5)], None, 0.0), Sense.EQ)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not A[i, j]
+    ]
+    assert non_edges
+    cases = {
+        "boolean-ls": (gen_boolean_ls(9, n, seed=0), sign),
+        "partitioning": (gen_partitioning(W), sign),
+        "maxcut": (gen_maxcut(W), sign),
+        "maxbisection": (gen_maxbisection(W), sign + [(QuadraticForm.create(n, (), np.ones(n), 0.0), Sense.EQ)]),
+        "maxclique": (gen_maxclique(A), binary + non_edges),
+        "3sat": (gen_3sat(clauses), binary + [(_clause_row(n, cl), Sense.LE) for cl in clauses]),
+    }
+    for name, (p, want) in cases.items():
+        assert p.m == len(want), name
+        for k, (c, (form, sense)) in enumerate(zip(p.constraints, want)):
+            assert c.sense is sense, (name, k)
+            assert c.form.dense_p.tobytes() == form.dense_p.tobytes(), (name, k)
+            assert c.form.q_vec.tobytes() == form.q_vec.tobytes(), (name, k)
+            assert np.float64(c.form.r).tobytes() == np.float64(form.r).tobytes(), (name, k)
+            assert not (c.form.dense_p.flags.writeable or c.form.q_vec.flags.writeable)
 
 
 def test_beamforming_structure():

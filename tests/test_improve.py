@@ -72,6 +72,25 @@ def test_scale_to_cover():
         scale_to_cover([1.0, 0.0], [np.diag([0.0, 1.0])])
 
 
+def test_covering_forms_are_the_rows_of_shape_x_m_x_at_least_r():
+    # the covering rows are read from the problem's row table; the objective,
+    # its row 0, has the covering shape here and must not be taken for one
+    p = gen_beamforming(3, 4, 2, tau=20.0, eta=2.0, seed=0)
+    objective = QuadraticForm.from_dense(-np.eye(p.n), None, 3.0)
+    rows = [*p.constraints, Constraint(QuadraticForm.from_dense(-np.eye(p.n), np.ones(p.n), 1.0))]
+    rows.append(Constraint(QuadraticForm.from_dense(-np.eye(p.n), None, 1.0), Sense.EQ))
+    problem = QcqpProblem.create(objective, rows)
+    want = []
+    for c in problem.constraints:  # the rule, row by row
+        M = -c.form.dense_p
+        if c.sense is Sense.LE and c.form.r > 0.0 and not c.form.q_vec.any():
+            if np.linalg.eigvalsh(M)[0] >= -1e-9 * (1.0 + np.linalg.norm(M)):
+                want.append(M / c.form.r)
+    got = qcqp.improve._covering_forms(problem)
+    assert len(want) == len(got) == 4
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 def test_greedy_clique_is_maximal():
     A = np.array(
         [
