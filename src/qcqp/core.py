@@ -190,25 +190,42 @@ def _row_class(form: QuadraticForm) -> tuple[str, int]:
     """The class in _RowClasses of a row with this form, and its x_i (-1 where it has none).
 
     It is _RowClasses' rule on one row: aff where P = 0, else one where the
-    support is one x_i, else gen.
+    support is one x_i, else gen.  A symmetric P != 0 reads x_i alone when
+    its one nonzero entry is P_ii, and then q must be zero off x_i.
     """
-    if not form.dense_p.any():
+    nz = np.flatnonzero(form.dense_p)
+    if not nz.size:
         return "aff", -1
-    if form.support.size == 1:  # then P = a e_i e_i' with a != 0
-        return "one", int(form.support[0])
+    i, j = divmod(int(nz[0]), form.n)
+    if nz.size == 1 and i == j and np.count_nonzero(form.q_vec) == (form.q_vec[i] != 0.0):
+        return "one", i
     return "gen", -1
 
 
+def _senses(eq: np.ndarray):
+    """The eq argument of _max_violation for rows with this EQ mask: None if none is EQ, True if all are."""
+    if eq.all():
+        return True
+    return eq if eq.any() else None
+
+
 def _max_violation(f: np.ndarray, eq=None, axis=None):
-    """The largest Constraint._violation_of of the values f, EQ where eq (None: every row is LE).
+    """The largest Constraint._violation_of of the values f, EQ where eq (None: every row is LE; True: every row is EQ).
 
     A value that is not finite counts as inf: NaN carries through max, and
-    an LE row at -inf shows in min.  The result can be below 0.0 (LE rows
-    with f < 0, or no row at all): what counts is max(v, it), which for any
-    v >= 0.0 is the fold max(v, violation) over the rows.  With axis=1, row
-    t of f holds the rows' values at point t, and the result is an array of
-    one such value per point.
+    an LE row at -inf shows in min.  Rows that are all EQ take one max of
+    |f|, which is never -inf.  The result can be below 0.0 (LE rows with f <
+    0, or no row at all): what counts is max(v, it), which for any v >= 0.0
+    is the fold max(v, violation) over the rows.  With axis=1, row t of f
+    holds the rows' values at point t, and the result is an array of one
+    such value per point.
     """
+    if eq is True:
+        hi = np.maximum.reduce(np.abs(f), axis=axis, initial=-math.inf)
+        if axis is not None:
+            return np.where(np.isnan(hi), math.inf, hi)
+        hi = float(hi)
+        return math.inf if math.isnan(hi) else hi
     g = f if eq is None else np.where(eq, np.abs(f), f)
     lo, hi = g.min(axis=axis, initial=math.inf), g.max(axis=axis, initial=-math.inf)
     if axis is not None:
@@ -228,10 +245,11 @@ class _RowClasses:
     one class, by _row_class's rule:
 
     one: a x_i^2 + b x_i + r (= or <=) 0 with a != 0, stacked as arrays i,
-    a, b, r and eq.  aff: P = 0.  gen: every other row.  Each class lists
-    its constraints' indices in ascending order.  The rows outside the one
-    stack, general rows first (dense = gen then aff), are stacked as they
-    are: P (k, n, n), q (k, n), c (their r) and dense_eq.
+    a, b, r and eq (one_senses: eq as _senses gives it).  aff: P = 0.  gen:
+    every other row.  Each class lists its constraints' indices in
+    ascending order.  The rows outside the one stack, general rows first
+    (dense = gen then aff), are stacked as they are: P (k, n, n), q (k, n),
+    c (their r) and dense_eq.
 
     A stacked row has P = a e_i e_i' and q = b e_i, so _value computes
     round(round(x_i a x_i) + round(b x_i)) + r: every other term of its
@@ -260,6 +278,7 @@ class _RowClasses:
         self.i = i = np.nonzero(self.support[rows])[1]  # each row's one True, in row order
         self.a, self.b = self.all_P[rows, i, i], self.all_q[rows, i]
         self.r, self.eq = self.all_r[rows] + 0.0, self.all_eq[rows]
+        self.one_senses = _senses(self.eq)
         self.dense = np.concatenate([self.gen, self.aff])
         rows = self.dense + 1
         self.P, self.q, self.c, self.dense_eq = self.all_P[rows], self.all_q[rows], self.all_r[rows], self.all_eq[rows]
@@ -293,11 +312,12 @@ class _RowClasses:
         evaluated as at a finite x: elsewhere the objective is not finite, so
         assess gives inf.
         """
-        P, v = self.P[:k], 0.0
-        if len(P):
+        v = 0.0
+        if k != 0 and self.dense.size:
+            P = self.P[:k]
             v = max(v, _max_violation(self.dense_values(x, P @ x), self.dense_eq[:k]))
         if self.one.size:
-            v = max(v, _max_violation(self._finite_values(x), self.eq))
+            v = max(v, _max_violation(self._finite_values(x), self.one_senses))
         return v
 
     def max_violations(self, Z: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -308,7 +328,7 @@ class _RowClasses:
             f = np.vecdot(Zk, np.matmul(P, Zk[..., None])[..., 0]) + np.vecdot(self.q[:k], Zk) + self.c[:k]
             v = np.maximum(v, _max_violation(f, self.dense_eq[:k], axis=1))
         if self.one.size:
-            v = np.maximum(v, _max_violation(self._finite_values(Z), self.eq, axis=1))
+            v = np.maximum(v, _max_violation(self._finite_values(Z), self.one_senses, axis=1))
         return v
 
 

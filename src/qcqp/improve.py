@@ -23,6 +23,7 @@ from .core import (
     Sense,
     _check_vector,
     _max_violation,
+    _senses,
     _value,
     assess,
 )
@@ -548,8 +549,9 @@ class _AffineRows:
     s = f(v) on EQ rows and max(f(v), 0) on LE rows.  A row with q = 0 leaves
     v unchanged, and raises InfeasibleConstraintError where ConstraintProjector
     does: when r is off the row's set by more than FEAS_TOL * (1 + |r|).
-    Whether any row is flat or infeasible and whether every row is LE are
-    decided once, here.  project(V) without rows projects every row.
+    Whether any row is flat or infeasible and whether every row is LE or
+    every row EQ (senses, see core._senses) are decided once, here.
+    project(V) without rows projects every row.
     """
 
     def __init__(self, eq: np.ndarray, A: np.ndarray, b: np.ndarray):
@@ -560,17 +562,17 @@ class _AffineRows:
         tol = FEAS_TOL * (1.0 + np.abs(b))
         self.infeasible = self.flat & np.where(self.eq, np.abs(b) > tol, b > tol)
         self.any_flat, self.any_infeasible = bool(self.flat.any()), bool(self.infeasible.any())
-        self.all_le = not eq.any()
+        self.senses = _senses(eq)
         self._fields = (A, b, eq, self.flat, self.norm2, self.infeasible)
 
     def max_violation(self, z: np.ndarray) -> float:
         """The largest violation at z (see core._max_violation)."""
-        return _max_violation(self.A @ z + self.b, None if self.all_le else self.eq)
+        return _max_violation(self.A @ z + self.b, self.senses)
 
     def max_violations(self, Z: np.ndarray) -> np.ndarray:
         """max_violation(z) of each row z of Z, by the same products on every point at once."""
         f = np.matmul(self.A, Z[..., None])[..., 0] + self.b
-        return _max_violation(f, None if self.all_le else self.eq, axis=1)
+        return _max_violation(f, self.senses, axis=1)
 
     def project(self, V: np.ndarray, rows=None) -> np.ndarray:
         """Project V[k] onto the set of rows[k], for every k at once."""
@@ -578,7 +580,7 @@ class _AffineRows:
         if self.any_infeasible and infeasible.any():
             raise InfeasibleConstraintError("affine row with q = 0 has an empty feasible set")
         f = np.einsum("ij,ij->i", V, A) + b
-        s = np.maximum(f, 0.0) if self.all_le else np.where(eq, f, np.maximum(f, 0.0))
+        s = np.maximum(f, 0.0) if self.senses is None else np.where(eq, f, np.maximum(f, 0.0))
         if self.any_flat:
             s[flat] = 0.0
         return V - (s / norm2)[:, None] * A
@@ -669,12 +671,13 @@ class _Rows:
     its ConstraintProjector), and classes, when given, are the rows'
     _RowClasses, which assess() reads the general rows' values from.
     project() is ADMM's x-update, and assess() its assessment of a point
-    and assess_stack() of many.  ADMM's rows of a problem are of(problem);
-    improve_ccp builds the rows of its subproblem from two blocks.
+    and assess_stack() of many.  ADMM's rows of a problem are of(problem),
+    which also holds the problem's default_rho as rho; improve_ccp builds
+    the rows of its subproblem from two blocks.
     """
 
-    def __init__(self, n: int, m: int, blocks, general: dict | None = None, classes=None):
-        self.n, self.m = n, m
+    def __init__(self, n: int, m: int, blocks, general: dict | None = None, classes=None, rho=None):
+        self.n, self.m, self.rho = n, m, rho
         self.blocks = tuple((rows, block) for rows, block in blocks if rows.size)
         self.general = {} if general is None else general
         self.classes = classes
@@ -697,7 +700,8 @@ class _Rows:
         A, b, eq = (field[classes.aff + 1] for field in (classes.all_q, classes.all_r, classes.all_eq))
         general = sorted(classes.one.tolist() + classes.gen.tolist())
         general = {k: (constraints[k], ConstraintProjector(constraints[k].form)) for k in general}
-        return cls(problem.n, problem.m, [(classes.aff, _AffineRows(eq, A, b))], general, classes)
+        blocks = [(classes.aff, _AffineRows(eq, A, b))] if classes.aff.size else []
+        return cls(problem.n, problem.m, blocks, general, classes, default_rho(problem))
 
     def project(self, V: np.ndarray) -> np.ndarray:
         """Row k of V projected onto row k's set, for every row, into a new array."""
@@ -763,16 +767,20 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, *, _a0=None
     Phase I drops the objective: z is the mean of x_i - u_i, so iterates are
     rho-independent; it ends once v(z) <= EPS_FEAS.  Phase II minimizes the
     augmented objective in z, one linear solve: a matvec with the inverse of
-    P0 + m rho I, built once from a numpy Cholesky factorization, or least
-    squares when that matrix is not positive definite.  Constraints enter
+    P0 + m rho I, built from a numpy Cholesky factorization when phase II
+    starts, or least squares when that matrix is not positive definite, and
+    stops once the primal and dual residuals are below resid_tol (Boyd et
+    al. 2011, section 3.3).  Phase I computes only what it reads: z, the
+    projections, the duals and the violation of each iterate as it comes,
+    which its switch reads, but neither residual.  Constraints enter
     only through the copies, so a box or a ball is posed as constraint
-    rows.  Each x_i is projected onto its constraint.  The rows are set
-    up once per problem (_Rows.of, kept with the problem for every later
-    call): the affine rows project as one stacked block, every other row
+    rows.  Each x_i is projected onto its constraint.  The rows and the
+    default rho (default_rho) are set up once per problem (_Rows.of, kept
+    with the problem for every later call): the affine rows project as one
+    stacked block, every other row, x_i^2 = 1 included, still one at a time
     through its ConstraintProjector, and the assessment reads the same
-    classes.  Phase I assesses each iterate as it comes, since its switch
-    reads the violation; phase II's iterates are assessed as one stack after
-    the loop.  Iterates can cycle on nonconvex problems, so the report returns
+    classes.  Phase II's iterates are assessed as one stack after the loop.
+    Iterates can cycle on nonconvex problems, so the report returns
     the best iterate ever seen under the lexicographic order, assessed again
     by assess() and never worse than x0.  Iterates that diverge can reach a
     point whose projection finds no KKT point (NumericalFailureError); the
@@ -783,9 +791,19 @@ def improve_admm(problem: QcqpProblem, x0, rho: float | None = None, *, _a0=None
     record_iterates=False and resid_tol=1e-6.  Any other keyword raises
     TypeError.
     """
-    rho = default_rho(problem) if rho is None else rho
-    rep = _admm(problem.objective, problem._admm_rows, x0, rho, **opts)
+    rows = problem._admm_rows
+    rep = _admm(problem.objective, rows, x0, rows.rho if rho is None else rho, **opts)
     return _reassessed(problem, x0, rep, _a0)
+
+
+def _z_solver(A: np.ndarray):
+    """b -> A^-1 b by the inverse from a Cholesky factorization, or by least squares when A is not PD."""
+    try:
+        Li = inv_chol(A)
+    except np.linalg.LinAlgError:
+        return lambda b: np.linalg.lstsq(A, b, rcond=None)[0]
+    A_inv = Li.T @ Li
+    return lambda b: A_inv @ b
 
 
 def _admm(
@@ -808,14 +826,8 @@ def _admm(
     X = np.array(init_x, dtype=float) if init_x is not None else np.tile(x0, (m, 1))
     U = np.array(init_u, dtype=float) if init_u is not None else np.zeros((m, n))
 
-    P0 = objective.dense_p
     half_q0 = 0.5 * objective.q_vec
-    A = P0 + m * rho * np.eye(n)
-    try:
-        Li = inv_chol(A)
-        A_inv = Li.T @ Li
-    except np.linalg.LinAlgError:  # A not PD: phase II uses least squares
-        A_inv = None
+    solve = None  # phase II's z-update, set up when phase II starts
 
     def assess_z(x):
         return rows.assess(objective, x)
@@ -845,8 +857,8 @@ def _admm(
             z = np.add.reduce(X - U, axis=0) / m  # np.mean's sum and division
         else:
             # minimize z'Az + (q0 - 2 rho t)'z, t the sum of x_i - u_i
-            b = rho * (np.add.reduce(X - U, axis=0) if m > 0 else np.zeros(n)) - half_q0
-            z = A_inv @ b if A_inv is not None else np.linalg.lstsq(A, b, rcond=None)[0]
+            solve = solve or _z_solver(objective.dense_p + m * rho * np.eye(n))
+            z = solve(rho * (np.add.reduce(X - U, axis=0) if m > 0 else np.zeros(n)) - half_q0)
         try:
             X = rows.project(z + U)
         except NumericalFailureError:
@@ -865,6 +877,9 @@ def _admm(
             phase2.append(z)
         if record_iterates:
             iterates.append((z.copy(), X.copy(), U.copy()))
+        if phase1:  # phase I (m > 0) stops on feasibility alone: it reads no residual
+            z_prev = z
+            continue
         # the norms as np.linalg.norm computes them: a sum of squares, then its root
         resid = float(np.sqrt(np.add.reduce(gap * gap, axis=1)).max()) if m > 0 else 0.0
         # both residuals: consensus mismatch and movement of z itself
@@ -872,7 +887,7 @@ def _admm(
         dual_resid = math.sqrt(float(dz @ dz))
         z_prev = z
         scale_z = 1.0 + math.sqrt(float(z @ z))
-        if not phase1 and max(resid, dual_resid) <= resid_tol * scale_z:
+        if max(resid, dual_resid) <= resid_tol * scale_z:
             converged = True
             break
         if m == 0 and dual_resid <= resid_tol * scale_z:
@@ -939,8 +954,7 @@ def solve_convex(problem: QcqpProblem, x0, rho: float | None = None, **admm_opts
     """ADMM specialization for convex QCQPs; raises if the problem is not convex."""
     rows = problem._admm_rows
     _check_convex(problem.objective, rows)
-    rho = default_rho(problem) if rho is None else rho
-    rep = _admm(problem.objective, rows, x0, rho, **{**_CONVEX_OPTS, **admm_opts})
+    rep = _admm(problem.objective, rows, x0, rows.rho if rho is None else rho, **{**_CONVEX_OPTS, **admm_opts})
     return _reassessed(problem, x0, replace(rep, method="convex"))
 
 

@@ -86,29 +86,35 @@ class ConstraintProjector:
     Projections leave the coordinates outside the support of f untouched, so
     the projector works in the coordinates of its support: lam and the basis
     are those of P restricted there, qhat is q restricted and rotated, and
-    project_eq projects z's support coordinates and writes them back into a
+    project projects z's support coordinates and writes them back into a
     copy of z.  A support of one variable x_i with P_ii != 0 first takes the
     root of P_ii x_i^2 + q_i x_i + r nearest z_i in closed form
     (_nearest_root), and the general path only where that is not the KKT
     point.  Its two roots and the gradient 2 P_ii x_i + q_i at each are
-    computed once, here.
+    computed once, here, from scalars: the arrays of the general branch
+    would each hold one entry.
     """
 
     def __init__(self, form: QuadraticForm):
-        P, s = form.dense_p, form.support
-        self._support = s if s.size < form.n else None  # None: the support is all of x
         kind, i = _row_class(form)
-        self._i = i if kind == "one" else None  # the variable of a one-variable support
-        if self._i is not None:
-            lam, qh = float(P[i, i]), float(form.q_vec[i])
+        self.form = form
+        self.r = r = form.r
+        if kind == "one":
+            lam, qh = float(form.dense_p[i, i]), float(form.q_vec[i])
+            self._support, self._i, self._lam_i = (None if form.n == 1 else np.array([i])), i, lam
             self.lam = np.array([lam])
             self.Q, self._perm, self._affine_q = None, _FIRST, None
             self.qhat = form.q_vec[i : i + 1]
-            roots = _stable_roots(lam, qh, form.r)
+            roots = _stable_roots(lam, qh, r)
             # ((root, gradient there) for the lower and the upper root), or None
             self._roots = None if roots is None else tuple((x, 2.0 * lam * x + qh) for x in roots)
-            self._lam_i = lam
+            # the general branch's max |lam| + ||qhat||, which for one entry rounds as these do
+            self.scale = abs(lam) + math.sqrt(qh * qh) + abs(r) + 1.0
+            self.feas_range = lo_r, hi_r = _quad_range((lam,), (qh,), r, 1e-14 * self.scale)
         else:
+            P, s = form.dense_p, form.support
+            self._support = s if s.size < form.n else None  # None: the support is all of x
+            self._i = None
             self._p = P if self._support is None else P[np.ix_(s, s)]  # P on the support
             if np.count_nonzero(self._p - np.diag(np.diag(self._p))) == 0:
                 self._perm = np.argsort(np.diag(self._p))
@@ -120,10 +126,8 @@ class ConstraintProjector:
             q = form.q_vec if self._support is None else form.q_vec[self._support]
             self._affine_q = q if kind == "aff" else None
             self.qhat = self._rotate(q)
-        self.form = form
-        self.r = form.r
-        self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(self.r) + 1.0)
-        self.feas_range = lo_r, hi_r = _quad_range(self.lam, self.qhat, self.r, 1e-14 * self.scale)
+            self.scale = float(np.max(np.abs(self.lam), initial=0.0) + np.linalg.norm(self.qhat) + abs(r) + 1.0)
+            self.feas_range = lo_r, hi_r = _quad_range(self.lam, self.qhat, r, 1e-14 * self.scale)
         self._empty = not (lo_r <= FEAS_TOL * self.scale and hi_r >= -FEAS_TOL * self.scale)  # {f = 0}
 
     def _rotate(self, v: np.ndarray) -> np.ndarray:
@@ -303,7 +307,22 @@ class ConstraintProjector:
 
     def project_eq(self, z) -> ProjectionResult:
         """Global minimizer of ||x - z||^2 subject to f(x) = 0."""
+        return self.project(z, True)
+
+    def project_ineq(self, z) -> ProjectionResult:
+        """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""
+        return self.project(z, False)
+
+    def project(self, z, equality: bool) -> ProjectionResult:
+        """project_eq(z) if equality, else project_ineq(z).
+
+        Both are this one body, so the closed form of one variable is one
+        call away from the caller (ADMM projects each such row here, every
+        iteration).
+        """
         z = np.asarray(z, dtype=float)
+        if not equality and evaluate(self.form, z) <= 0.0:
+            return ProjectionResult(z.copy(), 0.0, self.form, z, equality=False)
         if self._empty:
             raise InfeasibleConstraintError("equality set {f(x) = 0} is empty")
         i = self._i
@@ -338,16 +357,6 @@ class ConstraintProjector:
                     raise NumericalFailureError("no KKT point found for the projection")
                 xh, nu = extremum
         return ProjectionResult(self._embed(z, self._unrotate(xh)), float(nu), self.form, z)
-
-    def project_ineq(self, z) -> ProjectionResult:
-        """Projection onto {x : f(x) <= 0}; returns z unchanged when feasible."""
-        z = np.asarray(z, dtype=float)
-        if evaluate(self.form, z) <= 0.0:
-            return ProjectionResult(z.copy(), 0.0, self.form, z, equality=False)
-        return self.project_eq(z)
-
-    def project(self, z, equality: bool) -> ProjectionResult:
-        return self.project_eq(z) if equality else self.project_ineq(z)
 
 
 def project_eq(z, form: QuadraticForm) -> ProjectionResult:
@@ -479,7 +488,11 @@ def solve_one_constraint(objective: QuadraticForm, form: QuadraticForm) -> OneCo
     B, N = Vt[:rank].T, Vt[rank:].T
     a0, a1 = N.T @ q0, N.T @ q1
     a1_sq = float(a1 @ a1)
-    if a1_sq > (NULL_TOL * scale1) ** 2:
+    try:
+        null_sq = (NULL_TOL * scale1) ** 2
+    except OverflowError:  # a float ** raises where * would give inf: no a1 is above it
+        null_sq = math.inf
+    if a1_sq > null_sq:
         # eta is fixed by q0 + eta*q1 orthogonal to N
         eta = max(-float(a0 @ a1) / a1_sq, 0.0)
         if np.linalg.norm(a0 + eta * a1) > NULL_TOL * (scale0 + eta * scale1):

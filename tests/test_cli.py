@@ -373,6 +373,18 @@ def test_solve_of_an_overflowing_objective_prints_no_warning(tmp_path, capsys):
             _strict_json(capsys.readouterr().out)
 
 
+def test_spectral_of_a_row_whose_scale_squared_overflows_exits_without_a_traceback(tmp_path, capsys):
+    # x^2 - 1e308 = 0 with objective x: the one-constraint solver's null-space
+    # threshold squares a scale near 1e308, which overflows to inf
+    path = tmp_path / "overflow.json"
+    row = {"P": [[0, 0, 1.0]], "r": -1e308, "sense": "eq"}
+    path.write_text(json.dumps({"n": 1, "objective": {"q": [1.0]}, "constraints": [row]}))
+    assert main(["bound", str(path), "--method", "spectral"]) == 0
+    assert _strict_json(capsys.readouterr().out) == {"bound": "-inf", "valid": True}
+    assert main(["solve", str(path), "--suggest", "spectral"]) == 1
+    assert capsys.readouterr().err == "solver failure: the spectral relaxation has no minimizer (bound -inf)\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, suggest",
     [("--parallel", "0", "random"), ("--parallel", "-1", "random"), ("--candidates", "0", "spectral")],

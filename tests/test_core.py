@@ -21,6 +21,7 @@ from qcqp.core import (
     to_homogeneous,
     _max_violation,
     _row_class,
+    _senses,
     _value,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
@@ -405,11 +406,78 @@ def test_dense_stack_matches_each_row_bit_for_bit(case):
 def test_max_violation_folds_the_values_as_assess_folds_the_rows(values, data):
     f = np.array(values, dtype=float)
     eq = np.array(data.draw(st.lists(st.booleans(), min_size=f.size, max_size=f.size)), dtype=bool)
-    for senses, arg in ((eq, eq), (np.zeros(f.size, dtype=bool), None)):  # None: every row LE
+    every_le, every_eq = np.zeros(f.size, dtype=bool), np.ones(f.size, dtype=bool)
+    for senses, arg in ((eq, eq), (eq, _senses(eq)), (every_le, None), (every_eq, True)):
         fold = 0.0
         for v, is_eq in zip(f.tolist(), senses.tolist()):
             fold = max(fold, Constraint(QuadraticForm.create(0), Sense.EQ if is_eq else Sense.LE)._violation_of(v))
         assert max(0.0, _max_violation(f, arg)).hex() == fold.hex()
+
+
+nonfinite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def one_variable_stacks_and_points(draw):
+    """Rows a x_i^2 + b x_i + r alone, all EQ, all LE or mixed, with a row on every x_i, and points.
+
+    Coefficients and coordinates reach 1e200, whose squares overflow, and a
+    coordinate may be inf or NaN.  Every x_i has a row, as x_i^2 = 1 gives
+    boolean LS, so a non-finite x_i makes the stack's violation inf as it
+    makes the fold's, whose dense products are NaN in every row.
+    """
+    n = draw(st.integers(1, 4))
+    senses = draw(st.sampled_from(["eq", "le", "mixed"]))
+    coords = list(range(n)) + draw(st.lists(st.integers(0, n - 1), max_size=4))
+    rows = []
+    for i in coords:
+        a = draw(wide.filter(lambda v: v != 0.0))
+        q = np.zeros(n)
+        q[i] = draw(wide)
+        eq = senses == "eq" or (senses == "mixed" and draw(st.booleans()))
+        rows.append(Constraint(QuadraticForm.create(n, [(i, i, a)], q, draw(wide)), Sense.EQ if eq else Sense.LE))
+    points = draw(st.lists(st.lists(st.one_of(wide, nonfinite), min_size=n, max_size=n), min_size=1, max_size=3))
+    return QcqpProblem.create(QuadraticForm.create(n), rows), np.array(points, dtype=float)
+
+
+def _boolean_row_problem():
+    """x^2 - 1 = 0 over n = 1, with a zero objective."""
+    row = Constraint(QuadraticForm.create(1, [(0, 0, 1.0)], r=-1.0), Sense.EQ)
+    return QcqpProblem.create(QuadraticForm.create(1), [row])
+
+
+@given(one_variable_stacks_and_points())
+@example((_boolean_row_problem(), np.array([[math.nan], [1e200], [-math.inf]])))
+def test_one_variable_stack_max_violation_is_the_fold_bit_for_bit(case):
+    problem, Z = case
+    rc = problem._row_classes
+    assert rc.one.tolist() == list(range(problem.m)) and rc.dense.size == 0
+    with np.errstate(all="ignore"):  # 1e200 overflows and inf - inf is NaN, in both
+        folds = [max([0.0] + [c.violation(z) for c in problem.constraints]) for z in Z]
+        got = [rc.max_violation(z) for z in Z]
+        stacked = rc.max_violations(Z).tolist()
+        assessed = [assess(problem, z).violation for z in Z]
+    assert [v.hex() for v in got] == [v.hex() for v in folds]
+    assert [v.hex() for v in stacked] == [v.hex() for v in folds]
+    assert [v.hex() for v in assessed] == [v.hex() for v in folds]
+
+
+@pytest.mark.parametrize(
+    "P, q, want",
+    [
+        ({}, [0.0, 0.0, 0.0], ("aff", -1)),
+        ({}, [0.0, 2.0, 0.0], ("aff", -1)),
+        ({(1, 1): 3.0}, [0.0, 0.0, 0.0], ("one", 1)),
+        ({(1, 1): 3.0}, [0.0, -0.5, 0.0], ("one", 1)),
+        ({(1, 1): 3.0}, [1.0, 0.0, 0.0], ("gen", -1)),  # q reads a second variable
+        ({(1, 1): 3.0}, [0.0, 0.0, -1.0], ("gen", -1)),
+        ({(0, 0): 1.0, (2, 2): 1.0}, [0.0, 0.0, 0.0], ("gen", -1)),
+        ({(0, 2): 1.0}, [0.0, 0.0, 0.0], ("gen", -1)),
+    ],
+)
+def test_row_class_of_each_kind_of_row(P, q, want):
+    form = QuadraticForm.create(3, [(i, j, v) for (i, j), v in P.items()], q)
+    assert _row_class(form) == want
 
 
 def test_assess_evaluates_only_the_objective_row_by_row():

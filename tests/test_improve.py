@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qcqp.improve
 from qcqp.cli import PipelineConfig, _suggest, run_pipeline
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, _RowClasses, assess, evaluate
-from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError
+from qcqp.errors import InfeasibleConstraintError, NotConvexError, NotScalableError, NumericalFailureError
 from qcqp.generators import (
     brute_force,
     gen_3sat,
@@ -23,6 +23,7 @@ from qcqp.generators import (
     gen_partitioning,
 )
 from qcqp.improve import (
+    EPS_FEAS,
     _AffineRows,
     _ConvexRows,
     _Rows,
@@ -1309,6 +1310,49 @@ def test_admm_phase2_outputs_pinned(name):
     assert _digest(rep) == ADMM_PINS[name]
 
 
+# _digest of improve_admm (max_iter=50) and of ["admm", "cd"] from normal
+# starts, as recorded when phase I computed both residuals every iteration.
+# The first three run all 50 iterations in phase I; beamforming's general
+# rows reach feasibility and go on in phase II.
+ADMM_PHASE1_PINS = {
+    "boolean_ls": (
+        "879cbc7a3ab551a5637c6ee26f562ca6dff0e44169a76e8735e63bff34f65d2e",
+        "fa6095330f2592e94257f493c122fe205f718a9e95df2df2ad275d8f975ca292",
+    ),
+    "partitioning": (
+        "2cbe395b64918d5a6647beb4e96a2290bc5bafdd46a17d9a5858674f6e669f9d",
+        "a723fe203ae5ee82a4b055450ed133419a909b2be2affd595844f616d783ac87",
+    ),
+    "maxcut": (
+        "8eab48cace24ad07ac6edbd8f367b67a00d9470dfbe99a441c281cc87b3a98f6",
+        "264db1bb620515746e7f982d91f26e462bc80950934ac6eb2d389a856787d010",
+    ),
+    "beamforming": (
+        "2fd54917dba8ce3afb87dca451f1ab5e03b088ee755538e02ba5730b49ae39ef",
+        "0edad1469981ee855415552574dc460a3437d909b3653c4e1db4e91766594fab",
+    ),
+}
+
+
+def _admm_phase1_case(name: str):
+    """(problem, x0) of a pinned ADMM run from a normal start."""
+    if name == "boolean_ls":
+        return gen_boolean_ls(25, 16, seed=0), np.random.default_rng(4).standard_normal(16)
+    if name == "maxcut":
+        W = np.triu(np.random.default_rng(3).random((8, 8)), 1)
+        return gen_maxcut(W + W.T), np.random.default_rng(4).standard_normal(8)
+    problem, x0, _ = _cd_case(name)
+    return problem, x0
+
+
+@pytest.mark.parametrize("name", list(ADMM_PHASE1_PINS))
+def test_admm_phase1_outputs_pinned(name):
+    problem, x0 = _admm_phase1_case(name)
+    admm = improve_admm(problem, x0, max_iter=50)
+    admm_cd = improve_sequence(problem, x0, ["admm", "cd"], {"admm": {"max_iter": 50}})
+    assert (_digest(admm), _digest(admm_cd)) == ADMM_PHASE1_PINS[name]
+
+
 def test_admm_assesses_phase1_iterates_one_at_a_time_and_phase2_as_one_stack():
     # CCP's subsolves have no phase I: their loops assess nothing, and each
     # assesses its iterates in one stack.  On boolean LS from a random start
@@ -1331,6 +1375,26 @@ def test_admm_assesses_phase1_iterates_one_at_a_time_and_phase2_as_one_stack():
     (ccp_iters, ccp_singles, ccp_stacks), (admm_iters, admm_singles, admm_stacks) = counts
     assert ccp_iters == 3 and ccp_singles == 0 and ccp_stacks == 3
     assert admm_iters == 50 and admm_singles == 51 and admm_stacks == 0
+
+
+def test_admm_stopped_by_a_failed_projection_in_phase1_ends_at_its_last_iterate(monkeypatch):
+    # phase I reads no residual but still keeps the previous z: a projection
+    # that finds no KKT point ends the loop at the iterate before it
+    p = gen_boolean_ls(12, 8, seed=7)
+    x0 = np.random.default_rng(8).standard_normal(8)
+    project, calls = _Rows.project, []
+
+    def fails_fourth(self, V):
+        calls.append(V)
+        if len(calls) == 4:
+            raise NumericalFailureError("no KKT point found for the projection")
+        return project(self, V)
+
+    monkeypatch.setattr(_Rows, "project", fails_fourth)
+    rep = improve_admm(p, x0, max_iter=10, record_iterates=True)
+    assert rep.iterations == 3 and len(rep.iterates) == 3 and not rep.converged
+    assert all(v > EPS_FEAS for v, _ in rep.phase_trace)  # every iterate was in phase I
+    assert np.array_equal(rep.final_state[0], rep.iterates[-1][0])
 
 
 def test_admm_keeps_the_first_of_equally_good_iterates():

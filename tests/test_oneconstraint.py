@@ -12,6 +12,7 @@ from qcqp.generators import gen_beamforming
 from qcqp.onevar import _stable_roots
 from qcqp.oneconstraint import (
     ConstraintProjector,
+    _quad_range,
     OneConstraintStatus,
     project_eq,
     project_ineq,
@@ -284,6 +285,23 @@ def clear_roots(p, q, r, z):
     assume(b - a > 1e-3)
     assume(abs(abs(z - a) - abs(z - b)) > 1e-6 * (b - a))
     return a, b
+
+
+wide = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 1e-200, -1e-200]), st.floats(-1e3, 1e3))
+
+
+@given(wide.filter(lambda v: v != 0.0), wide, wide, st.integers(1, 3))
+def test_one_variable_projector_scalars_round_as_the_array_formulas(p, q, r, n):
+    # a one-variable projector is built from scalars; its scale and range of
+    # f are the general branch's formulas on one-entry arrays, bit for bit
+    proj = ConstraintProjector(one_variable(p, q, r, at=n - 1, n=n))  # quietly, where q^2 overflows
+    lam, qhat = np.array([p]), np.array([q])
+    with np.errstate(over="ignore"):  # as numpy warns in the array formulas
+        scale = float(np.max(np.abs(lam), initial=0.0) + np.linalg.norm(qhat) + abs(r) + 1.0)
+        lo, hi = _quad_range(lam, qhat, r, 1e-14 * scale)
+    assert proj.scale.hex() == scale.hex()
+    assert [float(v).hex() for v in proj.feas_range] == [float(lo).hex(), float(hi).hex()]
+    assert proj._support is None if n == 1 else proj._support.tolist() == [n - 1]
 
 
 @given(curvature, coefficient, coefficient, coefficient)
