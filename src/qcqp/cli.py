@@ -94,6 +94,12 @@ def problem_to_json(problem: QcqpProblem) -> dict:
 
 
 def problem_from_json(data) -> QcqpProblem:
+    """The problem of a parsed problem file, or ParseError naming its first bad entry in file order.
+
+    Each entry is checked first (a constraint that is not an object, a bad
+    sense, P, q or r), then every form is built in the one pass of
+    QuadraticForm._create_all.
+    """
     if not isinstance(data, dict) or "n" not in data or "objective" not in data:
         raise ParseError("problem file must contain 'n' and 'objective'")
     n = data["n"]
@@ -111,7 +117,9 @@ def problem_from_json(data) -> QcqpProblem:
     try:
         fields.append(_form_fields(data["objective"], "objective"))
         for k, entry in enumerate(entries):
-            sense_str = entry.get("sense", "le") if isinstance(entry, dict) else None
+            if not isinstance(entry, dict):
+                raise ParseError(f"constraint {k}: expected an object")
+            sense_str = entry.get("sense", "le")
             if sense_str not in ("le", "eq"):
                 raise ParseError(f"constraint {k}: sense must be 'le' or 'eq'")
             fields.append(_form_fields(entry, wheres[k + 1]))
@@ -198,12 +206,18 @@ def run_pipeline(problem: QcqpProblem, config: PipelineConfig) -> dict:
     """Suggest candidates, improve each one in order, and report the best point.
 
     Per-candidate failures are recorded and skipped; the run fails only when
-    every candidate fails.  config.parallel is accepted and echoed in the
-    report, but it changes neither the results nor the schedule: the improve
-    methods are Python loops that hold the GIL, so a thread pool only made
-    them take turns, more slowly than one after another.  The report layout
-    is stable and canonically serializable; timing lives under the separate
-    "timing" key.
+    every candidate fails.  Each improve method runs once per distinct point
+    it meets in the run: a candidate, or an intermediate point, whose bytes
+    it has already improved gets the stored report (improve_sequence's
+    _memo), with the same result as running again.  Sign rounding often
+    maps several SDR samples to one point, and the spectral suggestion is
+    one point copied to every slot.
+
+    config.parallel is accepted and echoed in the report, but it changes
+    neither the results nor the schedule: the improve methods are Python
+    loops that hold the GIL, so a thread pool only made them take turns,
+    more slowly than one after another.  The report layout is stable and
+    canonically serializable; timing lives under the separate "timing" key.
 
     An objective or a row that overflows is an expected outcome, not a
     fault: its value becomes inf, and the point counts as infinitely
@@ -220,9 +234,10 @@ def _run_pipeline(problem: QcqpProblem, config: PipelineConfig) -> dict:
 
     per_candidate = []
     best = None  # (assessment tuple, index, x, assessment)
+    memo = {}  # improve_sequence's reports by (method, start point), for this run
     for idx, x0 in enumerate(outcome.candidates):
         try:
-            rep = improve_sequence(problem, x0, list(config.improve), dict(config.improve_opts))
+            rep = improve_sequence(problem, x0, list(config.improve), dict(config.improve_opts), _memo=memo)
         except QcqpError as exc:
             per_candidate.append({"index": idx, "error": str(exc)})
             continue

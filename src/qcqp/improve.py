@@ -880,17 +880,16 @@ def _admm(
         if phase1:  # phase I (m > 0) stops on feasibility alone: it reads no residual
             z_prev = z
             continue
-        # the norms as np.linalg.norm computes them: a sum of squares, then its root
-        resid = float(np.sqrt(np.add.reduce(gap * gap, axis=1)).max()) if m > 0 else 0.0
-        # both residuals: consensus mismatch and movement of z itself
+        # both residuals: movement of z itself and consensus mismatch
         dz = z - z_prev
         dual_resid = math.sqrt(float(dz @ dz))
         z_prev = z
         scale_z = 1.0 + math.sqrt(float(z @ z))
-        if max(resid, dual_resid) <= resid_tol * scale_z:
-            converged = True
-            break
-        if m == 0 and dual_resid <= resid_tol * scale_z:
+        if dual_resid > resid_tol * scale_z:
+            continue  # then max(resid, dual_resid) cannot pass either: resid is not computed
+        # the norms as np.linalg.norm computes them: a sum of squares, then its root
+        resid = float(np.sqrt(np.add.reduce(gap * gap, axis=1)).max()) if m > 0 else 0.0
+        if max(resid, dual_resid) <= resid_tol * scale_z:  # with m = 0, on dual_resid alone
             converged = True
             break
     points = phase2 if ran_phase1 else [x0] + phase2
@@ -1104,9 +1103,10 @@ def improve_ccp(
         # the true penalty
         cand, last = rep.x[:n], rep.final_state[0][:n]
         val_c, s_c = penalized(cand)
-        val_l, s_l = penalized(last)
-        if val_l < val_c:
-            cand, s_c = last, s_l
+        if not np.array_equal(cand, last):
+            val_l, s_l = penalized(last)
+            if val_l < val_c:
+                cand, s_c = last, s_l
         xk = np.asarray(cand, dtype=float).copy()
         s = s_c
         a = assess(problem, xk)
@@ -1136,7 +1136,7 @@ METHODS = {
 }
 
 
-def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> ImproveReport:
+def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None, *, _memo=None) -> ImproveReport:
     """Thread a point through an ordered list of improvement methods.
 
     Entries may be method names from METHODS or callables with the same
@@ -1145,6 +1145,15 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     composition is itself an improvement method: the output is never worse
     than any intermediate point.  A method of METHODS is handed the
     assessment of its start point, so each point is assessed once.
+
+    A method of METHODS runs once per distinct start point: the memo maps
+    (method name, bytes of the start point) to the ImproveReport the method
+    returned, and a point it has already improved gets that report instead
+    of a second run.  The methods are deterministic, so the result is the
+    same.  Callables are never memoized, and a method that raises stores
+    nothing.  _memo, a dict, shares the memo between calls that pass the
+    same problem and method_opts, as the candidates of one pipeline run do;
+    by default each call has its own.
     """
     method_opts = {} if method_opts is None else method_opts
     if not isinstance(method_opts, dict):
@@ -1153,6 +1162,7 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     names = [entry if isinstance(entry, str) else getattr(entry, "__name__", "custom") for entry in methods]
     if unused := set(method_opts) - set(names):
         raise TypeError(f"method_opts names no method of the sequence: {sorted(map(str, unused))}")
+    memo = {} if _memo is None else _memo
     x = np.asarray(x0, dtype=float)
     a = a0 = assess(problem, x)  # a is assess() of x, None after a callable's step
     best_x, best_a, best_known = x.copy(), a0, a0
@@ -1161,7 +1171,12 @@ def improve_sequence(problem: QcqpProblem, x0, methods, method_opts=None) -> Imp
     converged = True
     for name, entry in zip(names, methods):
         opts = method_opts.get(name, {})
-        rep = METHODS[entry](problem, x, _a0=a, **opts) if isinstance(entry, str) else entry(problem, x, **opts)
+        if isinstance(entry, str):
+            key = (entry, x.tobytes())
+            if (rep := memo.get(key)) is None:
+                rep = memo[key] = METHODS[entry](problem, x, _a0=a, **opts)
+        else:
+            rep = entry(problem, x, **opts)
         x = rep.x
         # a method of METHODS reports assess() of its point; a callable may not
         a = rep.assessment if isinstance(entry, str) else None

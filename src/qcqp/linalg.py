@@ -5,6 +5,7 @@ These are thin, contract-checked wrappers around LAPACK (via numpy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,3 +47,18 @@ def inv_chol(V: np.ndarray) -> np.ndarray:
     V^-1 = L^-T L^-1, so V^-1 b is Li.T @ (Li @ b) with Li = inv_chol(V).
     """
     return np.linalg.inv(np.linalg.cholesky(V))
+
+
+def norm(M) -> float:
+    """np.linalg.norm(M) (Frobenius), taken of M / max|M| where the sum of squares overflows.
+
+    The overflow is quiet: numpy does not warn, and the norm is inf only
+    when it is beyond the float range itself or M holds an inf.
+    """
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(M))
+    if math.isinf(value):
+        big = float(np.max(np.abs(M)))
+        if math.isfinite(big):
+            value = big * float(np.linalg.norm(M / big))
+    return value

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import QuadraticForm, _row_class, evaluate
 from .errors import InfeasibleConstraintError, NumericalFailureError
-from .linalg import inv_chol, sym_eigen
+from .linalg import inv_chol, norm, sym_eigen
 from .onevar import _stable_roots
 
 SINGULAR_TOL = 1e-10
@@ -389,7 +389,7 @@ PD_TOL = 1e-12  # relative lambda_min a probe of the pencil needs to count as de
 
 
 def _scale(form: QuadraticForm) -> float:
-    return float(np.linalg.norm(form.dense_p) + np.linalg.norm(form.q_vec) + abs(form.r) + 1.0)
+    return norm(form.dense_p) + norm(form.q_vec) + abs(form.r) + 1.0
 
 
 def _boundary_minimizer(objective: QuadraticForm, form: QuadraticForm, eta: float) -> np.ndarray | None:
@@ -406,7 +406,7 @@ def _boundary_minimizer(objective: QuadraticForm, form: QuadraticForm, eta: floa
     w, V = eig.values, eig.vectors
     b = V.T @ (-0.5 * (objective.q_vec + eta * form.q_vec))
     null = np.abs(w) <= 10.0 * tol
-    if np.min(w, initial=0.0) < -tol or np.max(np.abs(b[null]), initial=0.0) > 1e-7 * (1.0 + np.linalg.norm(b)):
+    if np.min(w, initial=0.0) < -tol or np.max(np.abs(b[null]), initial=0.0) > 1e-7 * (1.0 + norm(b)):
         return None
     x = V[:, ~null] @ (b[~null] / w[~null])
     f1 = evaluate(form, x)
@@ -442,7 +442,10 @@ def _project_pencil(objective: QuadraticForm, form: QuadraticForm) -> tuple[np.n
         res = ConstraintProjector(QuadraticForm.from_dense(Li @ P1 @ Li.T, Li @ form.q_vec, form.r)).project_eq(c)
         return Li.T @ res.x, max(eta_bar + res.nu, 0.0)
 
-    probes = np.concatenate(([0.0], scale0 / scale1 * 2.0 ** np.arange(-24.0, 44.0)))
+    with np.errstate(over="ignore"):
+        probes = np.concatenate(([0.0], scale0 / scale1 * 2.0 ** np.arange(-24.0, 44.0)))
+        # a probe whose pencil (of norm below scale0 + eta*scale1) leaves the float range tells nothing
+        probes = probes[np.isfinite(scale0 + probes * scale1)]
     m = margins(probes)
     best = float(m.max())
     if not best > PD_TOL:

@@ -2,14 +2,18 @@
 
 The spectral relaxation aggregates all constraints into one with a
 nonnegative multiplier vector and solves the resulting one-constraint
-problem exactly.  The semidefinite relaxation (SDR) over
+problem exactly; its bound is flagged valid only when the solver's point
+and multiplier certify it.  The semidefinite relaxation (SDR) over
 Z = [[X, x], [x', 1]] >= 0 is solved by sdr_bound, a dense primal-dual
 interior-point method built on numpy Cholesky factorizations; its bound is
 certified from the dual vector alone, so it holds however early the method
-stops.  sdr_bound_cutting_plane approximates the same SDR from outside by
-an LP over the lifted variables (X, x), cutting away violated
-positive-semidefiniteness one eigenvector at a time; it is kept as library
-code, and any iterate of its LP is already a valid bound.
+stops, and a NaN bound is flagged invalid.  sdr_bound writes the
+homogenized objective and rows from the problem's row table into one stack
+once, and the solver scales each to unit norm by a norm that does not
+overflow (linalg.norm).  sdr_bound_cutting_plane approximates the same SDR
+from outside by an LP over the lifted variables (X, x), cutting away
+violated positive-semidefiniteness one eigenvector at a time; it is kept as
+library code, and any iterate of its LP is already a valid bound.
 
 tighten appends redundant pairwise products of affine constraints, which
 leaves the feasible set unchanged but can strictly improve the lifted bound.
@@ -24,7 +28,7 @@ import numpy as np
 
 from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
-from .linalg import inv_chol, sym_eigen
+from .linalg import inv_chol, min_eig_bound, norm, sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
 from .oneconstraint import OneConstraintStatus, solve_one_constraint
 
@@ -67,12 +71,53 @@ def aggregate_constraints(problem: QcqpProblem, lam) -> QuadraticForm:
     return QuadraticForm._of_symmetric(P, q, r)
 
 
+CERT_TOL = 1e-8  # relative residual within which (x, eta) certifies a spectral bound
+
+
+def _entry_scale(form: QuadraticForm) -> float:
+    """The largest |entry| of the form's P, q and r, or 1.0 for the zero form."""
+    P, q = np.abs(form.dense_p), np.abs(form.q_vec)
+    return max(float(np.max(P, initial=0.0)), float(np.max(q, initial=0.0)), abs(form.r)) or 1.0
+
+
+def _certifies(objective: QuadraticForm, agg: QuadraticForm, x: np.ndarray, eta: float) -> bool:
+    """Whether (x, eta) proves min f0 over {agg <= 0} >= f0(x), to CERT_TOL relative to the forms.
+
+    With eta >= 0, L = f0 + eta * agg has P0 + eta * P1 >= 0 and gradient
+    2 (P0 + eta P1) x + q0 + eta q1 = 0, so x minimizes L, and L(x) bounds
+    the minimum from below (the S-lemma's dual); L(x) >= f0(x) when
+    eta * agg(x) >= 0.  Each condition is checked to CERT_TOL relative to
+    the size of its terms, after dividing each form by its largest entry,
+    so no square overflows at any scale; a residual that is not finite
+    certifies nothing.
+    """
+    a, b = _entry_scale(objective), _entry_scale(agg)
+    P0, q0 = objective.dense_p / a, objective.q_vec / a
+    P1, q1, r1 = agg.dense_p / b, agg.q_vec / b, agg.r / b
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = eta * (b / a)  # eta in the divided forms' units
+        P = P0 + e * P1
+        if not (eta >= 0.0 and math.isfinite(e) and np.isfinite(P).all() and np.isfinite(x).all()):
+            return False
+        nx, size_p = norm(x), norm(P0) + e * norm(P1)
+        checks = [
+            (-min_eig_bound(P), size_p),
+            (norm(2.0 * (P @ x) + q0 + e * q1), size_p * nx + norm(q0) + e * norm(q1)),
+        ]
+        if e > 0.0:
+            gap = e * (float(x @ (P1 @ x)) + float(q1 @ x) + r1)
+            checks.append((-gap, e * (norm(P1) * nx * nx + norm(q1) * nx + abs(r1))))
+    return all(math.isfinite(res) and math.isfinite(size) and res <= CERT_TOL * size for res, size in checks)
+
+
 def spectral_bound(problem: QcqpProblem, lam=None) -> RelaxationResult:
     """Bound from the aggregated one-constraint relaxation.
 
     Every feasible point satisfies sum(lam_i * f_i) <= 0, so the minimum of
     the objective under that single constraint bounds the true minimum from
-    below.  A dual-unbounded subproblem yields the vacuous bound -inf.
+    below.  A dual-unbounded subproblem yields the vacuous bound -inf.  The
+    bound is flagged valid only when the solver's (x, eta) certifies it
+    (_certifies); otherwise valid is false.
     """
     if lam is None:
         lam = np.ones(problem.m)
@@ -87,6 +132,7 @@ def spectral_bound(problem: QcqpProblem, lam=None) -> RelaxationResult:
         bound=res.value,
         candidate=res.x,
         certificate=np.asarray(lam, dtype=float),
+        valid=_certifies(problem.objective, agg, res.x, res.eta),
     )
 
 
@@ -123,10 +169,13 @@ def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return C, A, np.append(False, ~rc.all_eq[1:])
 
 
-def _max_step(Li: np.ndarray, dV: np.ndarray) -> float:
-    """Largest alpha with V + alpha dV >= 0, given Li = inv_chol(V) (inf when dV >= 0)."""
-    lam = float(np.linalg.eigvalsh(Li @ dV @ Li.T)[0])
-    return -1.0 / lam if lam < 0.0 else math.inf
+def _max_step(Li: np.ndarray, dV: np.ndarray) -> list[float]:
+    """Largest alpha with V + alpha dV >= 0 for each V of a stack, given Li = inv_chol(V) (inf when dV >= 0).
+
+    Li and dV are (k, N, N) stacks; the k eigenvalue problems are one eigvalsh call.
+    """
+    lams = np.linalg.eigvalsh(Li @ dV @ Li.swapaxes(1, 2))[:, 0].tolist()
+    return [-1.0 / lam if lam < 0.0 else math.inf for lam in lams]
 
 
 def _max_step_lp(v: np.ndarray, dv: np.ndarray) -> float:
@@ -148,16 +197,6 @@ class _SdrIterate:
     status: str
 
 
-def _norm(M: np.ndarray) -> float:
-    """Frobenius norm of M, taken of M / max|M| where the sum of squares overflows."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(M))
-    if math.isinf(norm):
-        big = float(np.max(np.abs(M)))
-        norm = big * float(np.linalg.norm(M / big))
-    return norm
-
-
 def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
     """Primal-dual interior-point method on the homogenised SDR.
 
@@ -165,17 +204,20 @@ def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
     (Helmberg, Rendl, Vanderbei & Wolkowicz 1996) and Mehrotra's
     predictor-corrector; each iteration forms and factors the m+1 by m+1
     Schur complement M_ij = <A_i, Z A_j S^-1> + LP slack terms.  Every
-    factorization is a numpy Cholesky (linalg.inv_chol).  C, A and le are
-    _sdr_rows of the problem.
+    factorization is a numpy Cholesky (linalg.inv_chol): Z and S are
+    factored as one stack, and the primal and dual step lengths of the
+    predictor, then of the corrector, are one stacked eigenvalue solve
+    (_max_step).  Without LE rows there is no LP slack, and no slack term
+    is computed.  C, A and le are _sdr_rows of the problem.
     """
     N = A.shape[1]
     # scale rows and C to unit norm; zero rows (0 = 0 or 0 <= 0) are dropped
     with np.errstate(over="ignore"):
         row_norm = np.linalg.norm(A.reshape(len(A), -1), axis=1)
     for i in np.flatnonzero(np.isinf(row_norm)):
-        row_norm[i] = _norm(A[i])
+        row_norm[i] = norm(A[i])
     keep = row_norm > 0.0
-    c_norm = _norm(C) or 1.0
+    c_norm = norm(C) or 1.0
     As = A[keep] / row_norm[keep, None, None]
     Af = As.reshape(len(As), -1)
     slack = np.flatnonzero(le[keep])  # rows with an LP slack
@@ -196,28 +238,39 @@ def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
     status = "max_iter"
     best_err, top_size, stall = math.inf, 0.0, 0
     for _ in range(SDR_MAX_ITER):
+        # every LP-slack term is skipped when there is no slack (k = 0), and
+        # each vector norm is sqrt(v @ v), as np.linalg.norm computes it
         rp = b - Af @ Z.ravel()
-        rp[slack] -= s
         Rd = Cs - (Af.T @ y).reshape(N, N) - S
-        rw = -y[slack] - w
-        mu = (float(np.vdot(Z, S)) + float(s @ w)) / (N + k)
+        zs, rd2, rw2 = float(np.vdot(Z, S)), float(np.vdot(Rd, Rd)), 0.0
+        if k:
+            rp[slack] -= s
+            rw = -y[slack] - w
+            zs += float(s @ w)
+            rw2 = float(rw @ rw)
+            rd2 += rw2
+        mu = zs / (N + k)
         pobj = float(np.vdot(Cs, Z))
         dobj = float(y[0])
         err = max(  # ||b|| = ||C|| = 1 after scaling
-            float(np.linalg.norm(rp)) / 2.0,
-            math.sqrt(float(np.vdot(Rd, Rd)) + float(rw @ rw)) / 2.0,
+            math.sqrt(float(rp @ rp)) / 2.0,
+            math.sqrt(rd2) / 2.0,
             abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
         )
         if err <= SDR_TOL:
             status = "optimal"
             break
         # a diverging iterate that is nearly a ray certifies infeasibility
-        if dobj > 0.0 and math.hypot(np.linalg.norm(Cs - Rd), np.linalg.norm(rw)) <= RAY_TOL * dobj:
-            status = "infeasible"
-            break
-        if pobj < 0.0 and np.linalg.norm(b - rp) <= RAY_TOL * -pobj:
-            status = "unbounded"
-            break
+        if dobj > 0.0:
+            D = (Cs - Rd).ravel()
+            if math.hypot(math.sqrt(float(D @ D)), math.sqrt(rw2)) <= RAY_TOL * dobj:
+                status = "infeasible"
+                break
+        if pobj < 0.0:
+            v = b - rp
+            if math.sqrt(float(v @ v)) <= RAY_TOL * -pobj:
+                status = "unbounded"
+                break
         # stalled: in 5 iterations the error has not halved, nor have the
         # objectives doubled on their way to an infeasibility ray
         size = abs(pobj) + abs(dobj)
@@ -228,54 +281,64 @@ def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
             if stall >= 5:
                 status = "stalled"
                 break
-        d = s / w
 
         def direction(G, g):
             # HKM: Z S + dZ S + Z dS = G, s w + ds w + s dw = g
             GSi = G @ Si
             h = rp - Af @ (GSi - Z - ZRdSi).ravel()
-            h[slack] -= g / w - s - d * rw
+            if k:
+                h[slack] -= g / w - s - d * rw
             dy = Mi.T @ (Mi @ h)
             dS = Rd - (Af.T @ dy).reshape(N, N)
             dZ = GSi - Z - Z @ dS @ Si
             dZ = 0.5 * (dZ + dZ.T)
             if not (np.isfinite(dy).all() and np.isfinite(dZ).all()):
                 raise np.linalg.LinAlgError("non-finite search direction")
+            if not k:
+                return dZ, dy, dS, None, None
             dw = rw - dy[slack]
             ds = g / w - s - d * dw
             return dZ, dy, dS, ds, dw
 
+        def steps(dZ, dS, ds, dw, gamma):
+            # primal and dual step lengths: the two eigen-solves are one stack
+            ap, ad = _max_step(ZL, np.stack((dZ, dS)))
+            ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
+            if k:
+                ap, ad = min(ap, gamma * _max_step_lp(s, ds)), min(ad, gamma * _max_step_lp(w, dw))
+            return ap, ad
+
         # a failed factorization (Z or S numerically singular at tiny mu) or
         # a non-finite direction ends the run at the current iterate
         try:
-            Zi = inv_chol(Z)
-            Li = inv_chol(S)
+            ZL = inv_chol(np.stack((Z, S)))  # (Zi, Li): Z and S factored as one stack
+            Li = ZL[1]
             Si = Li.T @ Li
             W = (Z @ As) @ Si  # Z A_j S^-1, stacked
             M = Af @ W.reshape(len(W), -1).T
             M = 0.5 * (M + M.T)
-            M[slack, slack] += d
+            if k:
+                d = s / w
+                M[slack, slack] += d
             Mi = inv_chol(M)
             ZRdSi = Z @ Rd @ Si
             dZ, dy, dS, ds, dw = direction(np.zeros((N, N)), np.zeros(k))
-            ap = min(1.0, _max_step(Zi, dZ), _max_step_lp(s, ds))
-            ad = min(1.0, _max_step(Li, dS), _max_step_lp(w, dw))
-            mu_aff = (
-                float(np.vdot(Z + ap * dZ, S + ad * dS)) + float((s + ap * ds) @ (w + ad * dw))
-            ) / (N + k)
-            sigma = min(1.0, (mu_aff / mu) ** 3)
-            dZ, dy, dS, ds, dw = direction(sigma * mu * eye - dZ @ dS, sigma * mu - ds * dw)
-            gamma = 0.9 + 0.09 * min(ap, ad)
-            ap = min(1.0, gamma * _max_step(Zi, dZ), gamma * _max_step_lp(s, ds))
-            ad = min(1.0, gamma * _max_step(Li, dS), gamma * _max_step_lp(w, dw))
+            ap, ad = steps(dZ, dS, ds, dw, 1.0)
+            zs_aff = float(np.vdot(Z + ap * dZ, S + ad * dS))
+            if k:
+                zs_aff += float((s + ap * ds) @ (w + ad * dw))
+            sigma = min(1.0, (zs_aff / (N + k) / mu) ** 3)
+            dZ, dy, dS, ds, dw = direction(sigma * mu * eye - dZ @ dS, sigma * mu - ds * dw if k else None)
+            ap, ad = steps(dZ, dS, ds, dw, 0.9 + 0.09 * min(ap, ad))
         except np.linalg.LinAlgError:
             status = "stalled"
             break
         Z = Z + ap * dZ
-        s = s + ap * ds
         y = y + ad * dy
         S = S + ad * dS
-        w = w + ad * dw
+        if k:
+            s = s + ap * ds
+            w = w + ad * dw
 
     y_full = np.zeros(len(A))
     y_full[keep] = y * c_norm / row_norm[keep]

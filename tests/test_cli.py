@@ -26,8 +26,10 @@ from qcqp.cli import (
     save_problem,
 )
 from qcqp.core import QcqpProblem, QuadraticForm, Sense, assess
-from qcqp.errors import ParseError
+from qcqp.errors import NumericalFailureError, ParseError
 from qcqp.generators import brute_force, gen_boolean_ls, gen_partitioning
+from qcqp.improve import improve_sequence, round_sign
+from qcqp.suggest import suggest_sdr
 
 
 def small_problem():
@@ -530,3 +532,149 @@ def test_cli_byte_identical_reports(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e50, 1e154, 1e155, 1e200, 1e300])
+def test_cli_spectral_bound_of_a_scaled_instance_is_valid_or_flagged_or_fails(tmp_path, capsys, s):
+    # min s (x1 + x2) s.t. x1^2 + x2^2 = 1 has optimum -sqrt(2) s; at s >= 1e155
+    # the command printed {"bound": 0.0, "valid": true} with an overflow warning
+    path = tmp_path / "scaled.json"
+    row = {"P": [[0, 0, 1.0], [1, 1, 1.0]], "r": -1.0, "sense": "eq"}
+    path.write_text(json.dumps({"n": 2, "objective": {"q": [s, s]}, "constraints": [row]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bound", str(path), "--method", "spectral"])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert err.startswith("solver failure: ") and out == ""
+        return
+    assert code == 0
+    res = _strict_json(out)
+    assert res["valid"] is False or res["bound"] <= -(2.0**0.5) * s * (1.0 - 1e-12)
+
+
+def test_problem_from_json_names_a_constraint_that_is_not_an_object():
+    for entry in ([], [{"sense": "eq"}], None, "le", 3):
+        with pytest.raises(ParseError) as exc:
+            problem_from_json({"n": 1, "objective": {}, "constraints": [{}, entry]})
+        assert str(exc.value) == "constraint 1: expected an object"
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# structural values: containers of the wrong kind, empty and null ones
+_STRUCTURES = st.sampled_from([None, [], {}, [[]], [None], [{}], {"P": []}, {"n": 1}, [[0, 0]], [[0, 0, 1.0, 2.0]], "x", 0])
+
+
+@given(st.data())
+def test_cli_solve_exits_0_or_2_when_a_problem_file_is_edited_in_structure(data):
+    # missing keys, extra keys, containers of the wrong type and null entries
+    # anywhere in a problem file: the loader names the fault, never a traceback
+    doc = problem_to_json(small_problem())
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_json_paths(doc))
+        containers = [p for p in paths if isinstance(_at(doc, p), (dict, list))]
+        edit = data.draw(st.sampled_from(["drop", "add", "replace"]))
+        doc = copy.deepcopy(doc)
+        if edit == "drop" and len(paths) > 1:  # an entry of a container is deleted
+            path = data.draw(st.sampled_from(paths[1:]))
+            del _at(doc, path[:-1])[path[-1]]
+        elif edit == "add" and containers:  # a key "extra" or an item is added
+            node = _at(doc, data.draw(st.sampled_from(containers)))
+            value = data.draw(_STRUCTURES)
+            if isinstance(node, dict):
+                node["extra"] = value
+            else:
+                node.append(value)
+        elif edit == "replace" and containers:  # a container becomes a structure of another kind
+            path = data.draw(st.sampled_from(containers))
+            value = data.draw(_STRUCTURES)
+            if path:
+                _at(doc, path[:-1])[path[-1]] = value
+            else:
+                doc = value
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, out = os.path.join(tmp, "p.json"), os.path.join(tmp, "r.json")
+        with open(problem, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["solve", problem, "--seed", "0", "--out", out]) in (0, 2)
+
+
+# -- one improve run per distinct point in a pipeline run --------------------
+
+
+def _spy_on(monkeypatch, name, fail_on=None):
+    """Replace METHODS[name] by a wrapper that records the bytes of each start point.
+
+    It raises NumericalFailureError where the start point's bytes are fail_on.
+    """
+    method, starts = qcqp.improve.METHODS[name], []
+
+    def spy(problem, x, **opts):
+        starts.append(np.asarray(x).tobytes())
+        if starts[-1] == fail_on:
+            raise NumericalFailureError("forced")
+        return method(problem, x, **opts)
+
+    monkeypatch.setitem(qcqp.improve.METHODS, name, spy)
+    return starts
+
+
+def test_spectral_candidates_are_improved_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.json"
+    save_problem(gen_boolean_ls(8, 6, seed=0), path)
+    args = ["solve", str(path), "--suggest", "spectral", "--candidates", "5", "--improve", "sign,cd"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    signs, cds = _spy_on(monkeypatch, "sign"), _spy_on(monkeypatch, "cd")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+    assert len(signs) == len(cds) == 1
+    assert len(json.loads(plain)["candidates"]) == 5
+
+
+def _sdr_case():
+    """A boolean LS instance whose 6 SDR samples at seed 0 sign-round to 4 distinct points."""
+    return gen_boolean_ls(12, 8, seed=0), PipelineConfig(suggest="sdr", improve=("sign", "cd"), candidates=6, seed=0)
+
+
+def test_sdr_candidates_are_improved_once_per_distinct_point(monkeypatch):
+    problem, config = _sdr_case()
+    outcome = suggest_sdr(problem, config.candidates, rng_seed=config.seed)
+    rounded = {round_sign(x).tobytes() for x in outcome.candidates}
+    assert len(rounded) == 4  # two samples or more round to one point
+    signs, cds = _spy_on(monkeypatch, "sign"), _spy_on(monkeypatch, "cd")
+    report = run_pipeline(problem, config)
+    assert len(signs) == 6 and sorted(cds) == sorted(rounded)
+    # the report is the one built by improving each candidate on its own
+    monkeypatch.undo()
+    memo = {}
+    for x0, entry in zip(outcome.candidates, report["candidates"]):
+        shared = improve_sequence(problem, x0, ["sign", "cd"], {}, _memo=memo)
+        alone = improve_sequence(problem, x0, ["sign", "cd"])
+        assert (alone.assessment.violation, alone.assessment.objective) == (entry["violation"], entry["objective"])
+        assert shared.x.tobytes() == alone.x.tobytes()
+        assert np.array(shared.phase_trace).tobytes() == np.array(alone.phase_trace).tobytes()
+        assert (shared.iterations, shared.converged, shared.method) == (alone.iterations, alone.converged, alone.method)
+        assert shared.assessment == alone.assessment
+    with mock.patch.object(qcqp.cli, "improve_sequence", lambda *args, _memo: improve_sequence(*args)):
+        assert canonical_report_json(run_pipeline(problem, config)) == canonical_report_json(report)
+
+
+def test_a_method_that_raises_raises_for_every_repeat_of_its_point(monkeypatch):
+    problem, config = _sdr_case()
+    outcome = suggest_sdr(problem, config.candidates, rng_seed=config.seed)
+    rounded = [round_sign(x).tobytes() for x in outcome.candidates]
+    repeated = max(rounded, key=rounded.count)
+    assert rounded.count(repeated) >= 2
+    cds = _spy_on(monkeypatch, "cd", fail_on=repeated)
+    report = run_pipeline(problem, config)
+    failed = [c["index"] for c in report["candidates"] if "error" in c]
+    assert failed == [k for k, r in enumerate(rounded) if r == repeated]
+    assert all(c["error"] == "forced" for c in report["candidates"] if "error" in c)
+    assert cds.count(repeated) == rounded.count(repeated)  # not stored, so run again each time
+    assert len(cds) == len(set(rounded)) + rounded.count(repeated) - 1

@@ -1,7 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from qcqp.linalg import min_eig_bound, sym_eigen
+from qcqp.linalg import min_eig_bound, norm, sym_eigen
 
 
 def random_symmetric(rng, n):
@@ -35,3 +38,15 @@ def test_min_eig_bound_modes():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         sym_eigen([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_norm_is_numpys_where_it_does_not_overflow_and_quiet_where_it_does():
+    rng = np.random.default_rng(0)
+    for M in (rng.standard_normal((4, 4)), rng.standard_normal(7) * 1e150, np.zeros(0), np.array([-0.0])):
+        assert norm(M) == float(np.linalg.norm(M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        assert norm(np.array([[1.5e308, 1.5e308], [0.0, 1.5e308]])) == math.inf  # beyond the float range itself
+        assert norm(np.array([math.inf, 1.0])) == math.inf
+        assert math.isnan(norm(np.array([math.nan, 1e200, 1e200])))

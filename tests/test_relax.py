@@ -6,7 +6,9 @@ import pytest
 import qcqp.lp as lp_mod
 import qcqp.relax as relax_mod
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess
+from qcqp.errors import QcqpError
 from qcqp.generators import brute_force, gen_beamforming, gen_partitioning
+from qcqp.oneconstraint import OneConstraintResult, OneConstraintStatus
 from qcqp.relax import (
     CutPlaneOptions,
     aggregate_constraints,
@@ -274,3 +276,49 @@ def test_beamforming_spectral_closed_form():
     M = -sub.constraints[0].form.dense_p
     lmax = float(np.linalg.eigvalsh(M)[-1])
     assert res.bound == pytest.approx(20.0 / lmax, rel=1e-7)
+
+
+def _scaled_circle(s):
+    """min s (x1 + x2) s.t. x1^2 + x2^2 = 1, whose optimum is -sqrt(2) s."""
+    row = Constraint(QuadraticForm.create(2, [(0, 0, 1.0), (1, 1, 1.0)], None, -1.0), Sense.EQ)
+    return QcqpProblem.create(QuadraticForm.create(2, (), [s, s]), [row])
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e50, 1e154, 1e155, 1e200, 1e300])
+def test_spectral_bound_of_a_scaled_instance_is_valid_or_flagged_or_fails(s):
+    # at s >= 1e155 the bound was 0.0, flagged valid, with numpy's overflow
+    # warning; a bound flagged valid must be below the optimum, to the
+    # rounding of the objective's scale
+    try:
+        res = spectral_bound(_scaled_circle(s))
+    except QcqpError:
+        return
+    assert not res.valid or res.bound <= -math.sqrt(2.0) * s * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e12, 1e200])
+def test_spectral_bound_flags_an_answer_that_certifies_nothing(monkeypatch, s):
+    # the solver's old answer at s >= 1e155: x = 0 with eta = 0, where the
+    # gradient of the Lagrangian is the objective's q, not 0
+    bad = OneConstraintResult(OneConstraintStatus.OPTIMAL, x=np.zeros(2), value=0.0, eta=0.0)
+    monkeypatch.setattr(relax_mod, "solve_one_constraint", lambda objective, form: bad)
+    res = spectral_bound(_scaled_circle(s))
+    assert res.bound == 0.0 and not res.valid
+
+
+def test_spectral_certificate_checks_each_condition():
+    # min x1 s.t. x1^2 + x2^2 - 1 <= 0: x = (-1, 0) with eta = 1/2 certifies -1
+    objective = QuadraticForm.create(2, (), [1.0, 0.0])
+    agg = QuadraticForm.create(2, [(0, 0, 1.0), (1, 1, 1.0)], None, -1.0)
+    x = np.array([-1.0, 0.0])
+    assert relax_mod._certifies(objective, agg, x, 0.5)
+    assert not relax_mod._certifies(objective, agg, x, 0.4)  # gradient not 0
+    assert not relax_mod._certifies(objective, agg, x, -0.5)  # eta < 0
+    # a Lagrangian that is not convex: min -x1^2 s.t. x1^2 - 1 <= 0 at eta = 1/2
+    concave = QuadraticForm.create(2, [(0, 0, -1.0)])
+    assert not relax_mod._certifies(concave, agg, np.zeros(2), 0.5)
+    # interior point with eta > 0: eta * agg(x) < 0, so L(x) < f0(x)
+    shifted = QuadraticForm.create(2, [(0, 0, 0.5), (1, 1, 0.5)], [1.0, 0.0])
+    assert relax_mod._certifies(shifted, agg, np.array([-1.0, 0.0]), 0.0)
+    assert not relax_mod._certifies(shifted, agg, np.array([-0.5, 0.0]), 0.5)
+    assert not relax_mod._certifies(objective, agg, np.array([np.inf, 0.0]), 0.5)

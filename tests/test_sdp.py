@@ -3,6 +3,7 @@ the sandwich spectral <= SDR <= optimum on every boolean family,
 certification of the bound from the dual, and its infeasible, unbounded and
 early-stopped cases."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -285,3 +286,69 @@ def test_sdr_bound_and_samples_are_deterministic():
     X1, x1 = sdr_bound(p).certificate
     X2, x2 = sdr_bound(p).certificate
     assert np.array_equal(X1, X2) and np.array_equal(x1, x2)
+
+
+def _sdr_pin_case(family: str, seed: int):
+    """An n = 8 instance of family; beamforming's and 3-SAT's rows include LE rows."""
+    rng = np.random.default_rng(seed)
+    if family == "beamforming":
+        return gen_beamforming(4, 6, 2, tau=20.0, eta=2.0, seed=seed)
+    return BOOLEAN_FAMILIES[family](rng, 8)
+
+
+def _sdr_digests(problem, seed: int) -> tuple[str, str]:
+    """sha256 of _solve_sdr's (Z, y, status) and of suggest_sdr's 5 candidates and bound."""
+    it = relax_mod._solve_sdr(*relax_mod._sdr_rows(problem))
+    h = hashlib.sha256(it.Z.tobytes() + it.y.tobytes() + it.status.encode())
+    out = suggest_sdr(problem, count=5, rng_seed=seed)
+    g = hashlib.sha256(b"".join(x.tobytes() for x in out.candidates))
+    b = out.bound
+    g.update(np.array([b.bound, b.valid, b.converged], dtype=float).tobytes())
+    return h.hexdigest()[:16], g.hexdigest()[:16]
+
+
+# _sdr_digests of each family at seeds 0-2, as recorded when every step of the
+# interior point factored Z and S, and took each step length, one at a time
+SDR_PINS = {
+    "3sat": [
+        ("52e7186b2bd8c196", "526c28ad80238727"),
+        ("6e5d7bd1a74b13eb", "f1847eb7b6544b76"),
+        ("4584f4f2478d36fb", "ef43db2db48bcc00"),
+    ],
+    "beamforming": [
+        ("49a238cc31766795", "bc9c3057c75d25a5"),
+        ("8ce4db0375319db9", "d8867f4eabf2f1e2"),
+        ("f37c6314caea4706", "c2d5dbb9a41f54b9"),
+    ],
+    "boolean-ls": [
+        ("dc080d454a5c26f0", "4c601ed70af4c4cf"),
+        ("1c290854cfa1db96", "a2eb5b4a702fb332"),
+        ("bc113fab4c36a948", "56642c7623b63867"),
+    ],
+    "maxbisection": [
+        ("e85877bc8e2de3a1", "a8bbbc8b64920d10"),
+        ("02ad815d03a1ed04", "b757ea31aaa4e850"),
+        ("3e651abf9ab1d2dc", "4e427e06f27c4b2b"),
+    ],
+    "maxclique": [
+        ("414b027332d15912", "eea259f8d2fbeb8d"),
+        ("1b46f76477392cac", "a2c3c6986d072f39"),
+        ("7f587764ac0948c4", "af112f6ff9d814e5"),
+    ],
+    "maxcut": [
+        ("04e08cca4877a18c", "b99e13734fabf2ea"),
+        ("817b53dfde0dbfde", "c1200f08e4b4ca3d"),
+        ("8857638f1d55eebb", "a34bf9f61069aee5"),
+    ],
+    "partitioning": [
+        ("373c42608d13774a", "a7859681b6f80bf2"),
+        ("55e61821fbad2de6", "733251530acab30e"),
+        ("c4d112b6071d53d2", "0300fc78cc8a7d25"),
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(SDR_PINS))
+def test_sdr_iterate_and_samples_pinned(family):
+    got = [_sdr_digests(_sdr_pin_case(family, seed), seed) for seed in range(3)]
+    assert got == SDR_PINS[family]
