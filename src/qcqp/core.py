@@ -8,7 +8,7 @@ construction; what they add later are caches of values derived from
 their fields: `QuadraticForm.support`, and per problem its row table
 (`_RowClasses`: every form gathered once into stacks, and each row's
 class) with the rows of each coordinate and ADMM's rows sliced from it.
-`assess`, the improve methods and the SDR share them.
+`assess`, the improve methods and both relaxations share them.
 """
 
 from __future__ import annotations
@@ -284,6 +284,26 @@ class _RowClasses:
         self.P, self.q, self.c, self.dense_eq = self.all_P[rows], self.all_q[rows], self.all_r[rows], self.all_eq[rows]
         for field in (self.all_P, self.all_q, self.all_r, self.all_eq, self.support):
             field.setflags(write=False)
+        # quiet_x: a bound on max|x_i| below which no product or partial sum in a row's value can
+        # overflow; each is at most p y^2 + q y + r, y = max(max|x_i|, 1), and each term stays below 2^1018
+        n, big = self.all_P.shape[1], 2.0**1018
+        p, q, r = (float(np.abs(a).max(initial=0.0)) for a in (self.all_P, self.all_q, self.all_r))
+        y = min(math.sqrt(big / (n * n * p)) if p else math.inf, big / (n * q) if q else math.inf)
+        self.quiet_x = y if y >= 1.0 and r <= big else 0.0
+
+    def lifted(self) -> np.ndarray:
+        """A new (m+1, n+1, n+1) stack of each row's lifted matrix [[P, q/2], [q'/2, r]].
+
+        Row k's matrix F has f_k(x) = <F, [[xx', x], [x', 1]]>.  Adding 0.0
+        turns every -0.0 into 0.0.  to_homogeneous and the SDR read it.
+        """
+        n = self.all_P.shape[1]
+        F = np.zeros((len(self.all_P), n + 1, n + 1))
+        F[:, :n, :n] = self.all_P
+        F[:, :n, n] = F[:, n, :n] = 0.5 * self.all_q
+        F[:, n, n] = self.all_r
+        F += 0.0
+        return F
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Each stacked row's f(x), equal bit for bit to _value(form, x)."""
@@ -438,19 +458,23 @@ def assess(problem: QcqpProblem, x) -> Assessment:
     A non-finite objective counts as violation inf, like a non-finite
     constraint value, so such a point never beats a finite one.  x is
     checked once; every row is then evaluated as `evaluate` would, in two
-    stacks: the rows of one variable and the rest.  At a non-finite point
-    the objective is not finite either (0 * inf is NaN), so it alone is
-    evaluated, quietly.
+    stacks: the rows of one variable and the rest.  A point not below the
+    row table's quiet_x, where a row's value may overflow, is assessed with
+    numpy's warnings off.  At a non-finite point the objective is not
+    finite either (0 * inf is NaN), so it alone is evaluated.
     """
     x = _check_vector(x, problem.n)
-    if not np.isfinite(x).all():
-        with np.errstate(invalid="ignore"):
+    if float(np.abs(x).max(initial=0.0)) < problem._row_classes.quiet_x:
+        return _finite_assessment(problem, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(x).all():
             return Assessment(violation=math.inf, objective=_value(problem.objective, x))
-    v = problem._row_classes.max_violation(x)
-    f = _value(problem.objective, x)
-    if not math.isfinite(f):
-        v = math.inf
-    return Assessment(violation=v, objective=f)
+        return _finite_assessment(problem, x)
+
+
+def _finite_assessment(problem: QcqpProblem, x: np.ndarray) -> Assessment:
+    v, f = problem._row_classes.max_violation(x), _value(problem.objective, x)
+    return Assessment(violation=v if math.isfinite(f) else math.inf, objective=f)
 
 
 def _lift_form(form: QuadraticForm, n_new: int, extra_q: Sequence[tuple[int, float]] = ()) -> QuadraticForm:
@@ -476,27 +500,12 @@ def to_epigraph(problem: QcqpProblem) -> QcqpProblem:
     return QcqpProblem.create(new_obj, [epi] + lifted)
 
 
-def _homogenize_form(form: QuadraticForm) -> QuadraticForm:
-    """Block form [[P, q/2], [q'/2, r]] acting on (x, z_{n+1}).
-
-    Its matrix F is the lifted form: f(x) = <F, [[xx', x], [x', 1]]>.
-    """
-    n = form.n
-    P = np.empty((n + 1, n + 1))
-    P[:n, :n] = form.dense_p
-    P[:n, n] = P[n, :n] = 0.5 * form.q_vec
-    P[n, n] = form.r
-    return QuadraticForm._of_symmetric(P)
-
-
 def to_homogeneous(problem: QcqpProblem) -> QcqpProblem:
     """Homogeneous form in n+1 variables with the added constraint z_{n+1}^2 = 1."""
     n = problem.n
-    new_obj = _homogenize_form(problem.objective)
-    constraints = [Constraint(_homogenize_form(c.form), c.sense) for c in problem.constraints]
-    unit = QuadraticForm.create(n + 1, [(n, n, 1.0)], None, -1.0)
-    constraints.append(Constraint(unit, Sense.EQ))
-    return QcqpProblem.create(new_obj, constraints)
+    new_obj, *forms = map(QuadraticForm._of_symmetric, problem._row_classes.lifted())
+    unit = Constraint(QuadraticForm.create(n + 1, [(n, n, 1.0)], None, -1.0), Sense.EQ)
+    return QcqpProblem.create(new_obj, [Constraint(f, c.sense) for f, c in zip(forms, problem.constraints)] + [unit])
 
 
 def dehomogenize(z) -> np.ndarray:

@@ -16,8 +16,11 @@ def _check_symmetric_input(P) -> np.ndarray:
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if P.ndim > 3 or P.shape[-2] != P.shape[-1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(P)):
+    big = float(np.abs(P).max(initial=0.0))
+    if not math.isfinite(big):
         raise ValueError("matrix has non-finite entries")
+    if big >= 2.0**1023:  # P + P' may overflow; halving such entries first is exact
+        return 0.5 * P + 0.5 * P.swapaxes(-1, -2)
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 

@@ -1,19 +1,18 @@
 """Lower bounds for nonconvex QCQPs and candidate points extracted from them.
 
-The spectral relaxation aggregates all constraints into one with a
-nonnegative multiplier vector and solves the resulting one-constraint
-problem exactly; its bound is flagged valid only when the solver's point
-and multiplier certify it.  The semidefinite relaxation (SDR) over
-Z = [[X, x], [x', 1]] >= 0 is solved by sdr_bound, a dense primal-dual
-interior-point method built on numpy Cholesky factorizations; its bound is
-certified from the dual vector alone, so it holds however early the method
-stops, and a NaN bound is flagged invalid.  sdr_bound writes the
-homogenized objective and rows from the problem's row table into one stack
-once, and the solver scales each to unit norm by a norm that does not
-overflow (linalg.norm).  sdr_bound_cutting_plane approximates the same SDR
-from outside by an LP over the lifted variables (X, x), cutting away
-violated positive-semidefiniteness one eigenvector at a time; it is kept as
-library code, and any iterate of its LP is already a valid bound.
+Both bounds are proved by one rule, _certified_bound: any dual vector y of
+the semidefinite relaxation (SDR) over Z = [[X, x], [x', 1]] >= 0 gives a
+valid bound (Jansson, Chaykin & Keil 2007), and a NaN bound is flagged
+invalid.  spectral_bound aggregates all constraints into one with
+multipliers lam and solves that one-constraint problem exactly; its point
+and multiplier eta give y = (f0(x), -eta * lam).  sdr_bound solves the SDR
+by a dense primal-dual interior-point method on numpy Cholesky
+factorizations, so its bound holds however early the method stops.  Both
+read the lifted rows from the problem's row table (_RowClasses.lifted).
+sdr_bound_cutting_plane approximates the same SDR from outside by an LP
+over (X, x), cutting away violated positive-semidefiniteness one
+eigenvector at a time; it is kept as library code, and any iterate of its
+LP is already a valid bound.
 
 tighten appends redundant pairwise products of affine constraints, which
 leaves the feasible set unchanged but can strictly improve the lifted bound.
@@ -28,7 +27,7 @@ import numpy as np
 
 from .core import Constraint, QcqpProblem, QuadraticForm, Sense
 from .errors import NumericalFailureError
-from .linalg import inv_chol, min_eig_bound, norm, sym_eigen
+from .linalg import inv_chol, norm, sym_eigen
 from .lp import IncrementalLp, LinearProgram, LpStatus
 from .oneconstraint import OneConstraintStatus, solve_one_constraint
 
@@ -71,69 +70,25 @@ def aggregate_constraints(problem: QcqpProblem, lam) -> QuadraticForm:
     return QuadraticForm._of_symmetric(P, q, r)
 
 
-CERT_TOL = 1e-8  # relative residual within which (x, eta) certifies a spectral bound
-
-
-def _entry_scale(form: QuadraticForm) -> float:
-    """The largest |entry| of the form's P, q and r, or 1.0 for the zero form."""
-    P, q = np.abs(form.dense_p), np.abs(form.q_vec)
-    return max(float(np.max(P, initial=0.0)), float(np.max(q, initial=0.0)), abs(form.r)) or 1.0
-
-
-def _certifies(objective: QuadraticForm, agg: QuadraticForm, x: np.ndarray, eta: float) -> bool:
-    """Whether (x, eta) proves min f0 over {agg <= 0} >= f0(x), to CERT_TOL relative to the forms.
-
-    With eta >= 0, L = f0 + eta * agg has P0 + eta * P1 >= 0 and gradient
-    2 (P0 + eta P1) x + q0 + eta q1 = 0, so x minimizes L, and L(x) bounds
-    the minimum from below (the S-lemma's dual); L(x) >= f0(x) when
-    eta * agg(x) >= 0.  Each condition is checked to CERT_TOL relative to
-    the size of its terms, after dividing each form by its largest entry,
-    so no square overflows at any scale; a residual that is not finite
-    certifies nothing.
-    """
-    a, b = _entry_scale(objective), _entry_scale(agg)
-    P0, q0 = objective.dense_p / a, objective.q_vec / a
-    P1, q1, r1 = agg.dense_p / b, agg.q_vec / b, agg.r / b
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = eta * (b / a)  # eta in the divided forms' units
-        P = P0 + e * P1
-        if not (eta >= 0.0 and math.isfinite(e) and np.isfinite(P).all() and np.isfinite(x).all()):
-            return False
-        nx, size_p = norm(x), norm(P0) + e * norm(P1)
-        checks = [
-            (-min_eig_bound(P), size_p),
-            (norm(2.0 * (P @ x) + q0 + e * q1), size_p * nx + norm(q0) + e * norm(q1)),
-        ]
-        if e > 0.0:
-            gap = e * (float(x @ (P1 @ x)) + float(q1 @ x) + r1)
-            checks.append((-gap, e * (norm(P1) * nx * nx + norm(q1) * nx + abs(r1))))
-    return all(math.isfinite(res) and math.isfinite(size) and res <= CERT_TOL * size for res, size in checks)
-
-
 def spectral_bound(problem: QcqpProblem, lam=None) -> RelaxationResult:
     """Bound from the aggregated one-constraint relaxation.
 
     Every feasible point satisfies sum(lam_i * f_i) <= 0, so the minimum of
     the objective under that single constraint bounds the true minimum from
     below.  A dual-unbounded subproblem yields the vacuous bound -inf.  The
-    bound is flagged valid only when the solver's (x, eta) certifies it
-    (_certifies); otherwise valid is false.
+    solver's (x, eta) gives the SDR dual vector (f0(x), -eta * lam), and the
+    bound and its flag are those _certified_bound proves from it: f0(x) where
+    the Lagrangian f0 + eta * agg - f0(x) is nonnegative, else looser.
     """
-    if lam is None:
-        lam = np.ones(problem.m)
-    agg = aggregate_constraints(problem, lam)
-    res = solve_one_constraint(problem.objective, agg)
+    lam = np.ones(problem.m) if lam is None else np.asarray(lam, dtype=float)
+    res = solve_one_constraint(problem.objective, aggregate_constraints(problem, lam))
     if res.status is OneConstraintStatus.DUAL_UNBOUNDED:
-        return RelaxationResult(bound=-math.inf, certificate=np.asarray(lam, dtype=float))
+        return RelaxationResult(bound=-math.inf, certificate=lam)
     if res.status is OneConstraintStatus.INFEASIBLE:
         # the aggregated set is empty, so the original problem is infeasible
-        return RelaxationResult(bound=math.inf, certificate=np.asarray(lam, dtype=float))
-    return RelaxationResult(
-        bound=res.value,
-        candidate=res.x,
-        certificate=np.asarray(lam, dtype=float),
-        valid=_certifies(problem.objective, agg, res.x, res.eta),
-    )
+        return RelaxationResult(bound=math.inf, certificate=lam)
+    bound, valid = _certified_bound(problem, _sdr_rows(problem), np.append(res.value, -res.eta * lam))
+    return RelaxationResult(bound=bound, candidate=res.x, certificate=lam, valid=valid)
 
 
 # -- interior-point solution of the SDR ------------------------------------
@@ -153,20 +108,13 @@ RAY_TOL = 1e-8  # a diverging iterate this close to a ray proves infeasibility
 def _sdr_rows(problem: QcqpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C, the stacked A_0, A_1, ..., A_m and the mask of rows that carry an LP slack.
 
-    C and A_i (i >= 1) are the _homogenize_form of the objective and of row
-    i, written into one stack from the problem's row table; adding 0.0
-    turns every -0.0 into 0.0 as that form's construction does.
+    C and A_i (i >= 1) are the lifted objective and row i (_RowClasses.lifted).
     """
-    rc, n = problem._row_classes, problem.n
-    A = np.zeros((problem.m + 1, n + 1, n + 1))
-    A[:, :n, :n] = rc.all_P
-    A[:, :n, n] = A[:, n, :n] = 0.5 * rc.all_q
-    A[:, n, n] = rc.all_r
-    A += 0.0
+    A = problem._row_classes.lifted()
     C = A[0].copy()
     A[0] = 0.0
-    A[0, n, n] = 1.0
-    return C, A, np.append(False, ~rc.all_eq[1:])
+    A[0, -1, -1] = 1.0
+    return C, A, np.append(False, ~problem._row_classes.all_eq[1:])
 
 
 def _max_step(Li: np.ndarray, dV: np.ndarray) -> list[float]:
@@ -282,9 +230,8 @@ def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
                 status = "stalled"
                 break
 
-        def direction(G, g):
-            # HKM: Z S + dZ S + Z dS = G, s w + ds w + s dw = g
-            GSi = G @ Si
+        def direction(GSi, g):
+            # HKM: Z S + dZ S + Z dS = G, s w + ds w + s dw = g, given GSi = G S^-1
             h = rp - Af @ (GSi - Z - ZRdSi).ravel()
             if k:
                 h[slack] -= g / w - s - d * rw
@@ -322,13 +269,13 @@ def _solve_sdr(C: np.ndarray, A: np.ndarray, le: np.ndarray) -> _SdrIterate:
                 M[slack, slack] += d
             Mi = inv_chol(M)
             ZRdSi = Z @ Rd @ Si
-            dZ, dy, dS, ds, dw = direction(np.zeros((N, N)), np.zeros(k))
+            dZ, dy, dS, ds, dw = direction(0.0, 0.0)  # the predictor: G = 0, g = 0
             ap, ad = steps(dZ, dS, ds, dw, 1.0)
             zs_aff = float(np.vdot(Z + ap * dZ, S + ad * dS))
             if k:
                 zs_aff += float((s + ap * ds) @ (w + ad * dw))
             sigma = min(1.0, (zs_aff / (N + k) / mu) ** 3)
-            dZ, dy, dS, ds, dw = direction(sigma * mu * eye - dZ @ dS, sigma * mu - ds * dw if k else None)
+            dZ, dy, dS, ds, dw = direction((sigma * mu * eye - dZ @ dS) @ Si, sigma * mu - ds * dw if k else None)
             ap, ad = steps(dZ, dS, ds, dw, 0.9 + 0.09 * min(ap, ad))
         except np.linalg.LinAlgError:
             status = "stalled"
@@ -392,19 +339,20 @@ def _certified_bound(problem: QcqpProblem, rows, y) -> tuple[float, bool]:
     With y clipped to <= 0 on le rows and S = C - sum y_i A_i recomputed
     from the data, every feasible Z with tr(Z) <= T has
     <C, Z> >= y_0 + min(0, lambda_min(S)) T (Jansson, Chaykin & Keil 2007).
-    The bound is flagged invalid only when lambda_min(S) < 0 and the rows
-    give no T.  rows is _sdr_rows(problem).
+    The bound is flagged invalid when lambda_min(S) < 0 and the rows give
+    no T, and when it is NaN.  rows is _sdr_rows(problem).
     """
     C, A, le = rows
     y = np.where(le, np.minimum(np.asarray(y, dtype=float), 0.0), y)
     S = C - np.tensordot(y, A, axes=1)
-    lam = float(np.linalg.eigvalsh(S)[0])
+    y0, lam = float(y[0]), float(np.linalg.eigvalsh(S)[0])
     if lam >= 0.0:
-        return float(y[0]), True
-    T = _trace_bound(problem, float(y[0]))
-    if T is None:
-        return float(y[0]), False
-    return float(y[0]) + lam * T, True
+        bound = y0
+    elif (T := _trace_bound(problem, y0)) is None:
+        return y0, False
+    else:
+        bound = y0 + lam * T
+    return bound, not math.isnan(bound)
 
 
 def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
@@ -413,8 +361,7 @@ def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
     The bound comes from the dual iterate through _certified_bound, so it is
     valid even when the interior-point method stops early (converged is
     then false).  An SDR found infeasible gives +inf flagged invalid, as an
-    unproven infeasibility; one found unbounded gives -inf.  A NaN bound is
-    flagged invalid.
+    unproven infeasibility; one found unbounded gives -inf.
     """
     rows = _sdr_rows(problem)
     it = _solve_sdr(*rows)
@@ -423,7 +370,6 @@ def sdr_bound(problem: QcqpProblem) -> RelaxationResult:
     if it.status == "unbounded":
         return RelaxationResult(bound=-math.inf)
     bound, valid = _certified_bound(problem, rows, it.y)
-    valid = valid and not math.isnan(bound)
     n = problem.n
     Z = 0.5 * (it.Z + it.Z.T)
     X, x = Z[:n, :n] / Z[n, n], Z[:n, n] / Z[n, n]

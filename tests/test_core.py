@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -25,7 +26,7 @@ from qcqp.core import (
     _value,
 )
 from qcqp.errors import DegenerateHomogeneousError, DimensionMismatchError
-from qcqp.generators import gen_beamforming
+from qcqp.generators import gen_beamforming, gen_partitioning
 
 
 def evaluate_triplets(form: QuadraticForm, x) -> float:
@@ -287,6 +288,26 @@ def test_one_variable_block_gives_plus_zero_where_the_dense_products_do(a, b, xi
     problem = QcqpProblem.create(QuadraticForm.create(3), [Constraint(form, Sense.LE)])
     x = np.array([2.0, xi, 1.0])
     assert same(problem._row_classes.values(x)[0], _value(form, x))
+
+
+@pytest.mark.parametrize("x", [[1e200, 1.0, 1.0], [1.0, -1e160, 1.0], [1e308, -1e308, 1e308], [1e150, 1.0, 1.0]])
+def test_assess_is_quiet_at_a_finite_point_whose_rows_overflow(x):
+    # rows x_i^2 = 1 of one variable, a general row and an objective that overflow there
+    x = np.array(x)
+    ball = Constraint(QuadraticForm.from_dense(np.ones((3, 3)), [1.0, 0.0, 0.0], -1.0))
+    parted = gen_partitioning(np.zeros((3, 3)))
+    for problem in (
+        parted,
+        QcqpProblem.create(parted.objective, list(parted.constraints) + [ball]),
+        QcqpProblem.create(QuadraticForm.from_dense(-np.eye(3)), parted.constraints),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = assess(problem, x)
+        with np.errstate(all="ignore"):  # the per-row reference warns at such a point
+            v = max(c._violation_of(_value(c.form, x)) for c in problem.constraints)
+            f = _value(problem.objective, x)
+        assert same(a.objective, f) and same(a.violation, v if math.isfinite(f) else math.inf)
 
 
 @given(one_variable_rows_and_points(), st.sampled_from([math.inf, -math.inf, math.nan]), st.integers(0, 4))

@@ -50,3 +50,19 @@ def test_norm_is_numpys_where_it_does_not_overflow_and_quiet_where_it_does():
         assert norm(np.array([[1.5e308, 1.5e308], [0.0, 1.5e308]])) == math.inf  # beyond the float range itself
         assert norm(np.array([math.inf, 1.0])) == math.inf
         assert math.isnan(norm(np.array([math.nan, 1e200, 1e200])))
+
+
+def test_symmetrizing_keeps_numpys_bits_and_does_not_overflow():
+    from qcqp.linalg import _check_symmetric_input
+
+    rng = np.random.default_rng(1)
+    for scale in (1.0, 1e-300, 1e150, 1e307):
+        P = rng.standard_normal((3, 5, 5)) * scale
+        assert _check_symmetric_input(P).tobytes() == (0.5 * (P + P.swapaxes(1, 2))).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sym_eigen([[0.0, 1.7e308], [1.5e308, 0.0]]).values == pytest.approx([-1.6e308, 1.6e308], rel=1e-15)
+        assert min_eig_bound([[1e308]]) == 1e308
+    for bad in ([[math.inf]], [[0.0, -math.inf], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            sym_eigen(bad)

@@ -7,13 +7,23 @@ import qcqp.lp as lp_mod
 import qcqp.relax as relax_mod
 from qcqp.core import Constraint, QcqpProblem, QuadraticForm, Sense, assess
 from qcqp.errors import QcqpError
-from qcqp.generators import brute_force, gen_beamforming, gen_partitioning
+from qcqp.generators import (
+    brute_force,
+    gen_3sat,
+    gen_beamforming,
+    gen_boolean_ls,
+    gen_maxbisection,
+    gen_maxclique,
+    gen_maxcut,
+    gen_partitioning,
+)
 from qcqp.oneconstraint import OneConstraintResult, OneConstraintStatus
 from qcqp.relax import (
     CutPlaneOptions,
     aggregate_constraints,
     axis_pair_cuts,
     sample_from_lifted,
+    sdr_bound,
     sdr_bound_cutting_plane,
     spectral_bound,
     tighten,
@@ -298,27 +308,50 @@ def test_spectral_bound_of_a_scaled_instance_is_valid_or_flagged_or_fails(s):
 
 @pytest.mark.parametrize("s", [1.0, 1e12, 1e200])
 def test_spectral_bound_flags_an_answer_that_certifies_nothing(monkeypatch, s):
-    # the solver's old answer at s >= 1e155: x = 0 with eta = 0, where the
-    # gradient of the Lagrangian is the objective's q, not 0
-    bad = OneConstraintResult(OneConstraintStatus.OPTIMAL, x=np.zeros(2), value=0.0, eta=0.0)
-    monkeypatch.setattr(relax_mod, "solve_one_constraint", lambda objective, form: bad)
-    res = spectral_bound(_scaled_circle(s))
-    assert res.bound == 0.0 and not res.valid
+    # whatever (x, eta) the solver returns, the bound comes from the dual
+    # vector (f0(x), -eta) and holds for the problem, or is flagged
+    p = _scaled_circle(s)
+    optimum = -np.ones(2) / math.sqrt(2.0)
+    planted = [
+        # the solver's old answer at s >= 1e155: the Lagrangian's gradient is the objective's q, not 0
+        (np.zeros(2), 0.0, 0.0),
+        # the optimum's x with a multiplier that leaves the Lagrangian's gradient not 0
+        (optimum, 0.3, 0.0),
+        # eta < 0: the Lagrangian is not convex
+        (optimum, -0.5, 0.0),
+        # an interior point with eta > 0, whose bound holds to the rounding of the objective's scale
+        (np.zeros(2), 0.5, 1e-12),
+    ]
+    for x, eta, slack in planted:
+        answer = OneConstraintResult(OneConstraintStatus.OPTIMAL, x=x, value=p.objective(x), eta=eta)
+        monkeypatch.setattr(relax_mod, "solve_one_constraint", lambda objective, form: answer)
+        res = spectral_bound(p)
+        assert not res.valid or res.bound <= -math.sqrt(2.0) * s * (1.0 - slack)
 
 
-def test_spectral_certificate_checks_each_condition():
-    # min x1 s.t. x1^2 + x2^2 - 1 <= 0: x = (-1, 0) with eta = 1/2 certifies -1
-    objective = QuadraticForm.create(2, (), [1.0, 0.0])
-    agg = QuadraticForm.create(2, [(0, 0, 1.0), (1, 1, 1.0)], None, -1.0)
-    x = np.array([-1.0, 0.0])
-    assert relax_mod._certifies(objective, agg, x, 0.5)
-    assert not relax_mod._certifies(objective, agg, x, 0.4)  # gradient not 0
-    assert not relax_mod._certifies(objective, agg, x, -0.5)  # eta < 0
-    # a Lagrangian that is not convex: min -x1^2 s.t. x1^2 - 1 <= 0 at eta = 1/2
-    concave = QuadraticForm.create(2, [(0, 0, -1.0)])
-    assert not relax_mod._certifies(concave, agg, np.zeros(2), 0.5)
-    # interior point with eta > 0: eta * agg(x) < 0, so L(x) < f0(x)
-    shifted = QuadraticForm.create(2, [(0, 0, 0.5), (1, 1, 0.5)], [1.0, 0.0])
-    assert relax_mod._certifies(shifted, agg, np.array([-1.0, 0.0]), 0.0)
-    assert not relax_mod._certifies(shifted, agg, np.array([-0.5, 0.0]), 0.5)
-    assert not relax_mod._certifies(objective, agg, np.array([np.inf, 0.0]), 0.5)
+def _boolean_families(seed):
+    rng = np.random.default_rng(seed)
+    W = np.triu(rng.uniform(size=(8, 8)), 1)
+    W = W + W.T
+    A = np.triu(rng.uniform(size=(7, 7)) < 0.5, 1)
+    return {
+        "boolean-ls": gen_boolean_ls(10, 8, seed),
+        "partitioning": gen_partitioning(W),
+        "maxcut": gen_maxcut(W),
+        "maxbisection": gen_maxbisection(W),
+        "maxclique": gen_maxclique((A + A.T + np.eye(7)).astype(float)),
+        "3sat": gen_3sat([[1, -2, 3], [-1, 2, 4], [2, -3, -4], [1, 3, 5], [-5, 4, 2]], 5),
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_bound_flagged_valid_is_at_most_the_optimum(seed):
+    # the spectral bound once came out 1 ulp above the max-clique optimum
+    # (-2.999999999999999 against -3.0), flagged valid
+    for name, p in _boolean_families(seed).items():
+        _, fstar = brute_force(p)
+        for c in (1.0, 1e-12, 1e12):
+            scaled = QcqpProblem.create(p.objective.scaled(c), p.constraints)
+            for method in (spectral_bound, sdr_bound):
+                res = method(scaled)
+                assert not res.valid or res.bound <= fstar * c, (name, c, method.__name__, res.bound, fstar * c)
